@@ -1,6 +1,6 @@
 """Demonstration retrieval, registration and trajectory transfer toolkit."""
 
-from .se3 import Pose, PointCloud, RelativeMotion, compose, invert, transform_cloud, pose_distance, interpolate
+from .se3 import Pose, PointCloud, compose, invert, transform_cloud, pose_distance, interpolate
 from .demos import Dataset, Demonstration, EndEffectorState, parse_micro_skill, resample_trajectory, alignment_target, save_dataset, load_dataset
 from .embedding import GridSpec, GeometryEmbedding, occupancy_embedding, cosine_similarity
 from .retrieval import RetrievalResult, language_filter, hierarchical_retrieve

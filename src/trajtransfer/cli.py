@@ -30,11 +30,10 @@ from .retrieval import hierarchical_retrieve, rank_candidates
 from .se3 import Pose, PointCloud, transform_cloud
 from .simbench import (
     Benchmark,
-    RenderSpec,
+    _observed_cloud,
     default_task,
     generate_object,
     randomize_scene,
-    render_partial_cloud,
     run_rollout,
 )
 
@@ -91,13 +90,6 @@ def _load_or_new_dataset(path) -> demos_mod.Dataset:
     return demos_mod.Dataset()
 
 
-def _require_dataset(path) -> demos_mod.Dataset:
-    path = Path(path)
-    if not (path / "dataset.json").exists():
-        raise MalformedFile(f"{path}: no dataset found")
-    return demos_mod.load_dataset(path)
-
-
 def cmd_ingest(args) -> int:
     dataset = _load_or_new_dataset(args.dataset)
     cloud = _read_cloud_file(args.cloud)
@@ -109,7 +101,7 @@ def cmd_ingest(args) -> int:
 
 
 def cmd_retrieve(args) -> int:
-    dataset = _require_dataset(args.dataset)
+    dataset = demos_mod.load_dataset(args.dataset)
     cloud = _read_cloud_file(args.cloud)
     if args.top > 1:
         ranking = rank_candidates(dataset, args.description, cloud)[: args.top]
@@ -121,7 +113,7 @@ def cmd_retrieve(args) -> int:
 
 
 def cmd_register(args) -> int:
-    dataset = _require_dataset(args.dataset)
+    dataset = demos_mod.load_dataset(args.dataset)
     if args.demo_id not in dataset.demos:
         raise MalformedFile(f"demo id {args.demo_id!r} not in dataset")
     demo = dataset.demos[args.demo_id]
@@ -191,8 +183,7 @@ def cmd_gen_scene(args) -> int:
     instance = generate_object(args.family, args.instance_seed)
     scene = randomize_scene(task, instance, args.mode, args.seed)
     if args.cloud_out:
-        cloud = render_partial_cloud(instance, scene.object_pose, spec=RenderSpec(seed=args.seed))
-        _write_cloud_file(cloud, args.cloud_out)
+        _write_cloud_file(_observed_cloud(scene), args.cloud_out)
     print(
         json.dumps(
             {
@@ -208,7 +199,7 @@ def cmd_gen_scene(args) -> int:
 
 
 def cmd_gen_align_data(args) -> int:
-    dataset = _require_dataset(args.dataset)
+    dataset = demos_mod.load_dataset(args.dataset)
     if args.demo_id not in dataset.demos:
         raise MalformedFile(f"demo id {args.demo_id!r} not in dataset")
     demo = dataset.demos[args.demo_id]

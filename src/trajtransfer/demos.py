@@ -11,8 +11,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
 
@@ -100,26 +99,17 @@ def resample_trajectory(traj, spacing: float = DEFAULT_SPACING):
 class Dataset:
     """Indexed demonstration collection with a micro-skill index.
 
-    Ingestion is serialized by a lock; reads are safe once ingestion is done.
+    :meth:`add` is the only code that writes ``demos`` and ``skill_index``;
+    :meth:`ingest` and :func:`load_dataset` both insert through it.
     """
 
     def __init__(self, grid: emb.GridSpec | None = None):
         self.grid = grid if grid is not None else emb.GridSpec()
         self.demos: dict[str, Demonstration] = {}
         self.skill_index: dict[str, list[str]] = {}
-        self._lock = threading.Lock()
 
     def __len__(self) -> int:
         return len(self.demos)
-
-    def __getstate__(self):
-        state = self.__dict__.copy()
-        del state["_lock"]  # locks are not picklable; workers get a fresh one
-        return state
-
-    def __setstate__(self, state):
-        self.__dict__.update(state)
-        self._lock = threading.Lock()
 
     def ingest(
         self,
@@ -130,11 +120,7 @@ class Dataset:
         object_instance_id: str | None = None,
         spacing: float = DEFAULT_SPACING,
     ) -> Demonstration:
-        """Build a Demonstration and add it to the dataset.
-
-        Idempotent for identical input + id; a differing demo under an existing
-        id raises DuplicateId.
-        """
+        """Build a Demonstration and add it to the dataset; returns the stored demo."""
         if len(object_cloud) == 0:
             raise EmptyCloud("demonstration object cloud is empty")
         trajectory = list(trajectory)
@@ -145,32 +131,31 @@ class Dataset:
         embedding = emb.occupancy_embedding(object_cloud, self.grid)
         if demo_id is None:
             demo_id = _content_id(description, object_cloud, traj)
-        demo = Demonstration(
-            id=demo_id,
-            description=description,
-            micro_skill=micro_skill,
-            object_cloud=object_cloud,
-            trajectory=traj,
-            embedding=embedding,
-            object_instance_id=object_instance_id,
+        return self.add(
+            Demonstration(
+                id=demo_id,
+                description=description,
+                micro_skill=micro_skill,
+                object_cloud=object_cloud,
+                trajectory=traj,
+                embedding=embedding,
+                object_instance_id=object_instance_id,
+            )
         )
-        with self._lock:
-            if demo_id in self.demos:
-                if _demo_equal(self.demos[demo_id], demo):
-                    return self.demos[demo_id]
-                raise DuplicateId(f"demo id {demo_id!r} already present with different content")
-            self.demos[demo_id] = demo
-            self.skill_index.setdefault(micro_skill, []).append(demo_id)
-        return demo
 
-    def add(self, demo: Demonstration) -> None:
-        with self._lock:
-            if demo.id in self.demos:
-                if _demo_equal(self.demos[demo.id], demo):
-                    return
-                raise DuplicateId(f"demo id {demo.id!r} already present with different content")
-            self.demos[demo.id] = demo
-            self.skill_index.setdefault(demo.micro_skill, []).append(demo.id)
+    def add(self, demo: Demonstration) -> Demonstration:
+        """Store ``demo`` and return the stored demo.
+
+        Idempotent for an identical demo under the same id; a differing demo
+        under an existing id raises DuplicateId.
+        """
+        if demo.id in self.demos:
+            if _demo_equal(self.demos[demo.id], demo):
+                return self.demos[demo.id]
+            raise DuplicateId(f"demo id {demo.id!r} already present with different content")
+        self.demos[demo.id] = demo
+        self.skill_index.setdefault(demo.micro_skill, []).append(demo.id)
+        return demo
 
 
 def alignment_target(demo: Demonstration) -> Pose:
@@ -311,9 +296,7 @@ def load_dataset(path) -> Dataset:
     grid = emb.GridSpec.from_dict(manifest["grid"])
     dataset = Dataset(grid)
     for demo_id in manifest["demo_ids"]:
-        demo = load_demo_file(path / f"{demo_id}.demo", grid)
-        dataset.demos[demo_id] = demo
-        dataset.skill_index.setdefault(demo.micro_skill, []).append(demo_id)
+        dataset.add(load_demo_file(path / f"{demo_id}.demo", grid))
     for skill, ids in manifest["skill_index"].items():
         if sorted(dataset.skill_index.get(skill, [])) != sorted(ids):
             raise MalformedFile(f"{manifest_path}: skill index inconsistent for {skill!r}")

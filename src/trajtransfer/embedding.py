@@ -7,7 +7,7 @@ descriptor.  Descriptors are compared by cosine similarity.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

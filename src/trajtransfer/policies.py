@@ -18,7 +18,6 @@ from .errors import InvalidSpacing, TooFewPoints, TrajectoryTooShort
 from .se3 import (
     Pose,
     PointCloud,
-    RelativeMotion,
     compose,
     interpolate,
     invert,
@@ -34,10 +33,6 @@ ALIGN_CUBOID_SIZE = (0.30, 0.80, 0.80)
 ALIGN_PERTURB_TRANS = (0.001, 0.01)  # metres
 ALIGN_PERTURB_ROT = (math.radians(0.5), math.radians(5.0))
 
-# Interaction-augmentation bounds; consumed by external BC pipelines only.
-INTERACT_PERTURB_TRANS = 0.009
-INTERACT_PERTURB_ROT = math.radians(5.0)
-
 
 @dataclass(frozen=True)
 class AlignmentPlan:
@@ -49,7 +44,7 @@ class AlignmentPlan:
 
 @dataclass(frozen=True)
 class ReplayPlan:
-    steps: tuple  # (RelativeMotion, gripper command) per demo step
+    steps: tuple  # (successor pose in the predecessor's frame, gripper command) per demo step
     source_demo: str
 
 
@@ -84,7 +79,7 @@ def build_replay_plan(demo: Demonstration) -> ReplayPlan:
         raise TrajectoryTooShort("replay needs a trajectory of length >= 2")
     steps = []
     for a, b in zip(demo.trajectory[:-1], demo.trajectory[1:]):
-        steps.append((RelativeMotion(compose(invert(a.pose), b.pose)), b.gripper))
+        steps.append((compose(invert(a.pose), b.pose), b.gripper))
     return ReplayPlan(steps=tuple(steps), source_demo=demo.id)
 
 
@@ -93,7 +88,7 @@ def execute_replay(plan: ReplayPlan, start: Pose, start_gripper: int = 0):
     out = [EndEffectorState(start, start_gripper, 0)]
     pose = start
     for i, (motion, gripper) in enumerate(plan.steps):
-        pose = compose(pose, motion.delta)
+        pose = compose(pose, motion)
         out.append(EndEffectorState(pose, gripper, i + 1))
     return out
 

@@ -176,8 +176,11 @@ def estimate_covariances(cloud: PointCloud, k: int = 20) -> LocalCovariances:
     """Per-point covariance of the k nearest neighbours, planar-regularized.
 
     Eigenvalues are clamped below at EPS_PLANE times the largest so plane
-    patches stay invertible in the Mahalanobis weights.
+    patches stay invertible in the Mahalanobis weights.  A plane needs
+    ``k >= 3`` neighbours.
     """
+    if k < 3:
+        raise TooFewPoints(f"a planar covariance needs >= 3 neighbours, got k={k}")
     n = len(cloud)
     if n < k:
         raise TooFewPoints(f"need >= {k} points, cloud has {n}")

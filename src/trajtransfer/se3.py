@@ -1,4 +1,4 @@
-"""Rigid-body poses, point clouds and relative motions.
+"""Rigid-body poses and point clouds.
 
 Poses hold a unit quaternion (w, x, y, z) with canonical sign (w >= 0) and a
 translation in metres.  All operations are pure; values are immutable after
@@ -144,13 +144,6 @@ class PointCloud:
 
     def __len__(self) -> int:
         return self.points.shape[0]
-
-
-@dataclass(frozen=True)
-class RelativeMotion:
-    """Successor pose expressed in the predecessor's frame."""
-
-    delta: Pose
 
 
 def compose(a: Pose, b: Pose) -> Pose:

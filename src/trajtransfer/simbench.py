@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.spatial import ConvexHull, QhullError
 
-from .demos import Dataset, Demonstration, EndEffectorState, alignment_target
+from .demos import Dataset, Demonstration, EndEffectorState
 from .errors import NothingVisible, UnknownCategory, UnknownSkill, NoCorrespondences
 from .policies import build_replay_plan, execute_replay, jitter_cloud, mask_augment, plan_linear_path, transfer_alignment_pose
 from .registration import GicpParams, RegistrationResult, estimate_delta
@@ -32,17 +32,13 @@ WORKSPACE_MARGIN = 0.06
 # this keeps self-occlusion a function of the object's yaw rather than of
 # where it happens to sit in the workspace.
 CAMERA_HEIGHT = 2.00
-DEFAULT_CAMERA = Pose(
-    rotation=np.array([0.0, 1.0, 0.0, 0.0]),  # 180 deg about x: +z maps to world -z
-    translation=np.array([0.40, 0.225, CAMERA_HEIGHT]),
-)
 
 
 def camera_above(object_pose: Pose, height: float = CAMERA_HEIGHT) -> Pose:
     """Downward-looking camera pose centred over an object."""
     x, y = object_pose.translation[:2]
     return Pose(
-        rotation=np.array([0.0, 1.0, 0.0, 0.0]),
+        rotation=np.array([0.0, 1.0, 0.0, 0.0]),  # 180 deg about x: +z maps to world -z
         translation=np.array([x, y, height]),
     )
 
@@ -380,7 +376,7 @@ def hidden_point_removal(points: np.ndarray, gamma: float) -> np.ndarray:
 def render_partial_cloud(
     instance: ObjectInstance,
     object_pose: Pose,
-    camera_pose: Pose = DEFAULT_CAMERA,
+    camera_pose: Pose,
     spec: RenderSpec = RenderSpec(),
 ) -> PointCloud:
     """Partial robot-frame cloud of the posed object seen from the camera."""

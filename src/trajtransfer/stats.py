@@ -15,6 +15,7 @@ from dataclasses import dataclass, field, asdict
 from pathlib import Path
 
 import numpy as np
+from scipy.special import ndtri
 
 from .demos import Dataset
 from .errors import ConfigError, InvalidTrials
@@ -28,35 +29,11 @@ from .simbench import (
     run_rollout,
 )
 
-# --- normal quantile (Acklam rational approximation, |error| < 1e-8) ---------
-
-_A = (-3.969683028665376e01, 2.209460984245205e02, -2.759285104469687e02,
-      1.383577518672690e02, -3.066479806614716e01, 2.506628277459239e00)
-_B = (-5.447609879822406e01, 1.615858368580409e02, -1.556989798598866e02,
-      6.680131188771972e01, -1.328068155288572e01)
-_C = (-7.784894002430293e-03, -3.223964580411365e-01, -2.400758277161838e00,
-      -2.549732539343734e00, 4.374664141464968e00, 2.938163982698783e00)
-_D = (7.784695709041462e-03, 3.224671290700398e-01, 2.445134137142996e00,
-      3.754408661907416e00)
-
-
 def normal_quantile(p: float) -> float:
     """Inverse standard normal CDF."""
     if not 0.0 < p < 1.0:
         raise ValueError("p must be in (0, 1)")
-    p_low, p_high = 0.02425, 1 - 0.02425
-    if p < p_low:
-        q = math.sqrt(-2 * math.log(p))
-        return (((((_C[0] * q + _C[1]) * q + _C[2]) * q + _C[3]) * q + _C[4]) * q + _C[5]) / (
-            (((_D[0] * q + _D[1]) * q + _D[2]) * q + _D[3]) * q + 1
-        )
-    if p > p_high:
-        return -normal_quantile(1 - p)
-    q = p - 0.5
-    r = q * q
-    return (((((_A[0] * r + _A[1]) * r + _A[2]) * r + _A[3]) * r + _A[4]) * r + _A[5]) * q / (
-        (((((_B[0] * r + _B[1]) * r + _B[2]) * r + _B[3]) * r + _B[4]) * r + 1)
-    )
+    return float(ndtri(p))
 
 
 def wilson_interval(k: int, n: int, confidence: float = 0.95) -> tuple[float, float]:
@@ -70,7 +47,10 @@ def wilson_interval(k: int, n: int, confidence: float = 0.95) -> tuple[float, fl
     denom = 1 + z * z / n
     centre = (phat + z * z / (2 * n)) / denom
     margin = (z / denom) * math.sqrt(phat * (1 - phat) / n + z * z / (4 * n * n))
-    return max(0.0, centre - margin), min(1.0, centre + margin)
+    # at k = 0 and k = n the bound is exactly 0 or 1; rounding can miss it by an ulp
+    lo = 0.0 if k == 0 else max(0.0, centre - margin)
+    hi = 1.0 if k == n else min(1.0, centre + margin)
+    return lo, hi
 
 
 @dataclass(frozen=True)
@@ -243,7 +223,7 @@ def run_rollout_batch(bench, items, jobs: int = 1):
         return list(pool.map(_rollout_one, items, chunksize=4))
 
 
-def _seen_unseen_tasks(config, cond_idx):
+def _seen_unseen_tasks(config):
     """(seen, unseen) lists of (TaskSpec, ObjectInstance)."""
     seen, unseen = [], []
     for family in config.families:
@@ -264,6 +244,45 @@ def _diversity_tasks(config, n_tasks):
     return tasks
 
 
+@dataclass(frozen=True)
+class _Condition:
+    label: str  # row label prefix; "/seen" or "/unseen" is appended
+    seen: list  # (TaskSpec, ObjectInstance) pairs with demos in the benchmark
+    unseen: list
+    demos_per_task: int
+    cond_idx: int  # seed component; keeps every condition's scenes distinct
+    scene_mode: str
+
+
+def _conditions(config):
+    """Every condition of the configured protocol, in report order."""
+    if config.mode == "diversity":
+        # one unseen instance per family at 1000 + family index, unlike the
+        # other protocols' 1000 + i per family
+        unseen = [
+            (default_task(f), generate_object(f, 1000 + i))
+            for i, f in enumerate(config.families)
+        ][: config.unseen_instances_per_family * len(config.families)]
+        return [
+            _Condition(
+                f"tasks={n_tasks}x{n_demos}",
+                _diversity_tasks(config, n_tasks),
+                unseen,
+                n_demos,
+                100 + i,
+                "controlled",
+            )
+            for i, (n_tasks, n_demos) in enumerate(config.diversity_splits)
+        ]
+    seen, unseen = _seen_unseen_tasks(config)
+    if config.mode == "thousand":
+        return [_Condition("thousand", seen, unseen, 1, 200, "thousand")]
+    return [
+        _Condition(f"demos={n_demos}", seen, unseen, n_demos, i, "controlled")
+        for i, n_demos in enumerate(config.demos_per_task)
+    ]
+
+
 def run_experiment(config: ExperimentConfig, outdir, jobs: int = 1):
     """Run the configured protocol; returns (SuccessTable, trace file path)."""
     config.validate()
@@ -271,46 +290,13 @@ def run_experiment(config: ExperimentConfig, outdir, jobs: int = 1):
     outdir.mkdir(parents=True, exist_ok=True)
     table = SuccessTable()
     all_traces = []
-
-    if config.mode == "dataset_size":
-        seen, unseen = _seen_unseen_tasks(config, 0)
-        for cond_idx, n_demos in enumerate(config.demos_per_task):
-            bench = _build_benchmark(config, seen, n_demos, cond_idx)
-            for split, tasks in (("seen", seen), ("unseen", unseen)):
-                tag = 0 if split == "seen" else 1
-                k, n, traces = _rollout_tasks(
-                    config, bench, tasks, "controlled", cond_idx, tag, jobs
-                )
-                label = f"demos={n_demos}/{split}"
-                table.add(label, k, n)
-                for t in traces:
-                    t["condition"] = label
-                all_traces.extend(traces)
-    elif config.mode == "diversity":
-        for cond_idx, (n_tasks, n_demos) in enumerate(config.diversity_splits):
-            seen = _diversity_tasks(config, n_tasks)
-            unseen = [
-                (default_task(f), generate_object(f, 1000 + i))
-                for i, f in enumerate(config.families)
-            ][: config.unseen_instances_per_family * len(config.families)]
-            bench = _build_benchmark(config, seen, n_demos, 100 + cond_idx)
-            for split, tasks in (("seen", seen), ("unseen", unseen)):
-                tag = 0 if split == "seen" else 1
-                k, n, traces = _rollout_tasks(
-                    config, bench, tasks, "controlled", 100 + cond_idx, tag, jobs
-                )
-                label = f"tasks={n_tasks}x{n_demos}/{split}"
-                table.add(label, k, n)
-                for t in traces:
-                    t["condition"] = label
-                all_traces.extend(traces)
-    else:  # thousand
-        seen, unseen = _seen_unseen_tasks(config, 0)
-        bench = _build_benchmark(config, seen, 1, 200)
-        for split, tasks in (("seen", seen), ("unseen", unseen)):
-            tag = 0 if split == "seen" else 1
-            k, n, traces = _rollout_tasks(config, bench, tasks, "thousand", 200, tag, jobs)
-            label = f"thousand/{split}"
+    for cond in _conditions(config):
+        bench = _build_benchmark(config, cond.seen, cond.demos_per_task, cond.cond_idx)
+        for tag, (split, tasks) in enumerate((("seen", cond.seen), ("unseen", cond.unseen))):
+            k, n, traces = _rollout_tasks(
+                config, bench, tasks, cond.scene_mode, cond.cond_idx, tag, jobs
+            )
+            label = f"{cond.label}/{split}"
             table.add(label, k, n)
             for t in traces:
                 t["condition"] = label

@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from trajtransfer import cli
+from trajtransfer import cli, simbench
 from trajtransfer.se3 import Pose
 
 
@@ -183,6 +183,23 @@ class TestRegister:
         )
         assert code == cli.EXIT_INPUT
 
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_too_few_points(self, workdir, capsys, n):
+        ingest_one(workdir)
+        write_cloud(workdir / "tiny.txt", (0.4, 0.2, 0.05), n=n)
+        capsys.readouterr()
+        code = cli.main(
+            [
+                "register",
+                "--dataset", str(workdir / "ds"),
+                "--demo-id", "d1",
+                "--cloud", str(workdir / "tiny.txt"),
+            ]
+        )
+        assert code == cli.EXIT_INPUT
+        err = capsys.readouterr().err
+        assert "TooFewPoints" in err and "Traceback" not in err
+
 
 class TestGenScene:
     def test_scene_json(self, workdir, capsys):
@@ -194,6 +211,16 @@ class TestGenScene:
         assert out["category"] == "mug"
         assert len(out["object_pose"]) == 7
         assert (workdir / "c.txt").exists()
+
+    def test_cloud_is_what_a_rollout_observes(self, workdir):
+        out = workdir / "c.txt"
+        cli.main(["gen-scene", "--family", "mug", "--seed", "4", "--cloud-out", str(out)])
+        task = simbench.default_task("mug")
+        scene = simbench.randomize_scene(task, simbench.generate_object("mug", 0), "controlled", 4)
+        expected = simbench._observed_cloud(scene).points
+        written = cli._read_cloud_file(out).points
+        assert len(written) == 248
+        assert np.array_equal(written, expected)
 
 
 class TestGenAlignData:

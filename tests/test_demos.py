@@ -1,6 +1,7 @@
 """Demonstration store: parsing, resampling, ingestion, archive round-trip."""
 
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ import pytest
 from trajtransfer.demos import (
     Dataset,
     EndEffectorState,
+    _demo_equal,
     alignment_target,
     load_dataset,
     parse_micro_skill,
@@ -197,6 +199,16 @@ class TestArchive:
         back = load_dataset(tmp_path / "arch").demos[demo.id]
         dt, dr = pose_distance(alignment_target(back), alignment_target(demo))
         assert dt < 1e-15 and dr < 1e-15
+
+    def test_pickle_round_trip(self):
+        ds = Dataset()
+        ds.ingest("open bottle", small_cloud(), straight_traj(0.05))
+        ds.ingest("open box", small_cloud((0.5, 0.3, 0.05)), straight_traj(0.04))
+        back = pickle.loads(pickle.dumps(ds))
+        assert back.grid == ds.grid
+        assert back.skill_index == ds.skill_index
+        assert back.demos.keys() == ds.demos.keys()
+        assert all(_demo_equal(back.demos[i], ds.demos[i]) for i in ds.demos)
 
     def test_missing_manifest(self, tmp_path):
         with pytest.raises(MalformedFile):

@@ -133,7 +133,7 @@ class TestReplay:
         out = execute_replay(plan, Pose.from_yaw(1.0, (1.0, 2.0, 3.0)))
         for i, (motion, _) in enumerate(plan.steps):
             step = compose(invert(out[i].pose), out[i + 1].pose)
-            dt, dr = pose_distance(step, motion.delta)
+            dt, dr = pose_distance(step, motion)
             assert dt < 1e-12 and dr < 1e-12
 
     def test_gripper_schedule_invariant(self, rng):

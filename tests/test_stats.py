@@ -20,7 +20,7 @@ from trajtransfer.stats import (
     write_csv,
 )
 
-Z95 = 1.959963984540054
+Z95 = 1.959963984540054  # scipy.special.ndtri(0.975), bit for bit
 
 
 def wilson_oracle(k, n, z=Z95):
@@ -62,7 +62,7 @@ class TestWilson:
         lo, hi = wilson_interval(0, 10)
         assert lo == 0.0
         assert hi == pytest.approx(0.278, abs=5e-4)
-        assert (lo, hi) == pytest.approx(wilson_oracle(0, 10), abs=1e-6)
+        assert (lo, hi) == pytest.approx(wilson_oracle(0, 10), abs=1e-12)
 
     def test_eighteen_of_thirty_six(self):
         lo, hi = wilson_interval(18, 36)
