@@ -13,21 +13,13 @@ import os
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from . import demos as demos_mod
 from . import stats as stats_mod
-from .errors import (
-    ConfigError,
-    DuplicateId,
-    MalformedFile,
-    TrajTransferError,
-    UnknownSkill,
-)
-from .policies import export_trajectory_rows, simulate_alignment_trajectories
+from .errors import MalformedFile, TrajTransferError, UnknownSkill
+from .policies import simulate_alignment_trajectories
 from .registration import estimate_delta
 from .retrieval import hierarchical_retrieve, rank_candidates
-from .se3 import Pose, PointCloud, transform_cloud
+from .se3 import transform_cloud
 from .simbench import (
     Benchmark,
     _observed_cloud,
@@ -44,56 +36,11 @@ EXIT_INPUT = 2
 EXIT_RETRIEVAL = 3
 
 
-def _read_cloud_file(path) -> PointCloud:
-    lines = Path(path).read_text().splitlines()
-    try:
-        n = int(lines[0])
-        pts = [[float(v) for v in lines[1 + i].split()] for i in range(n)]
-        pts = np.array(pts, dtype=np.float64).reshape(n, 3)
-    except (IndexError, ValueError) as e:
-        raise MalformedFile(f"{path}: bad cloud file: {e}") from e
-    return PointCloud(pts)
-
-
-def _write_cloud_file(cloud: PointCloud, path) -> None:
-    lines = [str(len(cloud))]
-    for p in cloud.points:
-        lines.append(" ".join(repr(float(v)) for v in p))
-    Path(path).write_text("\n".join(lines) + "\n")
-
-
-def _read_trajectory_file(path):
-    states = []
-    for lineno, line in enumerate(Path(path).read_text().splitlines(), start=1):
-        if not line.strip():
-            continue
-        parts = line.split()
-        if len(parts) != 9:
-            raise MalformedFile(f"{path}:{lineno}: expected 9 columns, got {len(parts)}")
-        try:
-            states.append(
-                demos_mod.EndEffectorState(
-                    Pose.from_row([float(v) for v in parts[1:8]]),
-                    int(parts[8]),
-                    int(parts[0]),
-                )
-            )
-        except ValueError as e:
-            raise MalformedFile(f"{path}:{lineno}: {e}") from e
-    return states
-
-
-def _load_or_new_dataset(path) -> demos_mod.Dataset:
-    path = Path(path)
-    if (path / "dataset.json").exists():
-        return demos_mod.load_dataset(path)
-    return demos_mod.Dataset()
-
-
 def cmd_ingest(args) -> int:
-    dataset = _load_or_new_dataset(args.dataset)
-    cloud = _read_cloud_file(args.cloud)
-    traj = _read_trajectory_file(args.trajectory)
+    exists = (Path(args.dataset) / "dataset.json").exists()
+    dataset = demos_mod.load_dataset(args.dataset) if exists else demos_mod.Dataset()
+    cloud = demos_mod.read_cloud_file(args.cloud)
+    traj = demos_mod.read_trajectory_file(args.trajectory)
     demo = dataset.ingest(args.description, cloud, traj, demo_id=args.id)
     demos_mod.save_dataset(dataset, args.dataset)
     print(demo.id)
@@ -102,7 +49,7 @@ def cmd_ingest(args) -> int:
 
 def cmd_retrieve(args) -> int:
     dataset = demos_mod.load_dataset(args.dataset)
-    cloud = _read_cloud_file(args.cloud)
+    cloud = demos_mod.read_cloud_file(args.cloud)
     if args.top > 1:
         ranking = rank_candidates(dataset, args.description, cloud)[: args.top]
         print(json.dumps([{"demo_id": i, "similarity": s} for i, s in ranking]))
@@ -117,12 +64,12 @@ def cmd_register(args) -> int:
     if args.demo_id not in dataset.demos:
         raise MalformedFile(f"demo id {args.demo_id!r} not in dataset")
     demo = dataset.demos[args.demo_id]
-    cloud = _read_cloud_file(args.cloud)
+    cloud = demos_mod.read_cloud_file(args.cloud)
     result = estimate_delta(demo, cloud)
     if args.dump_aligned:
         aligned = transform_cloud(result.delta, demo.object_cloud)
-        _write_cloud_file(aligned, args.dump_aligned + "_demo_aligned.txt")
-        _write_cloud_file(cloud, args.dump_aligned + "_test.txt")
+        demos_mod.write_cloud_file(aligned, args.dump_aligned + "_demo_aligned.txt")
+        demos_mod.write_cloud_file(cloud, args.dump_aligned + "_test.txt")
     print(json.dumps(result.to_dict()))
     return EXIT_OK
 
@@ -134,30 +81,20 @@ def cmd_rollout(args) -> int:
     demo_scene = randomize_scene(task, instance, "controlled", args.seed)
     bench.record_demonstration(task, demo_scene)
     traces = []
-    successes = 0
     for i in range(args.count):
         scene = randomize_scene(task, instance, args.mode, args.seed + 1 + i)
-        res = run_rollout(bench, task, scene)
-        successes += int(res.success)
-        trace = res.to_trace_dict()
-        trace["condition"] = f"rollout/{args.family}"
-        traces.append(trace)
+        trace = run_rollout(bench, task, scene).to_trace_dict()
+        traces.append({**trace, "condition": f"rollout/{args.family}"})
     if args.output:
         with open(args.output, "a") as f:
-            for t in traces:
-                f.write(json.dumps(t, sort_keys=True) + "\n")
+            f.writelines(map(stats_mod.trace_line, traces))
+    successes = sum(t["success"] for t in traces)
     print(json.dumps({"family": args.family, "successes": successes, "trials": args.count}))
     return EXIT_OK
 
 
 def cmd_evaluate(args) -> int:
-    try:
-        raw = json.loads(Path(args.config).read_text())
-    except (OSError, json.JSONDecodeError) as e:
-        raise ConfigError(f"{args.config}: cannot read config: {e}") from e
-    if isinstance(raw, dict) and "config" in raw:  # accept a summary.json echo
-        raw = raw["config"]
-    config = stats_mod.ExperimentConfig.from_dict(raw)
+    config = stats_mod.read_config(args.config)
     if args.seed is not None:
         config.seed = args.seed
     table, trace_path = stats_mod.run_experiment(config, args.output, jobs=args.jobs)
@@ -170,9 +107,7 @@ def cmd_evaluate(args) -> int:
 
 def cmd_report(args) -> int:
     table = stats_mod.table_from_traces(args.traces)
-    config = None
-    if args.config:
-        config = stats_mod.ExperimentConfig.from_dict(json.loads(Path(args.config).read_text()))
+    config = stats_mod.read_config(args.config) if args.config else None
     stats_mod.emit_report(table, config, args.traces, args.output)
     print(f"report written to {args.output}")
     return EXIT_OK
@@ -183,7 +118,7 @@ def cmd_gen_scene(args) -> int:
     instance = generate_object(args.family, args.instance_seed)
     scene = randomize_scene(task, instance, args.mode, args.seed)
     if args.cloud_out:
-        _write_cloud_file(_observed_cloud(scene), args.cloud_out)
+        demos_mod.write_cloud_file(_observed_cloud(scene), args.cloud_out)
     print(
         json.dumps(
             {
@@ -204,10 +139,10 @@ def cmd_gen_align_data(args) -> int:
         raise MalformedFile(f"demo id {args.demo_id!r} not in dataset")
     demo = dataset.demos[args.demo_id]
     out = simulate_alignment_trajectories(demo, count=args.count, rng_seed=args.seed)
-    with open(args.output, "w") as f:
-        for traj in out.trajectories:
-            f.write(f"trajectory {len(traj)}\n")
-            f.write(export_trajectory_rows(traj))
+    demos_mod.write_trajectory_blocks(
+        [[demos_mod.EndEffectorState(p, 0, i) for i, p in enumerate(traj)] for traj in out.trajectories],
+        args.output,
+    )
     print(f"{len(out.trajectories)} trajectories written to {args.output}")
     return EXIT_OK
 
@@ -293,7 +228,7 @@ def main(argv=None) -> int:
     except UnknownSkill as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_RETRIEVAL
-    except (MalformedFile, ConfigError, DuplicateId, TrajTransferError, OSError) as e:
+    except (TrajTransferError, OSError) as e:
         print(f"error: {type(e).__name__}: {e}", file=sys.stderr)
         return EXIT_INPUT
 

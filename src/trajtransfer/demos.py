@@ -1,10 +1,11 @@
-"""Demonstration dataset: ingestion, resampling, parsing and the archive format.
+"""Demonstration dataset: ingestion, resampling, parsing and the text formats.
 
 A demonstration stores the language description, the segmented object cloud
 from the first frame, the interaction-phase end-effector trajectory (resampled
-to 1 cm spacing) and a precomputed geometry embedding.  The archive is a plain
-text directory format chosen for diffability; floats are written with repr()
-so a save/load round trip is bit-exact.
+to 1 cm spacing) and a precomputed geometry embedding.  This module reads and
+writes the cloud file, the trajectory file and the archive, a plain text
+directory format chosen for diffability; floats are written with repr() so a
+save/load round trip is bit-exact.
 """
 
 from __future__ import annotations
@@ -192,18 +193,115 @@ def _demo_equal(a: Demonstration, b: Demonstration) -> bool:
     )
 
 
-# --- archive format -----------------------------------------------------------
+# --- text formats -------------------------------------------------------------
 #
-# <dir>/dataset.json          manifest: demo ids, skill index, grid spec
-# <dir>/<id>.demo             one record per demo:
-#     description line, micro_skill line, instance line,
-#     "trajectory N" + N rows "t_index tx ty tz qw qx qy qz g",
-#     "cloud N" + N rows "x y z",
-#     "embedding N" + N value lines.
+# cloud file        "N", then N cloud rows "x y z" (metres)
+# trajectory file   trajectory rows "t_index tx ty tz qw qx qy qz g", g = 0 or 1
+# archive           <dir>/dataset.json (demo ids, skill index, grid) and per demo
+#                   <dir>/<id>.demo: description, micro_skill and instance lines,
+#                   then "trajectory N", "cloud N" and "embedding N" blocks
+#
+# A malformed file raises MalformedFile naming its path and line.
 
 
 def _f(x: float) -> str:
     return repr(float(x))
+
+
+def _cloud_rows(cloud: PointCloud) -> list:
+    return [" ".join(_f(v) for v in p) for p in cloud.points]
+
+
+def _trajectory_block(states) -> list:
+    lines = [f"trajectory {len(states)}"]
+    for s in states:
+        row = s.pose.as_row()
+        lines.append(" ".join([str(s.time_index)] + [_f(v) for v in row] + [str(s.gripper)]))
+    return lines
+
+
+def _write_lines(path, lines) -> None:
+    Path(path).write_text("\n".join(lines) + "\n" if lines else "")
+
+
+def _read_lines(path) -> list:
+    try:
+        return Path(path).read_text().splitlines()
+    except UnicodeDecodeError as e:
+        raise MalformedFile(f"{path}: not a text file: {e}") from e
+
+
+def _point(line: str) -> list:
+    parts = line.split()
+    if len(parts) != 3:
+        raise ValueError(f"expected 3 columns 'x y z', got {len(parts)}")
+    return [float(v) for v in parts]
+
+
+def _state(line: str) -> EndEffectorState:
+    parts = line.split()
+    if len(parts) != 9:
+        raise ValueError(f"expected 9 columns 't_index tx ty tz qw qx qy qz g', got {len(parts)}")
+    if parts[8] not in ("0", "1"):
+        raise ValueError(f"gripper must be 0 (open) or 1 (closed), got {parts[8]}")
+    return EndEffectorState(Pose.from_row([float(v) for v in parts[1:8]]), int(parts[8]), int(parts[0]))
+
+
+def _value(line: str, keyword: str) -> str:
+    if not line.startswith(keyword + " "):
+        raise ValueError(f"expected '{keyword} ...', got {line!r}")
+    return line[len(keyword) + 1 :]
+
+
+def _parse(parse, lines, i: int, path, *args):
+    """``parse(lines[i], *args)``, its ValueError raised as MalformedFile."""
+    if i >= len(lines):
+        raise MalformedFile(f"{path}:{i + 1}: unexpected end of file")
+    try:
+        return parse(lines[i], *args)
+    except ValueError as e:
+        raise MalformedFile(f"{path}:{i + 1}: {e}") from e
+
+
+def _block(lines, i: int, keyword: str, parse, path) -> list:
+    """The header ``keyword N`` (``N`` alone if keyword is empty) at index i
+    and its N rows, each through parse."""
+    n = _parse(lambda line: int(_value(line, keyword) if keyword else line), lines, i, path)
+    if not 0 <= n <= len(lines) - i - 1:
+        raise MalformedFile(f"{path}:{i + 1}: {n} rows announced, {len(lines) - i - 1} follow")
+    try:
+        return [parse(line) for line in lines[i + 1 : i + 1 + n]]
+    except ValueError:  # parse again line by line to name the line at fault
+        return [_parse(parse, lines, j, path) for j in range(i + 1, i + 1 + n)]
+
+
+def _cloud(lines, i: int, keyword: str, path) -> PointCloud:
+    pts = np.array(_block(lines, i, keyword, _point, path), dtype=np.float64).reshape(-1, 3)
+    try:
+        return PointCloud(pts)
+    except ValueError as e:  # a non-finite coordinate: name its row
+        row = int(np.argmin(np.isfinite(pts).all(axis=1)))
+        raise MalformedFile(f"{path}:{i + 2 + row}: {e}") from e
+
+
+def read_cloud_file(path) -> PointCloud:
+    """The cloud of a cloud file; rows after the N-th are ignored."""
+    return _cloud(_read_lines(path), 0, "", path)
+
+
+def write_cloud_file(cloud: PointCloud, path) -> None:
+    _write_lines(path, [str(len(cloud))] + _cloud_rows(cloud))
+
+
+def read_trajectory_file(path) -> list:
+    """The EndEffectorState of each non-blank row of a trajectory file."""
+    lines = _read_lines(path)
+    return [_parse(_state, lines, i, path) for i, line in enumerate(lines) if line.strip()]
+
+
+def write_trajectory_blocks(trajectories, path) -> None:
+    """State sequences as consecutive ``trajectory N`` blocks."""
+    _write_lines(path, [line for states in trajectories for line in _trajectory_block(states)])
 
 
 def save_dataset(dataset: Dataset, path) -> None:
@@ -221,68 +319,39 @@ def save_dataset(dataset: Dataset, path) -> None:
             f"description {demo.description}",
             f"micro_skill {demo.micro_skill}",
             f"instance {demo.object_instance_id if demo.object_instance_id else '-'}",
-            f"trajectory {len(demo.trajectory)}",
+            *_trajectory_block(demo.trajectory),
+            f"cloud {len(demo.object_cloud)}",
+            *_cloud_rows(demo.object_cloud),
+            f"embedding {len(demo.embedding.values)}",
+            *[_f(v) for v in demo.embedding.values],
         ]
-        for s in demo.trajectory:
-            row = s.pose.as_row()
-            lines.append(" ".join([str(s.time_index)] + [_f(v) for v in row] + [str(s.gripper)]))
-        pts = demo.object_cloud.points
-        lines.append(f"cloud {len(pts)}")
-        for p in pts:
-            lines.append(" ".join(_f(v) for v in p))
-        vals = demo.embedding.values
-        lines.append(f"embedding {len(vals)}")
-        for v in vals:
-            lines.append(_f(v))
-        (path / f"{demo_id}.demo").write_text("\n".join(lines) + "\n")
-
-
-def _expect(line: str, keyword: str, lineno: int, path) -> str:
-    if not line.startswith(keyword + " "):
-        raise MalformedFile(f"{path}:{lineno}: expected '{keyword} ...', got {line!r}")
-    return line[len(keyword) + 1 :]
+        _write_lines(path / f"{demo_id}.demo", lines)
 
 
 def load_demo_file(path, grid: emb.GridSpec) -> Demonstration:
     path = Path(path)
-    lines = path.read_text().splitlines()
+    lines = _read_lines(path)
+    description = _parse(_value, lines, 0, path, "description")
+    micro_skill = _parse(_value, lines, 1, path, "micro_skill")
+    instance = _parse(_value, lines, 2, path, "instance")
+    traj = _block(lines, 3, "trajectory", _state, path)
+    i = 4 + len(traj)
+    cloud = _cloud(lines, i, "cloud", path)
+    i += 1 + len(cloud)
+    values = np.array(_block(lines, i, "embedding", float, path), dtype=np.float64)
     try:
-        description = _expect(lines[0], "description", 1, path)
-        micro_skill = _expect(lines[1], "micro_skill", 2, path)
-        instance = _expect(lines[2], "instance", 3, path)
-        n_traj = int(_expect(lines[3], "trajectory", 4, path))
-        i = 4
-        traj = []
-        for row_i in range(n_traj):
-            parts = lines[i + row_i].split()
-            if len(parts) != 9:
-                raise MalformedFile(f"{path}:{i + row_i + 1}: expected 9 columns")
-            traj.append(
-                EndEffectorState(
-                    Pose.from_row([float(v) for v in parts[1:8]]),
-                    int(parts[8]),
-                    int(parts[0]),
-                )
-            )
-        i += n_traj
-        n_pts = int(_expect(lines[i], "cloud", i + 1, path))
-        i += 1
-        pts = np.array(
-            [[float(v) for v in lines[i + r].split()] for r in range(n_pts)], dtype=np.float64
-        ).reshape(n_pts, 3)
-        i += n_pts
-        n_emb = int(_expect(lines[i], "embedding", i + 1, path))
-        i += 1
-        vals = np.array([float(lines[i + r]) for r in range(n_emb)], dtype=np.float64)
-    except (IndexError, ValueError) as e:
-        raise MalformedFile(f"{path}: truncated or malformed demo file: {e}") from e
+        embedding = emb.GeometryEmbedding(values, grid)
+    except ValueError as e:  # wrong length for the grid, or a negative or non-finite value
+        ok = np.isfinite(values) & (values >= 0.0)
+        lineno = i + 1 if ok.all() else i + 2 + int(np.argmin(ok))
+        raise MalformedFile(f"{path}:{lineno}: {e}") from e
     return Demonstration(
         id=path.stem,
         description=description,
         micro_skill=micro_skill,
-        object_cloud=PointCloud(pts),
+        object_cloud=cloud,
         trajectory=tuple(traj),
-        embedding=emb.GeometryEmbedding(vals, grid),
+        embedding=embedding,
         object_instance_id=None if instance == "-" else instance,
     )
 
@@ -292,12 +361,19 @@ def load_dataset(path) -> Dataset:
     manifest_path = path / "dataset.json"
     if not manifest_path.exists():
         raise MalformedFile(f"{manifest_path}: missing dataset manifest")
-    manifest = json.loads(manifest_path.read_text())
-    grid = emb.GridSpec.from_dict(manifest["grid"])
+    try:
+        manifest = json.loads(manifest_path.read_text())
+        grid = emb.GridSpec.from_dict(manifest["grid"])
+        demo_ids = list(manifest["demo_ids"])
+        skill_index = {k: sorted(ids) for k, ids in dict(manifest["skill_index"]).items()}
+    except KeyError as e:
+        raise MalformedFile(f"{manifest_path}: missing key {e}") from e
+    except (TypeError, ValueError) as e:  # invalid JSON, or a value of the wrong type
+        raise MalformedFile(f"{manifest_path}: {e}") from e
     dataset = Dataset(grid)
-    for demo_id in manifest["demo_ids"]:
+    for demo_id in demo_ids:
         dataset.add(load_demo_file(path / f"{demo_id}.demo", grid))
-    for skill, ids in manifest["skill_index"].items():
-        if sorted(dataset.skill_index.get(skill, [])) != sorted(ids):
+    for skill, ids in skill_index.items():
+        if sorted(dataset.skill_index.get(skill, [])) != ids:
             raise MalformedFile(f"{manifest_path}: skill index inconsistent for {skill!r}")
     return dataset

@@ -70,8 +70,8 @@ class GeometryEmbedding:
         v = np.asarray(self.values, dtype=np.float64).reshape(-1).copy()
         if v.shape[0] != self.grid.size:
             raise ValueError("embedding length does not match grid size")
-        if np.any(v < 0.0):
-            raise ValueError("embedding entries must be non-negative")
+        if not np.all(np.isfinite(v) & (v >= 0.0)):
+            raise ValueError("embedding entries must be finite and non-negative")
         v.setflags(write=False)
         object.__setattr__(self, "values", v)
 
@@ -80,14 +80,12 @@ class GeometryEmbedding:
         return float(np.linalg.norm(self.values))
 
 
-def occupancy_embedding(
-    cloud: PointCloud, grid: GridSpec = GridSpec(), mode: str = "trilinear"
-) -> GeometryEmbedding:
+def occupancy_embedding(cloud: PointCloud, grid: GridSpec = GridSpec()) -> GeometryEmbedding:
     """Splat a robot-frame cloud into the grid and normalize to unit norm.
 
-    ``mode`` is "trilinear" (default, similarity continuous in object pose) or
-    "hard" (nearest-voxel counts, for ablation).  Out-of-bounds points
-    contribute nothing; a cloud entirely out of bounds raises OutOfWorkspace.
+    Trilinear weights keep the similarity continuous in object pose.
+    Out-of-bounds points contribute nothing; a cloud entirely out of bounds
+    raises OutOfWorkspace.
     """
     if len(cloud) == 0:
         raise EmptyCloud("cannot embed an empty cloud")
@@ -97,21 +95,14 @@ def occupancy_embedding(
     acc = np.zeros(grid.resolution, dtype=np.float64)
     # voxel centers sit at origin + (i + 0.5) * voxel_size
     u = (cloud.points - np.array(grid.origin)) / grid.voxel_size - 0.5
-    if mode == "hard":
-        idx = np.round(u).astype(np.int64)
+    base = np.floor(u).astype(np.int64)
+    frac = u - base
+    for corner in range(8):
+        d = np.array([(corner >> 2) & 1, (corner >> 1) & 1, corner & 1])
+        idx = base + d
+        w = np.prod(np.where(d == 1, frac, 1.0 - frac), axis=1)
         ok = np.all((idx >= 0) & (idx < res), axis=1)
-        np.add.at(acc, (idx[ok, 0], idx[ok, 1], idx[ok, 2]), 1.0)
-    elif mode == "trilinear":
-        base = np.floor(u).astype(np.int64)
-        frac = u - base
-        for corner in range(8):
-            d = np.array([(corner >> 2) & 1, (corner >> 1) & 1, corner & 1])
-            idx = base + d
-            w = np.prod(np.where(d == 1, frac, 1.0 - frac), axis=1)
-            ok = np.all((idx >= 0) & (idx < res), axis=1)
-            np.add.at(acc, (idx[ok, 0], idx[ok, 1], idx[ok, 2]), w[ok])
-    else:
-        raise ValueError(f"unknown splat mode {mode!r}")
+        np.add.at(acc, (idx[ok, 0], idx[ok, 1], idx[ok, 2]), w[ok])
     flat = acc.reshape(-1)
     n = np.linalg.norm(flat)
     if n == 0.0:

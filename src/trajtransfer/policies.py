@@ -192,12 +192,3 @@ def jitter_cloud(cloud: PointCloud, sigma: float, rng_seed: int = 0) -> PointClo
         return cloud
     rng = np.random.default_rng(rng_seed)
     return PointCloud(cloud.points + rng.normal(scale=sigma, size=cloud.points.shape), frame=cloud.frame)
-
-
-def export_trajectory_rows(poses, gripper: int = 0) -> str:
-    """Pose sequence in the archive trajectory row format."""
-    lines = []
-    for i, p in enumerate(poses):
-        row = p.as_row()
-        lines.append(" ".join([str(i)] + [repr(float(v)) for v in row] + [str(gripper)]))
-    return "\n".join(lines) + "\n"

@@ -17,15 +17,13 @@ from .errors import EmptyCloud, OutOfRange
 ROBOT_FRAME = "robot"
 EE_FRAME = "end_effector"
 
-_NORM_TOL = 1e-9
-
 
 def _canonicalize(q: np.ndarray) -> np.ndarray:
     """Normalize a quaternion and fix its sign deterministically."""
     q = np.asarray(q, dtype=np.float64)
     n = math.sqrt(float(q @ q))
-    if n == 0.0:
-        raise ValueError("zero quaternion")
+    if not 0.0 < n < math.inf:
+        raise ValueError("zero or non-finite quaternion")
     q = q / n
     # canonical sign: w >= 0; for w == 0 make the first nonzero entry positive
     if q[0] < 0.0:

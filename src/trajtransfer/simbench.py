@@ -19,9 +19,11 @@ from scipy.spatial import ConvexHull, QhullError
 
 from .demos import Dataset, Demonstration, EndEffectorState
 from .errors import NothingVisible, UnknownCategory, UnknownSkill, NoCorrespondences
+# run_rollout plans no approach path, as only its endpoint matters; perfbench's
+# tracer still wraps trajtransfer.simbench.plan_linear_path by name
 from .policies import build_replay_plan, execute_replay, jitter_cloud, mask_augment, plan_linear_path, transfer_alignment_pose
 from .registration import GicpParams, RegistrationResult, estimate_delta
-from .retrieval import RetrievalResult, hierarchical_retrieve, language_filter
+from .retrieval import RetrievalResult, hierarchical_retrieve
 from .se3 import Pose, PointCloud, compose, invert, pose_distance, transform_cloud
 
 WORKSPACE = (0.80, 0.45)  # metres, x by y
@@ -42,13 +44,12 @@ def camera_above(object_pose: Pose, height: float = CAMERA_HEIGHT) -> Pose:
         translation=np.array([x, y, height]),
     )
 
-DEFAULT_HOME = Pose(translation=np.array([0.40, 0.225, 0.45]))
-
 FAILURE_NONE = "none"
 FAILURE_RETRIEVAL = "retrieval"
 FAILURE_REGISTRATION = "registration"
 FAILURE_EXECUTION = "execution"
 FAILURE_SEGMENTATION = "segmentation"  # reserved: simulator clouds are pre-segmented
+FAILURE_CLASSES = (FAILURE_NONE, FAILURE_RETRIEVAL, FAILURE_REGISTRATION, FAILURE_EXECUTION, FAILURE_SEGMENTATION)
 
 
 @dataclass(frozen=True)
@@ -67,11 +68,10 @@ class TaskSpec:
     category: str
     delta_t: float  # success threshold, metres
     delta_r: float  # success threshold, radians
-    description_template: str = "{skill}"
 
     @property
     def description(self) -> str:
-        return self.description_template.format(skill=self.micro_skill)
+        return self.micro_skill
 
 
 @dataclass(frozen=True)
@@ -82,7 +82,6 @@ class SceneSpec:
     occlusion_fraction: float = 0.0
     noise_sigma: float = 0.0
     rng_seed: int = 0
-    workspace: tuple = WORKSPACE
 
 
 @dataclass(frozen=True)
@@ -497,7 +496,6 @@ def run_rollout(
     task: TaskSpec,
     scene: SceneSpec,
     use_gt_delta: bool = False,
-    home_pose: Pose = DEFAULT_HOME,
     params: GicpParams = GicpParams(),
 ) -> RolloutResult:
     """Full pipeline on one scene; all failures are recorded, never raised."""
@@ -519,59 +517,35 @@ def run_rollout(
     delta = gt_delta if use_gt_delta else registration.delta
 
     target = transfer_alignment_pose(demo, delta)
-    plan_linear_path(home_pose, target)  # approach path; only the endpoint matters
     executed = execute_replay(build_replay_plan(demo), target, demo.trajectory[0].gripper)
 
     success = _final_pose_success(
         task, executed[-1].pose, scene, demo_instance, demo_scene, demo.trajectory[-1].pose
     )
-    failure = classify_failure(bench, task, scene, retrieval.demo_id, registration, gt_delta, success)
+    failure = classify_failure(task, demo, registration, gt_delta, success)
     return RolloutResult(scene, retrieval, registration, gt_delta, tuple(executed), success, failure)
 
 
 def classify_failure(
-    bench: Benchmark,
     task: TaskSpec,
-    scene: SceneSpec,
-    retrieved_id: str,
-    registration: RegistrationResult | None,
-    gt_delta: Pose | None,
+    demo: Demonstration,
+    registration: RegistrationResult,
+    gt_delta: Pose,
     success: bool,
 ) -> str:
-    """Assign exactly one failure class to a failed rollout.
-
-    Precedence: retrieval (an oracle-best demo under ground-truth transfer
-    would have succeeded where the retrieved one cannot), then registration
-    (estimated delta outside the task thresholds of the true delta), then
-    execution.
+    """Failure class of a rollout of the retrieved ``demo``: registration if the
+    estimated delta lies outside the task thresholds of the true one, else
+    execution.  run_rollout assigns FAILURE_RETRIEVAL when no demo has the
+    skill; a retrieved demo is never at fault, because success is judged
+    against its own anchor-relative final pose, so its ground-truth transfer
+    always succeeds.
     """
     if success:
         return FAILURE_NONE
-    try:
-        candidates = sorted(language_filter(bench.dataset, task.description))
-    except UnknownSkill:
-        return FAILURE_RETRIEVAL
-
-    def gt_transfer_success(demo_id: str) -> bool:
-        demo = bench.dataset.demos[demo_id]
-        inst, dscene = bench.demo_meta[demo_id]
-        gt = compose(
-            _anchor_world(scene.object, scene.object_pose),
-            invert(_anchor_world(inst, dscene.object_pose)),
-        )
-        final = compose(gt, demo.trajectory[-1].pose)
-        return _final_pose_success(task, final, scene, inst, dscene, demo.trajectory[-1].pose)
-
-    if not gt_transfer_success(retrieved_id) and any(
-        gt_transfer_success(c) for c in candidates if c != retrieved_id
-    ):
-        return FAILURE_RETRIEVAL
-    if registration is None:
-        return FAILURE_REGISTRATION
     # compare the two deltas by their effect at the demo's final end-effector
     # pose (where success is judged), not at the world origin where rotation
     # lever arms distort the translation component
-    demo_final = bench.dataset.demos[retrieved_id].trajectory[-1].pose
+    demo_final = demo.trajectory[-1].pose
     dt, dr = pose_distance(
         compose(registration.delta, demo_final), compose(gt_delta, demo_final)
     )

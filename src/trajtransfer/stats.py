@@ -11,18 +11,18 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, field, fields, asdict
 from pathlib import Path
 
 import numpy as np
 from scipy.special import ndtri
 
 from .demos import Dataset
-from .errors import ConfigError, InvalidTrials
+from .errors import ConfigError, InvalidTrials, MalformedFile
 from .simbench import (
     Benchmark,
     CATEGORIES,
-    FAILURE_NONE,
+    FAILURE_CLASSES,
     default_task,
     generate_object,
     randomize_scene,
@@ -121,6 +121,12 @@ class ExperimentConfig:
     def validate(self) -> None:
         if self.mode not in ("dataset_size", "diversity", "thousand"):
             raise ConfigError(f"unknown experiment mode {self.mode!r}")
+        counts = [getattr(self, f.name) for f in fields(self) if f.type == "int"]
+        counts += [*self.demos_per_task, *(v for split in self.diversity_splits for v in split)]
+        if not all(isinstance(v, int) and not isinstance(v, bool) and v >= 0 for v in counts):
+            raise ConfigError("the seed, counts and split sizes must be non-negative integers")
+        if not (0.0 <= self.noise_sigma < math.inf and 0.0 <= self.occlusion_fraction <= 1.0):
+            raise ConfigError("noise_sigma must be >= 0 and occlusion_fraction in [0, 1]")
         if self.repeats < 1:
             raise ConfigError("repeats must be >= 1")
         unknown = [f for f in self.families if f not in CATEGORIES]
@@ -158,6 +164,17 @@ class ExperimentConfig:
         return cfg
 
 
+def read_config(path) -> ExperimentConfig:
+    """The config in a JSON file, or the ``config`` echo of a summary.json."""
+    try:
+        raw = json.loads(Path(path).read_text())
+        if isinstance(raw, dict) and "config" in raw:
+            raw = raw["config"]
+        return ExperimentConfig.from_dict(raw)
+    except (ConfigError, OSError, TypeError, ValueError) as e:  # bad JSON, a missing or mistyped field
+        raise ConfigError(f"{path}: {e}") from e
+
+
 def _seed(*parts) -> int:
     return int(np.random.SeedSequence(list(parts)).generate_state(1)[0])
 
@@ -174,7 +191,7 @@ def _build_benchmark(config, tasks, demos_per_task, cond_idx) -> Benchmark:
 
 
 def _rollout_tasks(config, bench, eval_tasks, mode, cond_idx, split_tag, jobs=1):
-    """Run repeats x tasks rollouts; returns (k, n, traces)."""
+    """Run repeats x tasks rollouts; returns their traces."""
     items = []
     for t_idx, (task, instance) in enumerate(eval_tasks):
         for rep in range(config.repeats):
@@ -188,14 +205,7 @@ def _rollout_tasks(config, bench, eval_tasks, mode, cond_idx, split_tag, jobs=1)
             )
             items.append((task, scene))
     results = run_rollout_batch(bench, items, jobs)
-    traces = []
-    k = 0
-    for (task, scene), res in zip(items, results):
-        k += int(res.success)
-        trace = res.to_trace_dict()
-        trace["micro_skill"] = task.micro_skill
-        traces.append(trace)
-    return k, len(items), traces
+    return [{**r.to_trace_dict(), "micro_skill": t.micro_skill} for (t, _), r in zip(items, results)]
 
 
 _WORKER_BENCH = None
@@ -293,11 +303,9 @@ def run_experiment(config: ExperimentConfig, outdir, jobs: int = 1):
     for cond in _conditions(config):
         bench = _build_benchmark(config, cond.seen, cond.demos_per_task, cond.cond_idx)
         for tag, (split, tasks) in enumerate((("seen", cond.seen), ("unseen", cond.unseen))):
-            k, n, traces = _rollout_tasks(
-                config, bench, tasks, cond.scene_mode, cond.cond_idx, tag, jobs
-            )
+            traces = _rollout_tasks(config, bench, tasks, cond.scene_mode, cond.cond_idx, tag, jobs)
             label = f"{cond.label}/{split}"
-            table.add(label, k, n)
+            table.add(label, sum(t["success"] for t in traces), len(traces))
             for t in traces:
                 t["condition"] = label
             all_traces.extend(traces)
@@ -305,19 +313,46 @@ def run_experiment(config: ExperimentConfig, outdir, jobs: int = 1):
     trace_path = outdir / "traces.jsonl"
     with open(trace_path, "w") as f:
         for t in all_traces:
-            f.write(json.dumps(t, sort_keys=True) + "\n")
+            f.write(trace_line(t))
     return table, trace_path
+
+
+def trace_line(trace: dict) -> str:
+    """One line of a trace file: a JSON object with sorted keys."""
+    return json.dumps(trace, sort_keys=True) + "\n"
+
+
+def read_traces(trace_path) -> list:
+    """Every trace of a trace file.
+
+    A line that is not a JSON object with a string "condition", a boolean
+    "success" and a "failure_class" in FAILURE_CLASSES raises MalformedFile.
+    """
+    traces, lineno = [], 0
+    try:
+        with open(trace_path) as f:
+            for lineno, line in enumerate(f, start=1):
+                t = json.loads(line)
+                if not (
+                    isinstance(t, dict)
+                    and isinstance(t.get("condition"), str)
+                    and isinstance(t.get("success"), bool)
+                    and t.get("failure_class") in FAILURE_CLASSES
+                ):
+                    raise ValueError("a trace needs condition, success and failure_class")
+                traces.append(t)
+    except ValueError as e:  # also invalid JSON or text encoding
+        raise MalformedFile(f"{trace_path}:{lineno}: {e}") from e
+    return traces
 
 
 def table_from_traces(trace_path) -> SuccessTable:
     """Recompute the (k, n) table from a trace file."""
     counts: dict[str, list[int]] = {}
-    with open(trace_path) as f:
-        for line in f:
-            t = json.loads(line)
-            c = counts.setdefault(t["condition"], [0, 0])
-            c[0] += int(t["success"])
-            c[1] += 1
+    for t in read_traces(trace_path):
+        c = counts.setdefault(t["condition"], [0, 0])
+        c[0] += int(t["success"])
+        c[1] += 1
     table = SuccessTable()
     for label in sorted(counts):
         table.add(label, counts[label][0], counts[label][1])
@@ -325,11 +360,9 @@ def table_from_traces(trace_path) -> SuccessTable:
 
 
 def failure_histogram(trace_path) -> dict:
-    hist = {FAILURE_NONE: 0, "retrieval": 0, "registration": 0, "execution": 0, "segmentation": 0}
-    with open(trace_path) as f:
-        for line in f:
-            t = json.loads(line)
-            hist[t["failure_class"]] = hist.get(t["failure_class"], 0) + 1
+    hist = dict.fromkeys(FAILURE_CLASSES, 0)
+    for t in read_traces(trace_path):
+        hist[t["failure_class"]] += 1
     return hist
 
 
@@ -379,11 +412,10 @@ def _svg_barchart(table: SuccessTable) -> str:
 
 def _svg_histogram(hist: dict) -> str:
     bar_w, gap, h, pad = 60, 24, 200, 48
-    keys = [k for k in ("none", "retrieval", "registration", "execution", "segmentation")]
-    total = max(sum(hist.get(k, 0) for k in keys), 1)
-    width = pad * 2 + len(keys) * (bar_w + gap)
+    total = max(sum(hist.get(k, 0) for k in FAILURE_CLASSES), 1)
+    width = pad * 2 + len(FAILURE_CLASSES) * (bar_w + gap)
     parts = [f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{h + 2 * pad}">']
-    for i, key in enumerate(keys):
+    for i, key in enumerate(FAILURE_CLASSES):
         frac = hist.get(key, 0) / total
         x = pad + i * (bar_w + gap)
         y = pad + h * (1 - frac)

@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from trajtransfer import cli, simbench
+from trajtransfer import cli, demos, simbench
 from trajtransfer.se3 import Pose
 
 
@@ -218,7 +218,7 @@ class TestGenScene:
         task = simbench.default_task("mug")
         scene = simbench.randomize_scene(task, simbench.generate_object("mug", 0), "controlled", 4)
         expected = simbench._observed_cloud(scene).points
-        written = cli._read_cloud_file(out).points
+        written = demos.read_cloud_file(out).points
         assert len(written) == 248
         assert np.array_equal(written, expected)
 
@@ -315,6 +315,145 @@ class TestEvaluate:
         assert (workdir / "rep" / "report.csv").read_bytes() == (
             workdir / "out" / "report.csv"
         ).read_bytes()
+
+
+class TestReportConfig:
+    def test_summary_json_round_trip(self, workdir, capsys):
+        eval_config(workdir / "cfg.json")
+        cli.main(
+            [
+                "evaluate",
+                "--config", str(workdir / "cfg.json"),
+                "--output", str(workdir / "out"),
+                "--jobs", "1",
+            ]
+        )
+        code = cli.main(
+            [
+                "report",
+                "--traces", str(workdir / "out" / "traces.jsonl"),
+                "--output", str(workdir / "rep"),
+                "--config", str(workdir / "out" / "summary.json"),
+            ]
+        )
+        assert code == cli.EXIT_OK
+        for name in ("summary.json", "report.csv", "failures.svg"):
+            assert (workdir / "rep" / name).read_bytes() == (workdir / "out" / name).read_bytes()
+
+
+# --- malformed input: every case exits 2 with an error line, no traceback ----
+
+
+def _replace_line(path, after_prefix, text):
+    """Replace the line after the first line starting with ``after_prefix``."""
+    lines = Path(path).read_text().splitlines()
+    i = next(i for i, line in enumerate(lines) if line.startswith(after_prefix))
+    lines[i + 1] = text
+    Path(path).write_text("\n".join(lines) + "\n")
+
+
+def _nan_cloud(path):
+    write_cloud(path, (0.4, 0.2, 0.05))
+    _replace_line(path, "40", "nan 0.2 0.05")
+
+
+def _query(command, workdir, cloud="cloud.txt"):
+    argv = [command, "--dataset", str(workdir / "ds"), "--cloud", str(workdir / cloud)]
+    if command == "register":
+        return argv + ["--demo-id", "d1"]
+    return argv + ["--description", "open bottle"]
+
+
+def _report(workdir, traces, config=None):
+    (workdir / "traces.jsonl").write_text(traces)
+    argv = ["report", "--traces", str(workdir / "traces.jsonl"), "--output", str(workdir / "rep")]
+    if config is not None:
+        (workdir / "cfg.json").write_text(config)
+        argv += ["--config", str(workdir / "cfg.json")]
+    return argv
+
+
+GOOD_TRACE = '{"condition": "c", "failure_class": "none", "success": true}\n'
+
+
+def _ingest(w):
+    return ["ingest", "--dataset", str(w / "ds"), "--description", "open bottle",
+            "--cloud", str(w / "cloud.txt"), "--trajectory", str(w / "traj.txt")]
+
+
+def _case_ingest_nan_cloud(w):
+    _nan_cloud(w / "cloud.txt")
+    return _ingest(w), "cloud.txt:2"
+
+
+def _case_query_nan_cloud(command):
+    def case(w):
+        ingest_one(w)
+        _nan_cloud(w / "q.txt")
+        return _query(command, w, "q.txt"), "q.txt:2"
+    return case
+
+
+def _case_manifest_not_json(w):
+    ingest_one(w)
+    (w / "ds" / "dataset.json").write_text("{not json")
+    return _query("retrieve", w), "dataset.json"
+
+
+def _case_manifest_without_grid(w):
+    ingest_one(w)
+    manifest = json.loads((w / "ds" / "dataset.json").read_text())
+    del manifest["grid"]
+    (w / "ds" / "dataset.json").write_text(json.dumps(manifest))
+    return _query("retrieve", w), "dataset.json"
+
+
+def _case_demo_nonfinite_point(w):
+    ingest_one(w)
+    _replace_line(w / "ds" / "d1.demo", "cloud ", "0.4 inf 0.05")
+    return _query("retrieve", w), "d1.demo:"
+
+
+def _case_demo_negative_embedding(w):
+    ingest_one(w)
+    _replace_line(w / "ds" / "d1.demo", "embedding ", "-0.5")
+    return _query("retrieve", w), "d1.demo:"
+
+
+def _case_gripper_out_of_range(w):
+    lines = (w / "traj.txt").read_text().splitlines()
+    lines[1] = lines[1][: -len(" 0")] + " 7"
+    (w / "traj.txt").write_text("\n".join(lines) + "\n")
+    return _ingest(w), "traj.txt:2"
+
+
+MALFORMED = {
+    "ingest-nan-cloud": _case_ingest_nan_cloud,
+    "retrieve-nan-cloud": _case_query_nan_cloud("retrieve"),
+    "register-nan-cloud": _case_query_nan_cloud("register"),
+    "manifest-not-json": _case_manifest_not_json,
+    "manifest-without-grid": _case_manifest_without_grid,
+    "demo-nonfinite-point": _case_demo_nonfinite_point,
+    "demo-negative-embedding": _case_demo_negative_embedding,
+    "report-config-not-json": lambda w: (_report(w, GOOD_TRACE, "{not json"), "cfg.json"),
+    "report-trace-not-json": lambda w: (_report(w, GOOD_TRACE + "not json\n"), "traces.jsonl:2"),
+    "report-trace-without-condition": lambda w: (
+        _report(w, '{"failure_class": "none", "success": true}\n'),
+        "traces.jsonl:1",
+    ),
+    "gripper-out-of-range": _case_gripper_out_of_range,
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED))
+def test_malformed_input_exits_2(workdir, capsys, case):
+    argv, where = MALFORMED[case](workdir)
+    capsys.readouterr()
+    assert cli.main(argv) == cli.EXIT_INPUT
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    error = [line for line in err.splitlines() if line.startswith("error:")]
+    assert len(error) == 1 and where in error[0], err
 
 
 def parser_flags() -> dict:

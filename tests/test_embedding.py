@@ -90,14 +90,6 @@ class TestOccupancyEmbedding:
         with pytest.raises(ValueError):
             occupancy_embedding(PointCloud(np.zeros((3, 3)) + 0.2, frame=EE_FRAME))
 
-    def test_hard_mode(self):
-        e = occupancy_embedding(blob((0.4, 0.2, 0.1)), mode="hard")
-        assert e.norm == pytest.approx(1.0, abs=1e-12)
-
-    def test_unknown_mode(self):
-        with pytest.raises(ValueError):
-            occupancy_embedding(blob((0.4, 0.2, 0.1)), mode="bilinear")
-
     def test_determinism(self):
         c = blob((0.33, 0.21, 0.17), n=300)
         a = occupancy_embedding(c)
