@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
 
@@ -23,6 +23,7 @@ from .errors import (
     DuplicateId,
     EmptyCloud,
     EmptyDescription,
+    InvalidDescription,
     InvalidSpacing,
     MalformedFile,
     TrajectoryTooShort,
@@ -48,6 +49,9 @@ class Demonstration:
     trajectory: tuple  # EndEffectorState, interaction phase only
     embedding: emb.GeometryEmbedding
     object_instance_id: str | None = None
+    # registration's memo, k -> LocalCovariances of object_cloud, filled by
+    # registration.estimate_delta; neither compared, printed nor archived
+    covariances: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
 
 def _load_default_stopwords() -> frozenset:
@@ -128,6 +132,9 @@ class Dataset:
         if len(trajectory) < 2:
             raise TrajectoryTooShort("demonstration trajectory needs >= 2 states")
         micro_skill = parse_micro_skill(description)
+        if description.splitlines() != [description]:
+            # the archive keeps the description on one line
+            raise InvalidDescription(f"description {description!r} contains a line break")
         traj = tuple(resample_trajectory(trajectory, spacing))
         embedding = emb.occupancy_embedding(object_cloud, self.grid)
         if demo_id is None:

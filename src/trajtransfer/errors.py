@@ -21,6 +21,10 @@ class EmptyDescription(TrajTransferError):
     pass
 
 
+class InvalidDescription(TrajTransferError):
+    pass
+
+
 class TrajectoryTooShort(TrajTransferError):
     pass
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .demos import Demonstration, EndEffectorState, alignment_target
-from .errors import InvalidSpacing, TooFewPoints, TrajectoryTooShort
+from .errors import InvalidSpacing, OutOfRange, TooFewPoints, TrajectoryTooShort
 from .se3 import (
     Pose,
     PointCloud,
@@ -134,6 +134,8 @@ def simulate_alignment_trajectories(
     configured translation/rotation bounds.  Per-trajectory RNG streams are
     derived from (rng_seed, index) so generation parallelizes deterministically.
     """
+    if rng_seed < 0:
+        raise OutOfRange(f"seed must be non-negative, got {rng_seed}")
     target = alignment_target(demo)
     origin = np.asarray(cuboid_origin, dtype=np.float64)
     size = np.asarray(cuboid_size, dtype=np.float64)

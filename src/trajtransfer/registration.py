@@ -6,6 +6,19 @@ stage is plane-to-plane Generalized ICP: nearest-neighbour correspondences
 within an inlier radius, per-point planar covariances, and a damped
 Gauss-Newton step on the summed Mahalanobis cost.  Only cost-decreasing steps
 are accepted, so the reported final cost never exceeds the cost at init.
+
+Two savings leave every result bit-identical.  :func:`estimate_delta`
+memoizes a demo's covariances on the demo per neighbour count ``k``, computed
+at its first registration (not at ingest or load), so later registrations of
+that demo reuse them.  Every KD query is bounded just above the distance
+beyond which its caller discards the match: the sweep clamps distances at its
+cap, and GICP keeps only matches within ``inlier_radius``.  scipy returns
+``inf`` (index ``n``) past the bound, and ``min(inf, cap) == cap`` as before;
+the GICP bound is ``nextafter(inlier_radius, inf)`` because scipy's bound is
+strict, so a match at exactly the radius still comes back and counts.
+
+A cloud with a coordinate beyond ``MAX_COORDINATE`` raises OutOfRange, as a
+too small one raises TooFewPoints, so no input ends in a numpy exception.
 """
 
 from __future__ import annotations
@@ -16,10 +29,14 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.spatial import cKDTree
 
-from .errors import EmptyCloud, NoCorrespondences, TooFewPoints
+from .errors import EmptyCloud, NoCorrespondences, OutOfRange, TooFewPoints
 from .se3 import Pose, PointCloud, compose
 
 EPS_PLANE = 1e-3  # smallest-eigenvalue floor, relative to the largest
+# largest |coordinate| registration accepts, in metres: far beyond any
+# tabletop, and far below where squared distances and the Gauss-Newton
+# system overflow
+MAX_COORDINATE = 1e6
 
 
 @dataclass(frozen=True)
@@ -55,6 +72,12 @@ class LocalCovariances:
     matrices: np.ndarray  # (N, 3, 3), symmetric PSD, regularized
 
 
+def _check_extent(*clouds: PointCloud) -> None:
+    for cloud in clouds:
+        if len(cloud) and np.abs(cloud.points).max() > MAX_COORDINATE:
+            raise OutOfRange(f"cloud coordinates exceed {MAX_COORDINATE:g} m")
+
+
 def _sweep_angles(steps: int):
     """Yaw candidates ordered by |angle| so degenerate ties resolve low."""
     step = 2.0 * math.pi / steps
@@ -75,6 +98,7 @@ def coarse_align(demo_cloud: PointCloud, test_cloud: PointCloud, yaw_steps: int 
     """
     if len(demo_cloud) == 0 or len(test_cloud) == 0:
         raise EmptyCloud("coarse alignment requires non-empty clouds")
+    _check_extent(demo_cloud, test_cloud)
     c_demo = demo_cloud.points.mean(axis=0)
     c_test = test_cloud.points.mean(axis=0)
     centered = demo_cloud.points - c_demo
@@ -98,7 +122,7 @@ def coarse_align(demo_cloud: PointCloud, test_cloud: PointCloud, yaw_steps: int 
     moved[:, :, 1] = sa[:, None] * x + ca[:, None] * y
     moved[:, :, 2] = z
     moved += c_test
-    d, _ = tree.query(moved.reshape(-1, 3))
+    d, _ = tree.query(moved.reshape(-1, 3), distance_upper_bound=cap)
     d = np.minimum(d.reshape(len(angles), -1), cap)
     scores = np.sqrt(np.mean(d * d, axis=1))
     best_angle, best_score = 0.0, math.inf
@@ -184,6 +208,7 @@ def estimate_covariances(cloud: PointCloud, k: int = 20) -> LocalCovariances:
     n = len(cloud)
     if n < k:
         raise TooFewPoints(f"need >= {k} points, cloud has {n}")
+    _check_extent(cloud)
     tree = cKDTree(cloud.points)
     _, idx = tree.query(cloud.points, k=k)
     nbrs = cloud.points[idx]  # (N, k, 3)
@@ -231,11 +256,20 @@ def _exp_step(delta: np.ndarray) -> Pose:
     return Pose.from_axis_angle(w if angle > 0 else (0, 0, 1), angle, delta[3:])
 
 
+def _query_within(tree, pts, radius):
+    """Nearest-neighbour distances and indices, exact up to ``radius``.
+
+    Beyond the radius a match may come back as ``inf`` with index
+    ``tree.n``; callers use only the matches with ``dist <= radius``.
+    """
+    return tree.query(pts, distance_upper_bound=np.nextafter(radius, np.inf))
+
+
 def _corresponding_cost(pose, demo_pts, cov_demo, tree, test_pts, cov_test, radius):
     """Correspondences + mean Mahalanobis cost at a pose; None if no matches."""
     R = pose.rotation_matrix()
     moved = demo_pts @ R.T + pose.translation
-    dist, idx = tree.query(moved)
+    dist, idx = _query_within(tree, moved, radius)
     mask = dist <= radius
     if not np.any(mask):
         return None
@@ -261,11 +295,16 @@ def generalized_icp(
     """Refine ``init`` by plane-to-plane GICP; returns the best pose visited.
 
     ``demo_covariances``/``test_covariances`` accept precomputed
-    :func:`estimate_covariances` results so repeated registrations against the
-    same cloud skip the (comparatively expensive) re-estimation.
+    :func:`estimate_covariances` results with
+    ``k = min(params.k_neighbors, len(demo_cloud), len(test_cloud))``, so
+    repeated registrations against the same cloud skip the (comparatively
+    expensive) re-estimation; :func:`estimate_delta` passes the demo's memo.
+    Correspondence and fitness queries are bounded just above
+    ``inlier_radius`` (see :func:`_query_within`), which changes no result.
     """
     if len(demo_cloud) == 0 or len(test_cloud) == 0:
         raise EmptyCloud("registration requires non-empty clouds")
+    _check_extent(demo_cloud, test_cloud)
     k = min(params.k_neighbors, len(demo_cloud), len(test_cloud))
     if demo_covariances is None:
         demo_covariances = estimate_covariances(demo_cloud, k)
@@ -334,7 +373,7 @@ def generalized_icp(
     R = best_pose.rotation_matrix()
     moved = demo_pts @ R.T + best_pose.translation
     back_tree = cKDTree(moved)
-    dist, _ = back_tree.query(test_pts)
+    dist, _ = _query_within(back_tree, test_pts, params.inlier_radius)
     inliers = dist <= params.inlier_radius
     fitness = float(np.count_nonzero(inliers) / len(test_pts))
     inlier_rmse = float(np.sqrt(np.mean(dist[inliers] ** 2))) if np.any(inliers) else 0.0
@@ -348,6 +387,16 @@ def generalized_icp(
 
 
 def estimate_delta(demo, test_cloud: PointCloud, params: GicpParams = GicpParams()) -> RegistrationResult:
-    """Full pipeline: coarse yaw-sweep init, then GICP refinement."""
+    """Full pipeline: coarse yaw-sweep init, then GICP refinement.
+
+    The demo's covariances are computed at its first registration with a
+    given ``k`` and kept in ``demo.covariances``; the result equals
+    ``generalized_icp`` without precomputed covariances bit for bit.
+    """
     init = coarse_align(demo.object_cloud, test_cloud, params.yaw_steps)
-    return generalized_icp(demo.object_cloud, test_cloud, init, params)
+    k = min(params.k_neighbors, len(demo.object_cloud), len(test_cloud))
+    if k not in demo.covariances:
+        demo.covariances[k] = estimate_covariances(demo.object_cloud, k)
+    return generalized_icp(
+        demo.object_cloud, test_cloud, init, params, demo_covariances=demo.covariances[k]
+    )

@@ -18,7 +18,7 @@ import numpy as np
 from scipy.spatial import ConvexHull, QhullError
 
 from .demos import Dataset, Demonstration, EndEffectorState
-from .errors import NothingVisible, UnknownCategory, UnknownSkill, NoCorrespondences
+from .errors import NothingVisible, OutOfRange, UnknownCategory, UnknownSkill, NoCorrespondences
 # run_rollout plans no approach path, as only its endpoint matters; perfbench's
 # tracer still wraps trajtransfer.simbench.plan_linear_path by name
 from .policies import build_replay_plan, execute_replay, jitter_cloud, mask_augment, plan_linear_path, transfer_alignment_pose
@@ -335,6 +335,8 @@ def generate_object(category: str, instance_seed: int) -> ObjectInstance:
     """Deterministic parametric instance with a surface-sampled cloud."""
     if category not in _FAMILIES:
         raise UnknownCategory(f"unknown object category {category!r}")
+    if instance_seed < 0:
+        raise OutOfRange(f"instance seed must be non-negative, got {instance_seed}")
     rng = np.random.default_rng(
         np.random.SeedSequence([zlib.crc32(category.encode()) & 0xFFFF, instance_seed])
     )
@@ -417,6 +419,8 @@ def randomize_scene(
         rot_range = math.pi / 4
     else:
         raise ValueError(f"unknown scene mode {mode!r}")
+    if rng_seed < 0:
+        raise OutOfRange(f"scene seed must be non-negative, got {rng_seed}")
     rng = np.random.default_rng(np.random.SeedSequence([rng_seed, 11]))
     x = rng.uniform(WORKSPACE_MARGIN, WORKSPACE[0] - WORKSPACE_MARGIN)
     y = rng.uniform(WORKSPACE_MARGIN, WORKSPACE[1] - WORKSPACE_MARGIN)

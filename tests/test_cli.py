@@ -427,6 +427,24 @@ def _case_gripper_out_of_range(w):
     return _ingest(w), "traj.txt:2"
 
 
+def _case_ingest_line_break(w):
+    argv = _ingest(w)
+    argv[argv.index("--description") + 1] = "lift\nmug"
+    return argv, "line break"
+
+
+def _case_gen_align_data_negative_seed(w):
+    ingest_one(w)
+    argv = ["gen-align-data", "--dataset", str(w / "ds"), "--demo-id", "d1", "--count", "2"]
+    return argv + ["--seed", "-1", "--output", str(w / "align.txt")], "got -1"
+
+
+def _case_register_huge_cloud(w):
+    ingest_one(w)
+    write_cloud(w / "q.txt", (1e200, 0.0, 0.0))
+    return _query("register", w, "q.txt"), "exceed"
+
+
 MALFORMED = {
     "ingest-nan-cloud": _case_ingest_nan_cloud,
     "retrieve-nan-cloud": _case_query_nan_cloud("retrieve"),
@@ -442,6 +460,19 @@ MALFORMED = {
         "traces.jsonl:1",
     ),
     "gripper-out-of-range": _case_gripper_out_of_range,
+    "ingest-line-break-description": _case_ingest_line_break,
+    "gen-scene-negative-seed": lambda w: (["gen-scene", "--family", "mug", "--seed", "-1"], "got -1"),
+    "gen-scene-negative-instance-seed": lambda w: (
+        ["gen-scene", "--family", "mug", "--instance-seed", "-2"],
+        "got -2",
+    ),
+    "rollout-negative-seed": lambda w: (["rollout", "--family", "mug", "--seed", "-1", "--count", "1"], "got -1"),
+    "rollout-negative-instance-seed": lambda w: (
+        ["rollout", "--family", "mug", "--instance-seed", "-2", "--count", "1"],
+        "got -2",
+    ),
+    "gen-align-data-negative-seed": _case_gen_align_data_negative_seed,
+    "register-huge-cloud": _case_register_huge_cloud,
 }
 
 

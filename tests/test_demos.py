@@ -20,6 +20,7 @@ from trajtransfer.errors import (
     DuplicateId,
     EmptyCloud,
     EmptyDescription,
+    InvalidDescription,
     InvalidSpacing,
     MalformedFile,
     TrajectoryTooShort,
@@ -145,6 +146,17 @@ class TestIngest:
     def test_short_trajectory(self):
         with pytest.raises(TrajectoryTooShort):
             Dataset().ingest("open bottle", small_cloud(), straight_traj(0.05)[:1])
+
+    @pytest.mark.parametrize("description", ["lift\nmug", "lift\rmug", "lift mug\n", "lift\u2028mug"])
+    def test_line_break_rejected(self, description, tmp_path):
+        # the archive stores the description on one line
+        ds = Dataset()
+        with pytest.raises(InvalidDescription):
+            ds.ingest(description, small_cloud(), straight_traj(0.05))
+        assert len(ds) == 0
+        ds.ingest("lift  mug\t", small_cloud(), straight_traj(0.05))
+        save_dataset(ds, tmp_path / "arch")
+        assert [d.description for d in load_dataset(tmp_path / "arch").demos.values()] == ["lift  mug\t"]
 
     def test_embedding_matches_recompute(self):
         from trajtransfer.embedding import occupancy_embedding

@@ -1,19 +1,38 @@
 """Registration: coarse yaw sweep, planar covariances, GICP refinement."""
 
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
+from scipy.spatial import cKDTree
 
-from trajtransfer.errors import EmptyCloud, NoCorrespondences, TooFewPoints
+from trajtransfer import registration
+from trajtransfer.demos import Dataset, load_dataset, save_dataset
+from trajtransfer.errors import EmptyCloud, NoCorrespondences, OutOfRange, TooFewPoints, TrajTransferError
 from trajtransfer.registration import (
     EPS_PLANE,
+    MAX_COORDINATE,
     GicpParams,
+    RegistrationResult,
+    _corresponding_cost,
     coarse_align,
     estimate_covariances,
+    estimate_delta,
     generalized_icp,
 )
 from trajtransfer.se3 import Pose, PointCloud, compose, invert, pose_distance, transform_cloud
+from trajtransfer.simbench import (
+    CATEGORIES,
+    Benchmark,
+    _observed_cloud,
+    default_task,
+    generate_object,
+    randomize_scene,
+)
 
 
 def mug_cloud(n=800, seed=0):
@@ -161,3 +180,189 @@ class TestGeneralizedIcp:
         d = res.to_dict()
         assert set(d) == {"delta", "inlier_rmse", "fitness", "iterations", "converged"}
         assert len(d["delta"]) == 7
+
+
+def family_demo(family):
+    """A recorded demo of ``family`` and (task, instance) for further scenes."""
+    task, instance = default_task(family), generate_object(family, 0)
+    bench = Benchmark(Dataset())
+    demo = bench.record_demonstration(task, randomize_scene(task, instance, "controlled", 1))
+    return demo, task, instance
+
+
+def plain_estimate(demo, cloud, params=GicpParams()):
+    """estimate_delta without the demo's memo: both covariances computed afresh."""
+    init = coarse_align(demo.object_cloud, cloud, params.yaw_steps)
+    return generalized_icp(demo.object_cloud, cloud, init, params)
+
+
+class TestEstimateDelta:
+    @pytest.mark.parametrize("family", CATEGORIES)
+    def test_memo_is_bit_identical(self, family):
+        demo, task, instance = family_demo(family)
+        seen = _observed_cloud(randomize_scene(task, instance, "controlled", 2))
+        unseen = _observed_cloud(
+            randomize_scene(
+                task, generate_object(family, 1000), "thousand", 3,
+                occlusion_fraction=0.3, noise_sigma=0.002,
+            )
+        )
+        assert demo.covariances == {}
+        # cold (first registration of the demo), then warm on the same and
+        # on another cloud
+        for cloud in (seen, seen, unseen):
+            assert estimate_delta(demo, cloud).to_dict() == plain_estimate(demo, cloud).to_dict()
+        assert list(demo.covariances) == [GicpParams().k_neighbors]
+
+    def test_memo_per_neighbour_count(self):
+        demo, task, instance = family_demo("mug")
+        cloud = _observed_cloud(randomize_scene(task, instance, "controlled", 2))
+        tiny = PointCloud(cloud.points[:12])  # k = 12 < k_neighbors
+        for test in (cloud, tiny, cloud, tiny):
+            try:
+                want = plain_estimate(demo, test).to_dict()
+            except NoCorrespondences:
+                with pytest.raises(NoCorrespondences):
+                    estimate_delta(demo, test)
+                continue
+            assert estimate_delta(demo, test).to_dict() == want
+        assert sorted(demo.covariances) == [12, 20]
+
+    def test_demo_covariances_once_per_demo(self, monkeypatch, tmp_path):
+        calls = []
+        real = registration.estimate_covariances
+
+        def counting(cloud, k=20):
+            calls.append(cloud)
+            return real(cloud, k)
+
+        monkeypatch.setattr(registration, "estimate_covariances", counting)
+        demo, task, instance = family_demo("kettle")
+        ds = Dataset()
+        stored = ds.ingest(demo.description, demo.object_cloud, demo.trajectory)
+        save_dataset(ds, tmp_path / "arch")
+        loaded = load_dataset(tmp_path / "arch").demos[stored.id]
+        assert calls == []  # neither ingest nor load computes covariances
+        for seed in (2, 3):
+            estimate_delta(loaded, _observed_cloud(randomize_scene(task, instance, "controlled", seed)))
+        assert sum(c is loaded.object_cloud for c in calls) == 1
+        assert len(calls) == 3  # the demo once, each test cloud once
+
+    def test_memo_stays_out_of_repr_and_archive(self, tmp_path):
+        demo, task, instance = family_demo("pan")
+        ds = Dataset()
+        stored = ds.ingest(demo.description, demo.object_cloud, demo.trajectory)
+        save_dataset(ds, tmp_path / "before")
+        before = repr(stored)
+        estimate_delta(stored, _observed_cloud(randomize_scene(task, instance, "controlled", 2)))
+        assert stored.covariances and repr(stored) == before
+        save_dataset(ds, tmp_path / "after")
+        name = f"{stored.id}.demo"
+        assert (tmp_path / "after" / name).read_bytes() == (tmp_path / "before" / name).read_bytes()
+
+
+def facing_grids(gap):
+    """Two 5 x 5 grids in the planes x = 0 and x = gap; every point's nearest
+    neighbour in the other grid is its partner at exactly ``gap``."""
+    yz = np.array([(y, z) for y in range(5) for z in range(5)], dtype=np.float64) / 16.0
+    demo = np.column_stack([np.zeros(25), yz])
+    test = np.column_stack([np.full(25, gap), yz])
+    return PointCloud(demo), PointCloud(test)
+
+
+class TestInlierRadiusBoundary:
+    """A match at exactly ``inlier_radius`` counts, one just beyond does not."""
+
+    radius = GicpParams().inlier_radius
+
+    def cost(self, gap):
+        demo, test = facing_grids(gap)
+        cov = np.broadcast_to(np.eye(3) * 1e-4, (25, 3, 3))
+        return _corresponding_cost(
+            Pose.identity(), demo.points, cov, cKDTree(test.points), test.points, cov, self.radius
+        )
+
+    def test_corresponding_cost(self):
+        state = self.cost(self.radius)
+        assert state is not None and state[0].all()
+        assert self.cost(np.nextafter(self.radius, np.inf)) is None
+
+    def test_fitness(self):
+        demo, test = facing_grids(self.radius)
+        res = generalized_icp(demo, test, Pose.identity(), GicpParams(max_iterations=0))
+        assert res.fitness == 1.0
+        assert res.inlier_rmse == pytest.approx(self.radius, rel=1e-12)
+        demo, test = facing_grids(np.nextafter(self.radius, np.inf))
+        with pytest.raises(NoCorrespondences):
+            generalized_icp(demo, test, Pose.identity(), GicpParams(max_iterations=0))
+
+
+FUZZ = settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+
+
+@st.composite
+def clouds(draw):
+    """Tiny, collinear, planar, coincident or general clouds at any scale."""
+    n = draw(st.integers(1, 30))
+    unit = arrays(np.float64, (n, 3), elements=st.floats(-1.0, 1.0))
+    pts = draw(unit)
+    shape = draw(st.sampled_from(["general", "collinear", "planar", "coincident"]))
+    if shape == "collinear":
+        pts = pts[:, :1] * draw(arrays(np.float64, 3, elements=st.floats(-1.0, 1.0)))
+    elif shape == "planar":
+        pts[:, 2] = 0.0
+    elif shape == "coincident":
+        pts = np.repeat(pts[:1], n, axis=0)
+    scale = draw(st.sampled_from([1e-300, 1e-6, 0.01, 0.1, 1.0, 1e3, MAX_COORDINATE, 1e160, 1e300]))
+    return PointCloud(pts * scale)
+
+
+poses = st.builds(
+    lambda yaw, t: Pose.from_yaw(yaw, t),
+    st.floats(-math.pi, math.pi),
+    arrays(np.float64, 3, elements=st.floats(-0.1, 0.1)),
+)
+
+
+class TestDegenerateInput:
+    """Every cloud pair gives a RegistrationResult or a TrajTransferError."""
+
+    @staticmethod
+    def check(run):
+        try:
+            res = run()
+        except TrajTransferError:
+            return
+        assert isinstance(res, RegistrationResult)
+        d = res.to_dict()
+        assert np.all(np.isfinite(d["delta"])) and math.isfinite(d["inlier_rmse"])
+        assert 0.0 <= d["fitness"] <= 1.0
+
+    @FUZZ
+    @given(demo=clouds(), test=clouds(), init=poses, shift=st.sampled_from([0.0, 0.01, 0.5, 1e3]))
+    def test_generalized_icp(self, demo, test, init, shift):
+        test = PointCloud(test.points + shift)  # shift > 0.1: nothing within the radius
+        self.check(lambda: generalized_icp(demo, test, init))
+
+    @FUZZ
+    @given(demo=clouds(), test=clouds())
+    def test_estimate_delta(self, demo, test):
+        self.check(lambda: estimate_delta(SimpleNamespace(object_cloud=demo, covariances={}), test))
+
+    def test_nothing_within_the_radius(self):
+        c = mug_cloud()
+        far = PointCloud(c.points + [1.0, 0.0, 0.0])
+        with pytest.raises(NoCorrespondences):
+            generalized_icp(c, far, Pose.identity())
+
+    @pytest.mark.parametrize("where", ["demo", "test"])
+    def test_coordinates_beyond_the_limit(self, where):
+        c = mug_cloud()
+        big = PointCloud(c.points * 1e200)
+        demo, test = (big, c) if where == "demo" else (c, big)
+        with pytest.raises(OutOfRange):
+            coarse_align(demo, test)
+        with pytest.raises(OutOfRange):
+            generalized_icp(demo, test, Pose.identity())
+        with pytest.raises(OutOfRange):
+            estimate_covariances(big)

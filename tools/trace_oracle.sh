@@ -1,9 +1,9 @@
 #!/bin/sh
 # Behaviour oracle: run `evaluate` on {"mode": M, "seed": 7, "repeats": 2} for
 # each experiment mode at --jobs 1 and --jobs 2, and print one line
-# "mode jobs trace_sha256" per run.  Exits 1 if a mode's hash depends on the
-# job count (exit 2 if a run fails).  A refactor that keeps behaviour keeps
-# every hash.
+# "mode jobs trace_sha256 seconds" per run, seconds being the wall time of the
+# `evaluate`.  Exits 1 if a mode's hash depends on the job count (exit 2 if a
+# run fails).  A refactor that keeps behaviour keeps every hash.
 #
 #   sh tools/trace_oracle.sh
 set -eu
@@ -17,12 +17,14 @@ for mode in dataset_size diversity thousand; do
     printf '{"mode": "%s", "seed": 7, "repeats": 2}\n' "$mode" > "$work/$mode.json"
     first=""
     for jobs in 1 2; do
+        start=$(python3 -c 'import time; print(time.time())')
         python3 -m trajtransfer.cli evaluate --config "$work/$mode.json" \
             --output "$work/$mode-$jobs" --jobs "$jobs" > /dev/null 2> "$work/log" \
             || { cat "$work/log" >&2; exit 2; }
+        seconds=$(python3 -c 'import sys, time; print("%.1f" % (time.time() - float(sys.argv[1])))' "$start")
         sha=$(python3 -c 'import json, sys; print(json.load(open(sys.argv[1]))["trace_sha256"])' \
             "$work/$mode-$jobs/summary.json")
-        echo "$mode $jobs $sha"
+        echo "$mode $jobs $sha $seconds"
         if [ -z "$first" ]; then
             first=$sha
         elif [ "$sha" != "$first" ]; then
