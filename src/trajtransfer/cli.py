@@ -15,7 +15,7 @@ from pathlib import Path
 
 from . import demos as demos_mod
 from . import stats as stats_mod
-from .errors import MalformedFile, TrajTransferError, UnknownSkill
+from .errors import MalformedFile, OutOfRange, TrajTransferError, UnknownSkill
 from .policies import simulate_alignment_trajectories
 from .registration import estimate_delta
 from .retrieval import hierarchical_retrieve, rank_candidates
@@ -36,6 +36,11 @@ EXIT_INPUT = 2
 EXIT_RETRIEVAL = 3
 
 
+def _at_least(value: int, low: int, flag: str) -> None:
+    if value < low:
+        raise OutOfRange(f"{flag} must be >= {low}, got {value}")
+
+
 def cmd_ingest(args) -> int:
     exists = (Path(args.dataset) / "dataset.json").exists()
     dataset = demos_mod.load_dataset(args.dataset) if exists else demos_mod.Dataset()
@@ -48,6 +53,7 @@ def cmd_ingest(args) -> int:
 
 
 def cmd_retrieve(args) -> int:
+    _at_least(args.top, 1, "--top")
     dataset = demos_mod.load_dataset(args.dataset)
     cloud = demos_mod.read_cloud_file(args.cloud)
     if args.top > 1:
@@ -75,6 +81,7 @@ def cmd_register(args) -> int:
 
 
 def cmd_rollout(args) -> int:
+    _at_least(args.count, 0, "--count")
     task = default_task(args.family)
     instance = generate_object(args.family, args.instance_seed)
     bench = Benchmark(demos_mod.Dataset())
@@ -134,6 +141,7 @@ def cmd_gen_scene(args) -> int:
 
 
 def cmd_gen_align_data(args) -> int:
+    _at_least(args.count, 0, "--count")
     dataset = demos_mod.load_dataset(args.dataset)
     if args.demo_id not in dataset.demos:
         raise MalformedFile(f"demo id {args.demo_id!r} not in dataset")

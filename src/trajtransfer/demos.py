@@ -375,11 +375,18 @@ def load_dataset(path) -> Dataset:
         skill_index = {k: sorted(ids) for k, ids in dict(manifest["skill_index"]).items()}
     except KeyError as e:
         raise MalformedFile(f"{manifest_path}: missing key {e}") from e
-    except (TypeError, ValueError) as e:  # invalid JSON, or a value of the wrong type
+    except (TypeError, ValueError, OverflowError) as e:  # invalid JSON, a value of the wrong type or size
         raise MalformedFile(f"{manifest_path}: {e}") from e
     dataset = Dataset(grid)
     for demo_id in demo_ids:
-        dataset.add(load_demo_file(path / f"{demo_id}.demo", grid))
+        demo_path = path / f"{demo_id}.demo"
+        if demo_path.parent != path or demo_path.stem != demo_id:
+            raise MalformedFile(f"{manifest_path}: demo id {demo_id!r} is not a file name")
+        try:
+            demo = load_demo_file(demo_path, grid)
+        except (OSError, ValueError) as e:  # no such file, or a name the file system rejects
+            raise MalformedFile(f"{manifest_path}: demo {demo_id!r}: {e}") from e
+        dataset.add(demo)
     for skill, ids in skill_index.items():
         if sorted(dataset.skill_index.get(skill, [])) != ids:
             raise MalformedFile(f"{manifest_path}: skill index inconsistent for {skill!r}")

@@ -32,6 +32,8 @@ class GridSpec:
         resolution = tuple(int(v) for v in self.resolution)
         if len(origin) != 3 or len(extent) != 3 or len(resolution) != 3:
             raise ValueError("GridSpec fields must have length 3")
+        if not np.all(np.isfinite(origin + extent)):
+            raise ValueError("grid origin and extent must be finite")
         if any(e <= 0 for e in extent):
             raise ValueError("grid extent must be strictly positive")
         if any(r < 2 for r in resolution):

@@ -7,7 +7,7 @@ within an inlier radius, per-point planar covariances, and a damped
 Gauss-Newton step on the summed Mahalanobis cost.  Only cost-decreasing steps
 are accepted, so the reported final cost never exceeds the cost at init.
 
-Two savings leave every result bit-identical.  :func:`estimate_delta`
+Three savings leave every result bit-identical.  :func:`estimate_delta`
 memoizes a demo's covariances on the demo per neighbour count ``k``, computed
 at its first registration (not at ingest or load), so later registrations of
 that demo reuse them.  Every KD query is bounded just above the distance
@@ -15,7 +15,10 @@ beyond which its caller discards the match: the sweep clamps distances at its
 cap, and GICP keeps only matches within ``inlier_radius``.  scipy returns
 ``inf`` (index ``n``) past the bound, and ``min(inf, cap) == cap`` as before;
 the GICP bound is ``nextafter(inlier_radius, inf)`` because scipy's bound is
-strict, so a match at exactly the radius still comes back and counts.
+strict, so a match at exactly the radius still comes back and counts.  The
+yaw sweep is a branch and bound: a yaw's capped distances over part of the
+points bound its score from below, and only yaws that can still win are
+scored in full (see :func:`coarse_align`).
 
 A cloud with a coordinate beyond ``MAX_COORDINATE`` raises OutOfRange, as a
 too small one raises TooFewPoints, so no input ends in a numpy exception.
@@ -37,6 +40,8 @@ EPS_PLANE = 1e-3  # smallest-eigenvalue floor, relative to the largest
 # tabletop, and far below where squared distances and the Gauss-Newton
 # system overflow
 MAX_COORDINATE = 1e6
+SWEEP_SLICES = 8  # ~75 of the sweep's 600 points each: enough to prune yaws, few KD calls
+_TIE = 1e-12  # a yaw must beat the incumbent by more than this
 
 
 @dataclass(frozen=True)
@@ -94,7 +99,31 @@ def coarse_align(demo_cloud: PointCloud, test_cloud: PointCloud, yaw_steps: int 
 
     Candidates are scored by nearest-neighbour RMSE of the transformed demo
     cloud against the test cloud; a candidate replaces the incumbent only if
-    strictly better, so rotationally symmetric clouds keep the lowest angle.
+    strictly better (by ``_TIE``), so rotationally symmetric clouds keep the
+    lowest angle.
+
+    The sweep is an exact branch and bound over ``SWEEP_SLICES`` strided
+    slices of the demo points.  Capped squared distances are non-negative, so
+    a yaw's partial sum over the slices scored so far bounds its score from
+    below.  After the first slice the yaw with the lowest partial sum is
+    scored in full; its score ``U`` is the incumbent.  After each slice every
+    yaw whose bound exceeds ``U + margin`` is dropped, with ``margin =
+    1e-9 * U + 2 * len(angles) * _TIE``, and only the survivors query the
+    next slice.  The survivors' distance rows are complete and in
+    the original point order, and a point's distance does not depend on the
+    batch it was queried in, so each survivor's score is the full sweep's.
+
+    A pruned yaw cannot change the winner.  Over any set of yaws that holds
+    the incumbent, the selection loop ends on a score at most ``U + _TIE``,
+    because every yaw scores at least the final score minus ``_TIE``.  Take
+    the loop over all yaws and the loop without one yaw ``h`` scoring above
+    ``U + margin``.  They first differ when ``h`` becomes the incumbent; from
+    then on the lower of their two incumbent scores drops by at most ``_TIE``
+    per yaw, or a yaw beats both incumbents and the loops agree again.  Loops
+    still apart after the last of at most ``len(angles)`` yaws would both end
+    above ``U + margin - len(angles) * _TIE``, which is above ``U + _TIE``,
+    so they agree, and by induction over the pruned yaws so does the pruned
+    sweep.  The margin's relative term absorbs the rounding of partial sums.
     """
     if len(demo_cloud) == 0 or len(test_cloud) == 0:
         raise EmptyCloud("coarse alignment requires non-empty clouds")
@@ -107,28 +136,52 @@ def coarse_align(demo_cloud: PointCloud, test_cloud: PointCloud, yaw_steps: int 
     if len(centered) > 600:
         step = len(centered) // 600 + 1
         centered = centered[::step]
+    n = len(centered)
     tree = cKDTree(test_cloud.points)
     # cap per-point distances so parts visible in only one of two partial
     # views bound the penalty without drowning out small discriminative
     # features (handles, spouts)
     cap = 0.01
     angles = _sweep_angles(yaw_steps)
-    # evaluate every candidate in a single batched NN query
     ca = np.cos(angles)
     sa = np.sin(angles)
-    x, y, z = centered[:, 0], centered[:, 1], centered[:, 2]
-    moved = np.empty((len(angles), len(centered), 3))
-    moved[:, :, 0] = ca[:, None] * x - sa[:, None] * y
-    moved[:, :, 1] = sa[:, None] * x + ca[:, None] * y
-    moved[:, :, 2] = z
-    moved += c_test
-    d, _ = tree.query(moved.reshape(-1, 3), distance_upper_bound=cap)
-    d = np.minimum(d.reshape(len(angles), -1), cap)
-    scores = np.sqrt(np.mean(d * d, axis=1))
+
+    def capped(yaws, pts):
+        """Capped NN distances of ``pts`` turned by each yaw, (len(yaws), len(pts))."""
+        x, y, z = pts[:, 0], pts[:, 1], pts[:, 2]
+        moved = np.empty((len(yaws), len(pts), 3))
+        moved[:, :, 0] = ca[yaws, None] * x - sa[yaws, None] * y
+        moved[:, :, 1] = sa[yaws, None] * x + ca[yaws, None] * y
+        moved[:, :, 2] = z
+        moved += c_test
+        d, _ = tree.query(moved.reshape(-1, 3), distance_upper_bound=cap)
+        return np.minimum(d.reshape(len(yaws), len(pts)), cap)
+
+    d = np.empty((len(angles), n))  # rows of pruned yaws stay unfilled
+    partial = np.zeros(len(angles))  # sums of squared capped distances so far
+    alive = np.arange(len(angles))
+    for c in range(min(SWEEP_SLICES, n)):
+        cols = slice(c, None, SWEEP_SLICES)
+        d[alive, cols] = rows = capped(alive, centered[cols])
+        partial[alive] += np.einsum("ij,ij->i", rows, rows)
+        if c == 0:  # the incumbent: the most promising yaw, scored in full
+            best = int(np.argmin(partial))
+            rest = np.arange(n) % SWEEP_SLICES != 0
+            d[best, rest] = capped([best], centered[rest])[0]
+            U = float(np.sqrt(np.mean(d[best] * d[best])))
+            # a yaw survives while its bound sqrt(partial / n) <= U + margin
+            bound = n * (U + 1e-9 * U + 2.0 * _TIE * len(angles)) ** 2
+            alive = alive[alive != best]
+        alive = alive[partial[alive] <= bound]
+        if len(alive) == 0:
+            break
+    keep = np.sort(np.append(alive, best))  # sweep order
+    kept = d[keep]
+    scores = np.sqrt(np.mean(kept * kept, axis=1))
     best_angle, best_score = 0.0, math.inf
-    for ang, score in zip(angles, scores):
-        if score < best_score - 1e-12:
-            best_score, best_angle = float(score), ang
+    for i, score in zip(keep, scores):
+        if score < best_score - _TIE:
+            best_score, best_angle = float(score), angles[i]
     R = Pose.from_yaw(best_angle)
     # p_test = R (p_demo - c_demo) + c_test
     t = c_test - R.rotation_matrix() @ c_demo

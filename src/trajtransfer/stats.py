@@ -100,6 +100,10 @@ class SuccessTable:
 # --- experiment configuration and runner -------------------------------------
 
 
+# keys older configs and summary.json echoes may name; read and ignored
+_RETIRED_KEYS = frozenset({"thousand_rollouts_per_task"})
+
+
 @dataclass
 class ExperimentConfig:
     mode: str  # dataset_size | diversity | thousand
@@ -113,8 +117,6 @@ class ExperimentConfig:
     # diversity mode: (tasks, demos per task) splits and the fixed budget
     diversity_splits: tuple = ((10, 15), (30, 5), (50, 3))
     total_budget: int = 150
-    # thousand mode
-    thousand_rollouts_per_task: int = 3
     noise_sigma: float = 0.0
     occlusion_fraction: float = 0.0
 
@@ -150,10 +152,10 @@ class ExperimentConfig:
     @staticmethod
     def from_dict(d: dict) -> "ExperimentConfig":
         known = {f.name for f in ExperimentConfig.__dataclass_fields__.values()}
-        unknown = set(d) - known
+        unknown = set(d) - known - _RETIRED_KEYS
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-        kwargs = dict(d)
+        kwargs = {k: v for k, v in dict(d).items() if k in known}
         for key in ("families", "demos_per_task"):
             if key in kwargs:
                 kwargs[key] = tuple(kwargs[key])

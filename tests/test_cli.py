@@ -340,6 +340,31 @@ class TestReportConfig:
         for name in ("summary.json", "report.csv", "failures.svg"):
             assert (workdir / "rep" / name).read_bytes() == (workdir / "out" / name).read_bytes()
 
+    def test_summary_json_with_retired_key(self, workdir, capsys):
+        """A summary.json that still echoes a retired config key reports as before."""
+        eval_config(workdir / "cfg.json")
+        cli.main(
+            [
+                "evaluate",
+                "--config", str(workdir / "cfg.json"),
+                "--output", str(workdir / "out"),
+                "--jobs", "1",
+            ]
+        )
+        summary = json.loads((workdir / "out" / "summary.json").read_text())
+        summary["config"]["thousand_rollouts_per_task"] = 3
+        (workdir / "old.json").write_text(json.dumps(summary))
+        code = cli.main(
+            [
+                "report",
+                "--traces", str(workdir / "out" / "traces.jsonl"),
+                "--output", str(workdir / "rep"),
+                "--config", str(workdir / "old.json"),
+            ]
+        )
+        assert code == cli.EXIT_OK
+        assert (workdir / "rep" / "summary.json").read_bytes() == (workdir / "out" / "summary.json").read_bytes()
+
 
 # --- malformed input: every case exits 2 with an error line, no traceback ----
 
@@ -439,6 +464,17 @@ def _case_gen_align_data_negative_seed(w):
     return argv + ["--seed", "-1", "--output", str(w / "align.txt")], "got -1"
 
 
+def _case_gen_align_data_negative_count(w):
+    ingest_one(w)
+    argv = ["gen-align-data", "--dataset", str(w / "ds"), "--demo-id", "d1", "--count", "-3"]
+    return argv + ["--output", str(w / "align.txt")], "--count must be >= 0, got -3"
+
+
+def _case_retrieve_top_below_one(w):
+    ingest_one(w)
+    return _query("retrieve", w) + ["--top", "-4"], "--top must be >= 1, got -4"
+
+
 def _case_register_huge_cloud(w):
     ingest_one(w)
     write_cloud(w / "q.txt", (1e200, 0.0, 0.0))
@@ -473,6 +509,12 @@ MALFORMED = {
     ),
     "gen-align-data-negative-seed": _case_gen_align_data_negative_seed,
     "register-huge-cloud": _case_register_huge_cloud,
+    "rollout-negative-count": lambda w: (
+        ["rollout", "--family", "mug", "--count", "-1"],
+        "--count must be >= 0, got -1",
+    ),
+    "gen-align-data-negative-count": _case_gen_align_data_negative_count,
+    "retrieve-top-below-one": _case_retrieve_top_below_one,
 }
 
 

@@ -34,6 +34,10 @@ class TestGridSpec:
             GridSpec(extent=(0.0, 0.4, 0.4))
         with pytest.raises(ValueError):
             GridSpec(resolution=(1, 24, 16))
+        with pytest.raises(ValueError):
+            GridSpec(origin=(np.nan, 0.0, 0.0))
+        with pytest.raises(ValueError):
+            GridSpec(extent=(np.inf, 0.4, 0.4))
 
 
 class TestOccupancyEmbedding:

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 
 from trajtransfer.demos import (
     Dataset,
+    Demonstration,
     EndEffectorState,
     load_dataset,
     read_cloud_file,
@@ -22,6 +23,7 @@ from trajtransfer.demos import (
     write_cloud_file,
     write_trajectory_blocks,
 )
+from trajtransfer.embedding import GridSpec
 from trajtransfer.errors import ConfigError, MalformedFile, TrajTransferError
 from trajtransfer.se3 import Pose, PointCloud
 from trajtransfer.simbench import FAILURE_CLASSES
@@ -150,6 +152,134 @@ class TestTrajectoryFile:
             load_dataset(tmp_path / "ds")
 
 
+json_values = st.recursive(
+    st.one_of(st.none(), st.booleans(), st.integers(), st.floats(), st.text(max_size=4)),
+    lambda inner: st.one_of(st.lists(inner, max_size=4), st.dictionaries(st.text(max_size=4), inner, max_size=4)),
+    max_leaves=10,
+)
+# values near the manifest's own: demo ids that name no file, escape the
+# archive or repeat; grids of the wrong shape, size or value
+demo_id_lists = st.one_of(
+    json_values,
+    st.lists(st.sampled_from(["d", "e", "", ".", "..", "../d", "d/", "d.demo", "x" * 300, "d\x00", 1, None]), max_size=3),
+)
+grid_values = st.one_of(
+    json_values,
+    st.fixed_dictionaries(
+        {
+            key: st.one_of(
+                st.lists(st.sampled_from([0, 1, 2, -1, 0.5, 1e300, float("inf"), float("nan"), "2"]), max_size=4),
+                json_values,
+            )
+            for key in ("origin", "extent", "resolution")
+        }
+    ),
+)
+
+
+class TestArchive:
+    """Any text as dataset.json or as a .demo file: a Dataset or a TrajTransferError."""
+
+    @pytest.fixture(scope="class")
+    def archive(self, tmp_path_factory):
+        """A one-demo archive on a 2 x 2 x 2 grid, so its .demo file is short."""
+        ds = Dataset(GridSpec(resolution=(2, 2, 2)))
+        cloud = PointCloud(np.random.default_rng(0).normal(0.0, 0.02, (4, 3)) + [0.4, 0.2, 0.05])
+        ds.ingest("open bottle", cloud, TRAJ, demo_id="d")
+        path = tmp_path_factory.mktemp("archive")
+        save_dataset(ds, path)
+        return path, json.loads((path / "dataset.json").read_text()), (path / "d.demo").read_text()
+
+    @staticmethod
+    def load(path):
+        try:
+            ds = load_dataset(path)
+        except TrajTransferError:
+            return
+        assert isinstance(ds, Dataset)
+        assert np.all(np.isfinite(ds.grid.origin + ds.grid.extent))
+        for demo_id, demo in ds.demos.items():
+            assert isinstance(demo, Demonstration) and demo.id == demo_id
+            assert demo_id in ds.skill_index[demo.micro_skill]
+
+    @staticmethod
+    @st.composite
+    def edited(draw, text):
+        """``text`` with a few of its lines replaced, deleted or duplicated."""
+        rows = text.splitlines()
+        keyword = st.sampled_from(["description", "micro_skill", "instance", "trajectory", "cloud", "embedding"])
+        header = st.tuples(keyword, words).map(" ".join)
+        for _ in range(draw(st.integers(1, 3))):
+            i = draw(st.integers(0, len(rows)))
+            action = draw(st.sampled_from(["replace", "delete", "insert"]))
+            line = draw(st.one_of(lines, header))
+            if action == "insert" or i == len(rows):
+                rows.insert(i, line)
+            elif action == "delete":
+                del rows[i]
+            else:
+                rows[i] = line
+        return "\n".join(rows) + draw(st.sampled_from(["", "\n"]))
+
+    @FUZZ
+    @given(data=st.data())
+    def test_any_demo_file(self, archive, data):
+        path, manifest, demo = archive
+        text = data.draw(st.one_of(texts, self.edited(demo)))
+        (path / "dataset.json").write_text(json.dumps(manifest))
+        (path / "d.demo").write_text(text)
+        self.load(path)
+
+    @FUZZ
+    @given(data=st.data())
+    def test_any_manifest(self, archive, data):
+        path, manifest, demo = archive
+        changed = data.draw(
+            st.fixed_dictionaries(
+                {},
+                optional={
+                    "demo_ids": demo_id_lists,
+                    "skill_index": st.one_of(json_values, st.dictionaries(st.sampled_from(["open bottle", "x"]), demo_id_lists)),
+                    "grid": grid_values,
+                },
+            )
+        )
+        dropped = data.draw(st.sets(st.sampled_from(sorted(manifest)), max_size=1))
+        structured = json.dumps({k: v for k, v in {**manifest, **changed}.items() if k not in dropped})
+        text = data.draw(st.sampled_from(["manifest"] * 3 + ["json", "text"]))
+        if text != "manifest":
+            text = data.draw(json_values.map(json.dumps) if text == "json" else texts)
+        else:
+            text = structured
+        (path / "d.demo").write_text(demo)
+        (path / "dataset.json").write_text(text)
+        self.load(path)
+
+    @pytest.mark.parametrize(
+        "change",
+        [
+            {"demo_ids": ["e"]},
+            {"demo_ids": ["../d"]},
+            {"demo_ids": ["d\x00"]},
+            {"grid": {"origin": [0, 0, 0], "extent": [1, 1, 1], "resolution": [float("inf"), 2, 2]}},
+            {"grid": {"origin": [0, 0, 0], "extent": [float("nan"), 1, 1], "resolution": [2, 2, 2]}},
+        ],
+        ids=["no-such-file", "outside-the-archive", "nul-in-name", "infinite-resolution", "nan-extent"],
+    )
+    def test_malformed_manifest(self, archive, change):
+        path, manifest, demo = archive
+        (path / "d.demo").write_text(demo)
+        (path / "dataset.json").write_text(json.dumps({**manifest, **change}))
+        with pytest.raises(MalformedFile, match=r"dataset\.json"):
+            load_dataset(path)
+
+    def test_valid_archive_loads(self, archive):
+        path, manifest, demo = archive
+        (path / "dataset.json").write_text(json.dumps(manifest))
+        (path / "d.demo").write_text(demo)
+        assert list(load_dataset(path).demos) == ["d"]
+
+
 def trace_objects():
     value = st.one_of(st.booleans(), st.none(), st.integers(), st.text(max_size=5), st.sampled_from(FAILURE_CLASSES))
     key = st.sampled_from(["condition", "success", "failure_class", "x"])
@@ -215,3 +345,13 @@ class TestConfigFile:
     def test_missing_file(self, tmp_path):
         with pytest.raises(ConfigError):
             read_config(tmp_path / "nowhere.json")
+
+    def test_retired_key_ignored(self, tmp_path):
+        """Configs and summary.json echoes written before a key was retired still read."""
+        cfg = ExperimentConfig(mode="thousand", seed=4, repeats=2)
+        old = {**cfg.to_dict(), "thousand_rollouts_per_task": 3}
+        assert "thousand_rollouts_per_task" not in cfg.to_dict()
+        (tmp_path / "cfg.json").write_text(json.dumps(old))
+        (tmp_path / "summary.json").write_text(json.dumps({"config": old, "rows": []}))
+        assert read_config(tmp_path / "cfg.json") == cfg
+        assert read_config(tmp_path / "summary.json") == cfg

@@ -83,6 +83,94 @@ class TestCoarseAlign:
             coarse_align(PointCloud(np.zeros((0, 3))), mug_cloud())
 
 
+def full_sweep(demo_cloud, test_cloud, yaw_steps=72):
+    """The coarse sweep without its bound: every yaw scores every point."""
+    c_demo = demo_cloud.points.mean(axis=0)
+    c_test = test_cloud.points.mean(axis=0)
+    centered = demo_cloud.points - c_demo
+    if len(centered) > 600:
+        centered = centered[:: len(centered) // 600 + 1]
+    tree = cKDTree(test_cloud.points)
+    cap = 0.01
+    angles = registration._sweep_angles(yaw_steps)
+    ca, sa = np.cos(angles), np.sin(angles)
+    x, y, z = centered[:, 0], centered[:, 1], centered[:, 2]
+    moved = np.empty((len(angles), len(centered), 3))
+    moved[:, :, 0] = ca[:, None] * x - sa[:, None] * y
+    moved[:, :, 1] = sa[:, None] * x + ca[:, None] * y
+    moved[:, :, 2] = z
+    moved += c_test
+    d, _ = tree.query(moved.reshape(-1, 3), distance_upper_bound=cap)
+    d = np.minimum(d.reshape(len(angles), -1), cap)
+    scores = np.sqrt(np.mean(d * d, axis=1))
+    best_angle, best_score = 0.0, math.inf
+    for ang, score in zip(angles, scores):
+        if score < best_score - 1e-12:
+            best_score, best_angle = float(score), ang
+    R = Pose.from_yaw(best_angle)
+    return Pose(R.rotation, c_test - R.rotation_matrix() @ c_demo)
+
+
+def assert_same_pose(got, want):
+    assert np.array_equal(got.rotation, want.rotation)
+    assert np.array_equal(got.translation, want.translation)
+
+
+@st.composite
+def sweep_clouds(draw):
+    """1-20 points: general, with duplicates, a ring with yaw symmetry
+    (near-ties), or a coarse grid; coordinates within a few caps."""
+    n = draw(st.integers(1, 20))
+    shape = draw(st.sampled_from(["general", "duplicated", "ring", "grid"]))
+    if shape == "ring":
+        th = 2.0 * math.pi * np.arange(n) / n
+        z = draw(arrays(np.float64, n, elements=st.floats(0.0, 0.05)))
+        return np.column_stack([0.04 * np.cos(th), 0.04 * np.sin(th), z])
+    if shape == "grid":
+        return draw(arrays(np.float64, (n, 3), elements=st.integers(-4, 4))) * 0.005
+    pts = draw(arrays(np.float64, (n, 3), elements=st.floats(-0.05, 0.05)))
+    if shape == "duplicated":
+        pts = pts[draw(arrays(np.int64, n, elements=st.integers(0, n - 1)))]
+    return pts
+
+
+class TestSweepBound:
+    """The bounded sweep returns the full sweep's pose bit for bit."""
+
+    @pytest.mark.parametrize("family", CATEGORIES)
+    def test_benchmark_clouds(self, family):
+        demo, task, _ = family_demo(family)
+        for seed, instance_seed in enumerate((0, 1000), start=2):
+            instance = generate_object(family, instance_seed)
+            for mode in ("controlled", "thousand"):
+                for occlusion, noise in ((0.0, 0.0), (0.4, 0.002)):
+                    scene = randomize_scene(
+                        task, instance, mode, seed, occlusion_fraction=occlusion, noise_sigma=noise
+                    )
+                    cloud = _observed_cloud(scene)
+                    assert_same_pose(coarse_align(demo.object_cloud, cloud), full_sweep(demo.object_cloud, cloud))
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        demo=sweep_clouds(),
+        test=st.one_of(sweep_clouds(), st.sampled_from(["same", "swapped"])),
+        shift=arrays(np.float64, 3, elements=st.floats(-0.01, 0.01)),
+    )
+    def test_small_clouds(self, demo, test, shift):
+        if isinstance(test, str) and test == "same":
+            test = demo + shift
+        elif isinstance(test, str):  # the demo turned by exactly 90 degrees
+            test = np.column_stack([-demo[:, 1], demo[:, 0], demo[:, 2]]) + shift
+        demo, test = PointCloud(demo), PointCloud(test)
+        assert_same_pose(coarse_align(demo, test), full_sweep(demo, test))
+
+    def test_cylinder(self):
+        c = cylinder_cloud()
+        for yaw in (0.0, math.pi / 2, math.radians(37.0)):
+            moved = transform_cloud(Pose.from_yaw(yaw, (0.01, -0.02, 0.0)), c)
+            assert_same_pose(coarse_align(c, moved), full_sweep(c, moved))
+
+
 class TestEstimateCovariances:
     def test_planar_clamp(self):
         rng = np.random.default_rng(4)

@@ -2,8 +2,10 @@
 # Behaviour oracle: run `evaluate` on {"mode": M, "seed": 7, "repeats": 2} for
 # each experiment mode at --jobs 1 and --jobs 2, and print one line
 # "mode jobs trace_sha256 seconds" per run, seconds being the wall time of the
-# `evaluate`.  Exits 1 if a mode's hash depends on the job count (exit 2 if a
-# run fails).  A refactor that keeps behaviour keeps every hash.
+# `evaluate`.  Each hash is checked against tools/trace_oracle.expected, one
+# "mode trace_sha256" line per mode.  Exits 1 if a hash differs from the
+# expected one or depends on the job count (exit 2 if a run fails).  A
+# refactor that keeps behaviour keeps every hash.
 #
 #   sh tools/trace_oracle.sh
 set -eu
@@ -25,6 +27,11 @@ for mode in dataset_size diversity thousand; do
         sha=$(python3 -c 'import json, sys; print(json.load(open(sys.argv[1]))["trace_sha256"])' \
             "$work/$mode-$jobs/summary.json")
         echo "$mode $jobs $sha $seconds"
+        expected=$(awk -v m="$mode" '$1 == m { print $2 }' "$root/tools/trace_oracle.expected")
+        if [ "$sha" != "$expected" ]; then
+            echo "error: $mode at --jobs $jobs: trace_sha256 $sha, expected ${expected:-none}" >&2
+            status=1
+        fi
         if [ -z "$first" ]; then
             first=$sha
         elif [ "$sha" != "$first" ]; then
