@@ -78,6 +78,15 @@ def parse_micro_skill(description: str, stopwords: frozenset = _DEFAULT_STOPWORD
     return " ".join(kept)
 
 
+def _archivable_micro_skill(description: str) -> str:
+    """The micro skill of a description the archive can hold on one line;
+    the rules both :meth:`Dataset.ingest` and :func:`load_demo_file` apply."""
+    micro_skill = parse_micro_skill(description)
+    if description.splitlines() != [description]:
+        raise InvalidDescription(f"description {description!r} contains a line break")
+    return micro_skill
+
+
 def resample_trajectory(traj, spacing: float = DEFAULT_SPACING):
     """Resample so consecutive translation distances are <= spacing.
 
@@ -131,10 +140,7 @@ class Dataset:
         trajectory = list(trajectory)
         if len(trajectory) < 2:
             raise TrajectoryTooShort("demonstration trajectory needs >= 2 states")
-        micro_skill = parse_micro_skill(description)
-        if description.splitlines() != [description]:
-            # the archive keeps the description on one line
-            raise InvalidDescription(f"description {description!r} contains a line break")
+        micro_skill = _archivable_micro_skill(description)
         traj = tuple(resample_trajectory(trajectory, spacing))
         embedding = emb.occupancy_embedding(object_cloud, self.grid)
         if demo_id is None:
@@ -208,7 +214,9 @@ def _demo_equal(a: Demonstration, b: Demonstration) -> bool:
 #                   <dir>/<id>.demo: description, micro_skill and instance lines,
 #                   then "trajectory N", "cloud N" and "embedding N" blocks
 #
-# A malformed file raises MalformedFile naming its path and line.
+# A malformed file raises MalformedFile naming its path and line.  A .demo
+# description must pass Dataset.ingest's rules, and its micro_skill line must
+# be the description's parse_micro_skill.
 
 
 def _f(x: float) -> str:
@@ -339,7 +347,13 @@ def load_demo_file(path, grid: emb.GridSpec) -> Demonstration:
     path = Path(path)
     lines = _read_lines(path)
     description = _parse(_value, lines, 0, path, "description")
-    micro_skill = _parse(_value, lines, 1, path, "micro_skill")
+    try:
+        micro_skill = _archivable_micro_skill(description)
+    except (EmptyDescription, InvalidDescription) as e:
+        raise MalformedFile(f"{path}:1: {e}") from e
+    stored = _parse(_value, lines, 1, path, "micro_skill")
+    if stored != micro_skill:
+        raise MalformedFile(f"{path}:2: micro_skill {stored!r} is not the description's {micro_skill!r}")
     instance = _parse(_value, lines, 2, path, "instance")
     traj = _block(lines, 3, "trajectory", _state, path)
     i = 4 + len(traj)

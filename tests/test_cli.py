@@ -445,6 +445,17 @@ def _case_demo_negative_embedding(w):
     return _query("retrieve", w), "d1.demo:"
 
 
+def _case_demo_line(index, text):
+    """An ingested demo's .demo line ``index`` replaced by ``text``; retrieve."""
+    def case(w):
+        ingest_one(w)
+        lines = (w / "ds" / "d1.demo").read_text().splitlines()
+        lines[index] = text
+        (w / "ds" / "d1.demo").write_text("\n".join(lines) + "\n")
+        return _query("retrieve", w), f"d1.demo:{index + 1}:"
+    return case
+
+
 def _case_gripper_out_of_range(w):
     lines = (w / "traj.txt").read_text().splitlines()
     lines[1] = lines[1][: -len(" 0")] + " 7"
@@ -489,6 +500,9 @@ MALFORMED = {
     "manifest-without-grid": _case_manifest_without_grid,
     "demo-nonfinite-point": _case_demo_nonfinite_point,
     "demo-negative-embedding": _case_demo_negative_embedding,
+    "demo-empty-description": _case_demo_line(0, "description "),
+    "demo-description-without-skill-tokens": _case_demo_line(0, "description the"),
+    "demo-micro-skill-mismatch": _case_demo_line(1, "micro_skill close bottle"),
     "report-config-not-json": lambda w: (_report(w, GOOD_TRACE, "{not json"), "cfg.json"),
     "report-trace-not-json": lambda w: (_report(w, GOOD_TRACE + "not json\n"), "traces.jsonl:2"),
     "report-trace-without-condition": lambda w: (

@@ -273,6 +273,22 @@ class TestArchive:
         with pytest.raises(MalformedFile, match=r"dataset\.json"):
             load_dataset(path)
 
+    @pytest.mark.parametrize(
+        "index,text",
+        [(0, "description "), (0, "description the a"), (1, "micro_skill close bottle"), (1, "micro_skill bottle open")],
+        ids=["empty-description", "no-skill-tokens", "other-micro-skill", "reordered-micro-skill"],
+    )
+    def test_description_rules(self, archive, index, text):
+        """Dataset.ingest's description rules hold on load; the micro skill is
+        recomputed, and a stored one that differs names line 2."""
+        path, manifest, demo = archive
+        rows = demo.splitlines()
+        rows[index] = text
+        (path / "dataset.json").write_text(json.dumps(manifest))
+        (path / "d.demo").write_text("\n".join(rows) + "\n")
+        with pytest.raises(MalformedFile, match=rf"d\.demo:{index + 1}: "):
+            load_dataset(path)
+
     def test_valid_archive_loads(self, archive):
         path, manifest, demo = archive
         (path / "dataset.json").write_text(json.dumps(manifest))

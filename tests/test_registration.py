@@ -1,6 +1,7 @@
 """Registration: coarse yaw sweep, planar covariances, GICP refinement."""
 
 import math
+from functools import lru_cache
 from types import SimpleNamespace
 
 import numpy as np
@@ -19,12 +20,13 @@ from trajtransfer.registration import (
     GicpParams,
     RegistrationResult,
     _corresponding_cost,
+    _exp_step,
     coarse_align,
     estimate_covariances,
     estimate_delta,
     generalized_icp,
 )
-from trajtransfer.se3 import Pose, PointCloud, compose, invert, pose_distance, transform_cloud
+from trajtransfer.se3 import Pose, PointCloud, compose, invert, pose_distance, rotation_angle, transform_cloud
 from trajtransfer.simbench import (
     CATEGORIES,
     Benchmark,
@@ -347,6 +349,176 @@ class TestEstimateDelta:
         save_dataset(ds, tmp_path / "after")
         name = f"{stored.id}.demo"
         assert (tmp_path / "after" / name).read_bytes() == (tmp_path / "before" / name).read_bytes()
+
+
+def polish_to_noise(demo_cloud, test_cloud, init, params, cov_demo, cov_test):
+    """GICP's loop without the step stop, as it ran before the stop: it ends
+    only when 8 trials in a row fail or the cost changes by less than
+    ``rel_tolerance``.  Returns the final pose and its cost evaluations."""
+    tree = cKDTree(test_cloud.points)
+    calls = 0
+
+    def cost_at(pose):
+        nonlocal calls
+        calls += 1
+        return _corresponding_cost(
+            pose, demo_cloud.points, cov_demo, tree, test_cloud.points, cov_test, params.inlier_radius
+        )
+
+    pose, state, lam = init, cost_at(init), params.damping
+    for _ in range(params.max_iterations):
+        _, src, _, W, d, cost = state
+        J = np.zeros((d.shape[0], 3, 6))
+        J[:, 0, 1], J[:, 0, 2] = -src[:, 2], src[:, 1]
+        J[:, 1, 0], J[:, 1, 2] = src[:, 2], -src[:, 0]
+        J[:, 2, 0], J[:, 2, 1] = -src[:, 1], src[:, 0]
+        J[:, :, 3:] = -np.eye(3)
+        WJ = (W @ J).reshape(-1, 6)
+        H = J.reshape(-1, 6).T @ WJ
+        g = WJ.T @ d.reshape(-1)
+        for _ in range(8):
+            step = np.linalg.solve(H + lam * np.diag(np.diag(H)) + 1e-12 * np.eye(6), -g)
+            cand = compose(_exp_step(step), pose)
+            cand_state = cost_at(cand)
+            if cand_state is not None and cand_state[5] < cost:
+                lam = max(lam / 3.0, 1e-10)
+                break
+            lam *= 10.0
+        else:
+            return pose, calls
+        pose, state = cand, cand_state
+        if abs(cost - state[5]) / max(cost, 1e-30) < params.rel_tolerance:
+            return pose, calls
+    return pose, calls
+
+
+class TrialLog:
+    """Counts ``_corresponding_cost`` calls and recovers each trial's step.
+
+    It replays GICP's accept rule (a trial is taken if its cost is lower), so
+    it knows the pose a trial stepped from and that pose's matched points, and
+    records the trial's step bound ``angle * max |src| + |t|``.
+    """
+
+    def __init__(self):
+        self.calls = 0
+        self.bounds = []
+        self.current = None  # (pose, state) of the pose the trials step from
+
+    def __call__(self, pose, *args):
+        state = _corresponding_cost(pose, *args)
+        self.calls += 1
+        if self.current is None:
+            self.current = (pose, state)
+            return state
+        at, at_state = self.current
+        step = compose(pose, invert(at))
+        reach = np.linalg.norm(at_state[1], axis=1).max()
+        self.bounds.append(rotation_angle(step.rotation) * reach + np.linalg.norm(step.translation))
+        if state is not None and state[5] < at_state[5]:
+            self.current = (pose, state)
+        return state
+
+
+def step_stop_scenes(family, kind):
+    """(demo cloud, test cloud) pairs: ``seen`` scenes of the demo's instance,
+    ``unseen`` occluded noisy instances, or ``exact`` transforms of a dense
+    demo cloud as in acceptance criterion 3."""
+    if kind == "exact":
+        pts = generate_object(family, 0).canonical_cloud.points
+        demo_cloud = PointCloud(pts[np.sort(np.random.default_rng(5).choice(len(pts), 2000, replace=False))])
+        rng = np.random.default_rng(6)
+        for _ in range(3):
+            g = Pose.from_yaw(
+                rng.uniform(-math.pi, math.pi),
+                np.concatenate([rng.uniform(-0.10, 0.10, 2), rng.uniform(-0.02, 0.02, 1)]),
+            )
+            yield demo_cloud, transform_cloud(g, demo_cloud)
+        return
+    demo, task, instance = family_demo(family)
+    for seed in (2, 3, 4):
+        if kind == "seen":
+            scene = randomize_scene(task, instance, "controlled", seed)
+        else:
+            scene = randomize_scene(
+                task, generate_object(family, 1000 + seed), "thousand", seed,
+                occlusion_fraction=0.4, noise_sigma=0.002,
+            )
+        yield demo.object_cloud, _observed_cloud(scene)
+
+
+@lru_cache(maxsize=None)
+def step_stop_runs(family, kind):
+    """Per scene: GICP from the coarse init under a TrialLog, the oracle's
+    pose and call count, and the cost at the init and at the result."""
+    params = GicpParams()
+    runs = []
+    for demo_cloud, test_cloud in step_stop_scenes(family, kind):
+        k = min(params.k_neighbors, len(demo_cloud), len(test_cloud))
+        cov_demo = estimate_covariances(demo_cloud, k)
+        cov_test = estimate_covariances(test_cloud, k)
+        init = coarse_align(demo_cloud, test_cloud, params.yaw_steps)
+        log = TrialLog()
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(registration, "_corresponding_cost", log)
+            res = generalized_icp(
+                demo_cloud, test_cloud, init, params, demo_covariances=cov_demo, test_covariances=cov_test
+            )
+        want, oracle_calls = polish_to_noise(
+            demo_cloud, test_cloud, init, params, cov_demo.matrices, cov_test.matrices
+        )
+        tree = cKDTree(test_cloud.points)
+        cost_init, cost_final = (
+            _corresponding_cost(
+                pose, demo_cloud.points, cov_demo.matrices, tree, test_cloud.points,
+                cov_test.matrices, params.inlier_radius,
+            )[5]
+            for pose in (init, res.delta)
+        )
+        runs.append(SimpleNamespace(
+            res=res, want=want, log=log, oracle_calls=oracle_calls, cost_init=cost_init, cost_final=cost_final
+        ))
+    return runs
+
+
+STEP_STOP_CASES = [(family, kind) for family in CATEGORIES for kind in ("seen", "unseen", "exact")]
+
+
+class TestStepStop:
+    """GICP stops once a step would move no matched demo point by more than
+    ``rel_tolerance * inlier_radius``, checked against the loop without the
+    stop (``polish_to_noise``)."""
+
+    min_move = GicpParams().rel_tolerance * GicpParams().inlier_radius
+
+    @pytest.mark.parametrize("family,kind", STEP_STOP_CASES)
+    def test_pose_close_to_polish_to_noise(self, family, kind):
+        for run in step_stop_runs(family, kind):
+            dt, dr = pose_distance(run.res.delta, run.want)
+            assert dt <= 1e-6 and dr <= 1e-6, (dt, dr)
+
+    @pytest.mark.parametrize("family,kind", STEP_STOP_CASES)
+    def test_cost_never_above_init(self, family, kind):
+        for run in step_stop_runs(family, kind):
+            assert run.cost_final <= run.cost_init
+
+    @pytest.mark.parametrize("family,kind", STEP_STOP_CASES)
+    def test_no_trial_within_the_stop(self, family, kind):
+        for run in step_stop_runs(family, kind):
+            # the relative slack covers the rounding of the recovered step
+            assert min(run.log.bounds, default=math.inf) > self.min_move * (1.0 + 1e-6)
+            assert run.res.converged
+
+    def test_seen_calls_at_most_60_percent(self):
+        # summed over the families: one family's three scenes can save little
+        runs = [run for family in CATEGORIES for run in step_stop_runs(family, "seen")]
+        assert sum(r.log.calls for r in runs) <= 0.6 * sum(r.oracle_calls for r in runs)
+
+    def test_stop_before_any_trial(self):
+        c = mug_cloud()
+        res = generalized_icp(c, c, Pose.identity())
+        assert (res.iterations, res.converged) == (1, True)
+        assert_same_pose(res.delta, Pose.identity())
 
 
 def facing_grids(gap):
