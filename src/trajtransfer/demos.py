@@ -2,10 +2,11 @@
 
 A demonstration stores the language description, the segmented object cloud
 from the first frame, the interaction-phase end-effector trajectory (resampled
-to 1 cm spacing) and a precomputed geometry embedding.  This module reads and
-writes the cloud file, the trajectory file and the archive, a plain text
-directory format chosen for diffability; floats are written with repr() so a
-save/load round trip is bit-exact.
+to 1 cm spacing) and a precomputed geometry embedding; each type checks its
+own rules when built, so ingest and the archive reader apply the same ones.
+This module reads and writes the cloud file, the trajectory file and the
+archive, a plain text directory format chosen for diffability; floats are
+written with repr() so a save/load round trip is bit-exact.
 """
 
 from __future__ import annotations
@@ -35,16 +36,27 @@ DEFAULT_SPACING = 0.01  # metres between consecutive waypoints
 
 @dataclass(frozen=True)
 class EndEffectorState:
+    """One waypoint; ValueError unless ``gripper`` equals 0 or 1 (kept as an int)."""
+
     pose: Pose  # end-effector in the robot base frame
     gripper: int  # 0 = open, 1 = closed
     time_index: int
 
+    def __post_init__(self):
+        if self.gripper not in (0, 1):
+            raise ValueError(f"gripper must be 0 (open) or 1 (closed), got {self.gripper}")
+        object.__setattr__(self, "gripper", int(self.gripper))
+
 
 @dataclass(frozen=True)
 class Demonstration:
+    """Raises EmptyCloud, TrajectoryTooShort (< 2 states), EmptyDescription (no
+    skill tokens) or InvalidDescription (a line break: the archive holds the
+    description on one line); ``micro_skill`` is :func:`parse_micro_skill`'s."""
+
     id: str
     description: str
-    micro_skill: str
+    micro_skill: str = field(init=False)
     object_cloud: PointCloud  # robot frame, first frame
     trajectory: tuple  # EndEffectorState, interaction phase only
     embedding: emb.GeometryEmbedding
@@ -52,6 +64,15 @@ class Demonstration:
     # registration's memo, k -> LocalCovariances of object_cloud, filled by
     # registration.estimate_delta; neither compared, printed nor archived
     covariances: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        if len(self.object_cloud) == 0:
+            raise EmptyCloud("demonstration object cloud is empty")
+        if len(self.trajectory) < 2:
+            raise TrajectoryTooShort("demonstration trajectory needs >= 2 states")
+        object.__setattr__(self, "micro_skill", parse_micro_skill(self.description))
+        if self.description.splitlines() != [self.description]:
+            raise InvalidDescription(f"description {self.description!r} contains a line break")
 
 
 def _load_default_stopwords() -> frozenset:
@@ -76,15 +97,6 @@ def parse_micro_skill(description: str, stopwords: frozenset = _DEFAULT_STOPWORD
     if not kept:
         raise EmptyDescription(f"description {description!r} contains no skill tokens")
     return " ".join(kept)
-
-
-def _archivable_micro_skill(description: str) -> str:
-    """The micro skill of a description the archive can hold on one line;
-    the rules both :meth:`Dataset.ingest` and :func:`load_demo_file` apply."""
-    micro_skill = parse_micro_skill(description)
-    if description.splitlines() != [description]:
-        raise InvalidDescription(f"description {description!r} contains a line break")
-    return micro_skill
 
 
 def resample_trajectory(traj, spacing: float = DEFAULT_SPACING):
@@ -135,12 +147,6 @@ class Dataset:
         spacing: float = DEFAULT_SPACING,
     ) -> Demonstration:
         """Build a Demonstration and add it to the dataset; returns the stored demo."""
-        if len(object_cloud) == 0:
-            raise EmptyCloud("demonstration object cloud is empty")
-        trajectory = list(trajectory)
-        if len(trajectory) < 2:
-            raise TrajectoryTooShort("demonstration trajectory needs >= 2 states")
-        micro_skill = _archivable_micro_skill(description)
         traj = tuple(resample_trajectory(trajectory, spacing))
         embedding = emb.occupancy_embedding(object_cloud, self.grid)
         if demo_id is None:
@@ -149,7 +155,6 @@ class Dataset:
             Demonstration(
                 id=demo_id,
                 description=description,
-                micro_skill=micro_skill,
                 object_cloud=object_cloud,
                 trajectory=traj,
                 embedding=embedding,
@@ -192,7 +197,6 @@ def _demo_equal(a: Demonstration, b: Demonstration) -> bool:
     return (
         a.id == b.id
         and a.description == b.description
-        and a.micro_skill == b.micro_skill
         and a.object_instance_id == b.object_instance_id
         and np.array_equal(a.object_cloud.points, b.object_cloud.points)
         and len(a.trajectory) == len(b.trajectory)
@@ -214,9 +218,9 @@ def _demo_equal(a: Demonstration, b: Demonstration) -> bool:
 #                   <dir>/<id>.demo: description, micro_skill and instance lines,
 #                   then "trajectory N", "cloud N" and "embedding N" blocks
 #
-# A malformed file raises MalformedFile naming its path and line.  A .demo
-# description must pass Dataset.ingest's rules, and its micro_skill line must
-# be the description's parse_micro_skill.
+# A malformed file raises MalformedFile naming its path and line.  A .demo must
+# hold a Demonstration (a one-line description with skill tokens, >= 2 states
+# with gripper 0 or 1, a non-empty cloud) and its micro_skill.
 
 
 def _f(x: float) -> str:
@@ -257,9 +261,8 @@ def _state(line: str) -> EndEffectorState:
     parts = line.split()
     if len(parts) != 9:
         raise ValueError(f"expected 9 columns 't_index tx ty tz qw qx qy qz g', got {len(parts)}")
-    if parts[8] not in ("0", "1"):
-        raise ValueError(f"gripper must be 0 (open) or 1 (closed), got {parts[8]}")
-    return EndEffectorState(Pose.from_row([float(v) for v in parts[1:8]]), int(parts[8]), int(parts[0]))
+    gripper = int(parts[8]) if parts[8] in ("0", "1") else parts[8]  # so "01" and "1.0" stay errors
+    return EndEffectorState(Pose.from_row([float(v) for v in parts[1:8]]), gripper, int(parts[0]))
 
 
 def _value(line: str, keyword: str) -> str:
@@ -347,13 +350,7 @@ def load_demo_file(path, grid: emb.GridSpec) -> Demonstration:
     path = Path(path)
     lines = _read_lines(path)
     description = _parse(_value, lines, 0, path, "description")
-    try:
-        micro_skill = _archivable_micro_skill(description)
-    except (EmptyDescription, InvalidDescription) as e:
-        raise MalformedFile(f"{path}:1: {e}") from e
     stored = _parse(_value, lines, 1, path, "micro_skill")
-    if stored != micro_skill:
-        raise MalformedFile(f"{path}:2: micro_skill {stored!r} is not the description's {micro_skill!r}")
     instance = _parse(_value, lines, 2, path, "instance")
     traj = _block(lines, 3, "trajectory", _state, path)
     i = 4 + len(traj)
@@ -366,15 +363,21 @@ def load_demo_file(path, grid: emb.GridSpec) -> Demonstration:
         ok = np.isfinite(values) & (values >= 0.0)
         lineno = i + 1 if ok.all() else i + 2 + int(np.argmin(ok))
         raise MalformedFile(f"{path}:{lineno}: {e}") from e
-    return Demonstration(
-        id=path.stem,
-        description=description,
-        micro_skill=micro_skill,
-        object_cloud=cloud,
-        trajectory=tuple(traj),
-        embedding=embedding,
-        object_instance_id=None if instance == "-" else instance,
-    )
+    try:
+        demo = Demonstration(
+            id=path.stem,
+            description=description,
+            object_cloud=cloud,
+            trajectory=tuple(traj),
+            embedding=embedding,
+            object_instance_id=None if instance == "-" else instance,
+        )
+    except (EmptyDescription, InvalidDescription, TrajectoryTooShort, EmptyCloud) as e:
+        lineno = {TrajectoryTooShort: 4, EmptyCloud: 5 + len(traj)}.get(type(e), 1)
+        raise MalformedFile(f"{path}:{lineno}: {e}") from e
+    if stored != demo.micro_skill:
+        raise MalformedFile(f"{path}:2: micro_skill {stored!r} is not the description's {demo.micro_skill!r}")
+    return demo
 
 
 def load_dataset(path) -> Dataset:
@@ -401,7 +404,6 @@ def load_dataset(path) -> Dataset:
         except (OSError, ValueError) as e:  # no such file, or a name the file system rejects
             raise MalformedFile(f"{manifest_path}: demo {demo_id!r}: {e}") from e
         dataset.add(demo)
-    for skill, ids in skill_index.items():
-        if sorted(dataset.skill_index.get(skill, [])) != ids:
-            raise MalformedFile(f"{manifest_path}: skill index inconsistent for {skill!r}")
+    if skill_index != {skill: sorted(ids) for skill, ids in dataset.skill_index.items()}:
+        raise MalformedFile(f"{manifest_path}: skill index does not match the demos' micro skills")
     return dataset

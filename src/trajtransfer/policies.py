@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .demos import Demonstration, EndEffectorState, alignment_target
-from .errors import InvalidSpacing, OutOfRange, TooFewPoints, TrajectoryTooShort
+from .errors import InvalidSpacing, OutOfRange, TooFewPoints
 from .se3 import (
     Pose,
     PointCloud,
@@ -32,14 +32,6 @@ ALIGN_CUBOID_SIZE = (0.30, 0.80, 0.80)
 # Waypoint perturbation bounds for alignment training pairs.
 ALIGN_PERTURB_TRANS = (0.001, 0.01)  # metres
 ALIGN_PERTURB_ROT = (math.radians(0.5), math.radians(5.0))
-
-
-@dataclass(frozen=True)
-class AlignmentPlan:
-    target: Pose
-    path: tuple  # Pose sequence at <= 1 cm spacing, last element == target
-    source_demo: str
-    delta_used: Pose
 
 
 @dataclass(frozen=True)
@@ -64,19 +56,7 @@ def plan_linear_path(start: Pose, target: Pose, spacing: float = 0.01):
     return [interpolate(start, target, k / n) for k in range(n + 1)]
 
 
-def plan_alignment(demo: Demonstration, delta: Pose, start: Pose, spacing: float = 0.01) -> AlignmentPlan:
-    target = transfer_alignment_pose(demo, delta)
-    return AlignmentPlan(
-        target=target,
-        path=tuple(plan_linear_path(start, target, spacing)),
-        source_demo=demo.id,
-        delta_used=delta,
-    )
-
-
 def build_replay_plan(demo: Demonstration) -> ReplayPlan:
-    if len(demo.trajectory) < 2:
-        raise TrajectoryTooShort("replay needs a trajectory of length >= 2")
     steps = []
     for a, b in zip(demo.trajectory[:-1], demo.trajectory[1:]):
         steps.append((compose(invert(a.pose), b.pose), b.gripper))

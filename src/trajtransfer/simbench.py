@@ -36,13 +36,24 @@ WORKSPACE_MARGIN = 0.06
 CAMERA_HEIGHT = 2.00
 
 
-def camera_above(object_pose: Pose, height: float = CAMERA_HEIGHT) -> Pose:
+def camera_above(object_pose: Pose) -> Pose:
     """Downward-looking camera pose centred over an object."""
     x, y = object_pose.translation[:2]
     return Pose(
         rotation=np.array([0.0, 1.0, 0.0, 0.0]),  # 180 deg about x: +z maps to world -z
-        translation=np.array([x, y, height]),
+        translation=np.array([x, y, CAMERA_HEIGHT]),
     )
+
+
+OCCLUSION_CLUSTERS = 10  # farthest-point clusters of an observed cloud; an occlusion masks some
+
+
+def masked_clusters(occlusion_fraction: float) -> int:
+    """Clusters an occlusion masks; OutOfRange outside [0, 1] or if it masks them all."""
+    masked = int(round(OCCLUSION_CLUSTERS * occlusion_fraction)) if 0.0 <= occlusion_fraction <= 1.0 else -1
+    if not 0 <= masked < OCCLUSION_CLUSTERS:
+        raise OutOfRange(f"occlusion_fraction must be in [0, 1] and leave a cluster visible, got {occlusion_fraction}")
+    return masked
 
 FAILURE_NONE = "none"
 FAILURE_RETRIEVAL = "retrieval"
@@ -79,9 +90,12 @@ class SceneSpec:
     object: ObjectInstance
     object_pose: Pose  # ground truth, robot frame
     rotation_range: float  # radians
-    occlusion_fraction: float = 0.0
+    occlusion_fraction: float = 0.0  # see masked_clusters
     noise_sigma: float = 0.0
     rng_seed: int = 0
+
+    def __post_init__(self):
+        masked_clusters(self.occlusion_fraction)
 
 
 @dataclass(frozen=True)
@@ -453,12 +467,11 @@ class Benchmark:
     dataset: Dataset
     demo_meta: dict = field(default_factory=dict)  # demo_id -> (instance, SceneSpec)
 
-    def record_demonstration(self, task: TaskSpec, scene: SceneSpec, render: RenderSpec | None = None) -> Demonstration:
+    def record_demonstration(self, task: TaskSpec, scene: SceneSpec) -> Demonstration:
         """Run the ground-truth pipeline on a demo scene and store the result."""
         instance = scene.object
-        render = render or RenderSpec(seed=scene.rng_seed)
         cloud = render_partial_cloud(
-            instance, scene.object_pose, camera_above(scene.object_pose), render
+            instance, scene.object_pose, camera_above(scene.object_pose), RenderSpec(seed=scene.rng_seed)
         )
         traj = template_trajectory(task, instance, scene.object_pose)
         demo = self.dataset.ingest(
@@ -477,8 +490,8 @@ def _observed_cloud(scene: SceneSpec) -> PointCloud:
         RenderSpec(seed=scene.rng_seed),
     )
     if scene.occlusion_fraction > 0.0:
-        masked = int(round(10 * scene.occlusion_fraction))
-        cloud = mask_augment(cloud, clusters=10, masked=masked, rng_seed=scene.rng_seed)
+        masked = masked_clusters(scene.occlusion_fraction)
+        cloud = mask_augment(cloud, clusters=OCCLUSION_CLUSTERS, masked=masked, rng_seed=scene.rng_seed)
     if scene.noise_sigma > 0.0:
         cloud = jitter_cloud(cloud, scene.noise_sigma, rng_seed=scene.rng_seed)
     return cloud

@@ -18,13 +18,14 @@ import numpy as np
 from scipy.special import ndtri
 
 from .demos import Dataset
-from .errors import ConfigError, InvalidTrials, MalformedFile
+from .errors import ConfigError, InvalidTrials, MalformedFile, OutOfRange
 from .simbench import (
     Benchmark,
     CATEGORIES,
     FAILURE_CLASSES,
     default_task,
     generate_object,
+    masked_clusters,
     randomize_scene,
     run_rollout,
 )
@@ -127,8 +128,12 @@ class ExperimentConfig:
         counts += [*self.demos_per_task, *(v for split in self.diversity_splits for v in split)]
         if not all(isinstance(v, int) and not isinstance(v, bool) and v >= 0 for v in counts):
             raise ConfigError("the seed, counts and split sizes must be non-negative integers")
-        if not (0.0 <= self.noise_sigma < math.inf and 0.0 <= self.occlusion_fraction <= 1.0):
-            raise ConfigError("noise_sigma must be >= 0 and occlusion_fraction in [0, 1]")
+        if not 0.0 <= self.noise_sigma < math.inf:
+            raise ConfigError("noise_sigma must be >= 0")
+        try:
+            masked_clusters(self.occlusion_fraction)
+        except OutOfRange as e:
+            raise ConfigError(str(e)) from e
         if self.repeats < 1:
             raise ConfigError("repeats must be >= 1")
         unknown = [f for f in self.families if f not in CATEGORIES]

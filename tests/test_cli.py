@@ -456,6 +456,23 @@ def _case_demo_line(index, text):
     return case
 
 
+def _case_demo_one_state_trajectory(w):
+    ingest_one(w)
+    lines = (w / "ds" / "d1.demo").read_text().splitlines()
+    n = int(lines[3].split()[1])  # "trajectory N", then N rows
+    lines[3 : 4 + n] = ["trajectory 1", lines[4]]
+    (w / "ds" / "d1.demo").write_text("\n".join(lines) + "\n")
+    return _query("retrieve", w), "d1.demo:4:"
+
+
+def _case_manifest_partial_skill_index(w):
+    ingest_one(w)
+    manifest = json.loads((w / "ds" / "dataset.json").read_text())
+    manifest["skill_index"] = {}
+    (w / "ds" / "dataset.json").write_text(json.dumps(manifest))
+    return _query("retrieve", w), "dataset.json"
+
+
 def _case_gripper_out_of_range(w):
     lines = (w / "traj.txt").read_text().splitlines()
     lines[1] = lines[1][: -len(" 0")] + " 7"
@@ -503,6 +520,8 @@ MALFORMED = {
     "demo-empty-description": _case_demo_line(0, "description "),
     "demo-description-without-skill-tokens": _case_demo_line(0, "description the"),
     "demo-micro-skill-mismatch": _case_demo_line(1, "micro_skill close bottle"),
+    "demo-one-state-trajectory": _case_demo_one_state_trajectory,
+    "manifest-partial-skill-index": _case_manifest_partial_skill_index,
     "report-config-not-json": lambda w: (_report(w, GOOD_TRACE, "{not json"), "cfg.json"),
     "report-trace-not-json": lambda w: (_report(w, GOOD_TRACE + "not json\n"), "traces.jsonl:2"),
     "report-trace-without-condition": lambda w: (

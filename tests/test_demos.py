@@ -8,6 +8,7 @@ import pytest
 
 from trajtransfer.demos import (
     Dataset,
+    Demonstration,
     EndEffectorState,
     _demo_equal,
     alignment_target,
@@ -25,6 +26,7 @@ from trajtransfer.errors import (
     MalformedFile,
     TrajectoryTooShort,
 )
+from trajtransfer.embedding import GridSpec, occupancy_embedding
 from trajtransfer.se3 import Pose, PointCloud, pose_distance
 
 
@@ -165,6 +167,64 @@ class TestIngest:
         demo = ds.ingest("open bottle", small_cloud(), straight_traj(0.05))
         recomputed = occupancy_embedding(demo.object_cloud, ds.grid)
         assert np.array_equal(demo.embedding.values, recomputed.values)
+
+
+EMPTY_CLOUD = PointCloud(np.zeros((0, 3)))
+
+
+class TestOwnRules:
+    """Demonstration and EndEffectorState check their rules when built, so
+    ingest, the archive reader and direct construction all apply them."""
+
+    @pytest.mark.parametrize(
+        "description,cloud,n_states,error",
+        [
+            ("open bottle", EMPTY_CLOUD, 2, EmptyCloud),
+            ("open bottle", None, 1, TrajectoryTooShort),
+            ("open bottle", None, 0, TrajectoryTooShort),
+            ("", None, 2, EmptyDescription),
+            ("the a", None, 2, EmptyDescription),
+            ("lift\nmug", None, 2, InvalidDescription),
+            ("lift mug\r", None, 2, InvalidDescription),
+        ],
+        ids=["empty-cloud", "one-state", "no-states", "empty-description", "no-skill-tokens", "newline", "carriage-return"],
+    )
+    def test_demonstration_raises_what_ingest_raises(self, description, cloud, n_states, error):
+        cloud = small_cloud() if cloud is None else cloud
+        traj = straight_traj(0.05)[:n_states]
+        with pytest.raises(error):
+            Demonstration(
+                id="d",
+                description=description,
+                object_cloud=cloud,
+                trajectory=tuple(traj),
+                embedding=occupancy_embedding(small_cloud(), GridSpec()),
+            )
+        with pytest.raises(error):
+            Dataset().ingest(description, cloud, traj)
+
+    def test_micro_skill_is_derived(self):
+        demo = Dataset().ingest("Unzip the round pink handbag", small_cloud(), straight_traj(0.05))
+        assert demo.micro_skill == "unzip handbag"
+        with pytest.raises(TypeError):
+            Demonstration(
+                id="d",
+                description="open bottle",
+                micro_skill="close bottle",
+                object_cloud=small_cloud(),
+                trajectory=tuple(straight_traj(0.05)),
+                embedding=occupancy_embedding(small_cloud(), GridSpec()),
+            )
+
+    @pytest.mark.parametrize("gripper", [2, -1, 0.5, "1", None])
+    def test_gripper_is_zero_or_one(self, gripper):
+        with pytest.raises(ValueError, match="gripper must be 0 .open. or 1 .closed."):
+            EndEffectorState(Pose(), gripper, 0)
+
+    @pytest.mark.parametrize("gripper", [0, 1, True, 1.0, np.int64(1)])
+    def test_gripper_stored_as_int(self, gripper):
+        state = EndEffectorState(Pose(), gripper, 0)
+        assert type(state.gripper) is int and state.gripper == gripper
 
 
 class TestAlignmentTarget:

@@ -17,6 +17,7 @@ from trajtransfer.demos import (
     Demonstration,
     EndEffectorState,
     load_dataset,
+    parse_micro_skill,
     read_cloud_file,
     read_trajectory_file,
     save_dataset,
@@ -201,15 +202,31 @@ class TestArchive:
         for demo_id, demo in ds.demos.items():
             assert isinstance(demo, Demonstration) and demo.id == demo_id
             assert demo_id in ds.skill_index[demo.micro_skill]
+            # a demo that loads can be replayed and retrieved
+            assert len(demo.trajectory) >= 2 and len(demo.object_cloud) > 0
+            assert demo.micro_skill == parse_micro_skill(demo.description)
+
+    @staticmethod
+    def cut(text, block, n):
+        """(index of the ``block N`` header, the rows of ``text`` with that
+        block cut to its first n rows)."""
+        rows = text.splitlines()
+        at = next(i for i, row in enumerate(rows) if row.startswith(block + " "))
+        count = int(rows[at].split()[1])
+        return at, rows[:at] + [f"{block} {n}"] + rows[at + 1 : at + 1 + n] + rows[at + 1 + count :]
 
     @staticmethod
     @st.composite
     def edited(draw, text):
-        """``text`` with a few of its lines replaced, deleted or duplicated."""
+        """``text`` with a block cut short, or a few of its lines replaced,
+        deleted or duplicated."""
+        if draw(st.booleans()):
+            _, rows = TestArchive.cut(text, draw(st.sampled_from(["trajectory", "cloud"])), draw(st.integers(0, 3)))
+            text = "\n".join(rows)
         rows = text.splitlines()
         keyword = st.sampled_from(["description", "micro_skill", "instance", "trajectory", "cloud", "embedding"])
         header = st.tuples(keyword, words).map(" ".join)
-        for _ in range(draw(st.integers(1, 3))):
+        for _ in range(draw(st.integers(0, 3))):
             i = draw(st.integers(0, len(rows)))
             action = draw(st.sampled_from(["replace", "delete", "insert"]))
             line = draw(st.one_of(lines, header))
@@ -289,6 +306,32 @@ class TestArchive:
         with pytest.raises(MalformedFile, match=rf"d\.demo:{index + 1}: "):
             load_dataset(path)
 
+    @pytest.mark.parametrize("block,n", [("trajectory", 0), ("trajectory", 1), ("cloud", 0)])
+    def test_demonstration_rules(self, archive, block, n):
+        """A .demo must hold a Demonstration: at least 2 states and a
+        non-empty cloud; a block cut short names its header line."""
+        path, manifest, demo = archive
+        at, rows = self.cut(demo, block, n)
+        (path / "dataset.json").write_text(json.dumps(manifest))
+        (path / "d.demo").write_text("\n".join(rows) + "\n")
+        with pytest.raises(MalformedFile, match=rf"d\.demo:{at + 1}: "):
+            load_dataset(path)
+
+    @pytest.mark.parametrize("dropped", [["open bottle", "open box"], ["open box"]], ids=["empty", "one-missing"])
+    def test_partial_skill_index(self, tmp_path, dropped):
+        """The manifest's skill index must list every skill the demos have."""
+        ds = Dataset(GridSpec(resolution=(2, 2, 2)))
+        cloud = PointCloud(np.random.default_rng(0).normal(0.0, 0.02, (4, 3)) + [0.4, 0.2, 0.05])
+        ds.ingest("open bottle", cloud, TRAJ, demo_id="d")
+        ds.ingest("open box", cloud, TRAJ, demo_id="e")
+        save_dataset(ds, tmp_path)
+        manifest = json.loads((tmp_path / "dataset.json").read_text())
+        for skill in dropped:
+            del manifest["skill_index"][skill]
+        (tmp_path / "dataset.json").write_text(json.dumps(manifest))
+        with pytest.raises(MalformedFile, match=r"dataset\.json: skill index"):
+            load_dataset(tmp_path)
+
     def test_valid_archive_loads(self, archive):
         path, manifest, demo = archive
         (path / "dataset.json").write_text(json.dumps(manifest))
@@ -346,11 +389,14 @@ class TestConfigFile:
             '{"mode": "thousand", "families": 5}',
             '{"mode": "diversity", "diversity_splits": [[10, 15, 1]]}',
             '{"mode": "thousand", "occlusion_fraction": 1.5}',
+            '{"mode": "thousand", "occlusion_fraction": 1.0}',
+            '{"mode": "thousand", "occlusion_fraction": 0.95}',
             '{"mode": "thousand", "noise_sigma": "high"}',
         ],
         ids=[
             "not-json", "list", "null-echo", "no-mode", "float-repeats", "negative-seed",
-            "int-families", "split-of-three", "occlusion-above-one", "string-noise",
+            "int-families", "split-of-three", "occlusion-above-one",
+            "occlusion-one", "occlusion-masking-every-cluster", "string-noise",
         ],
     )
     def test_malformed_config(self, tmp_path, text):

@@ -17,7 +17,6 @@ from trajtransfer.policies import (
     execute_replay,
     jitter_cloud,
     mask_augment,
-    plan_alignment,
     plan_linear_path,
     simulate_alignment_trajectories,
     transfer_alignment_pose,
@@ -94,13 +93,6 @@ class TestPlanLinearPath:
     def test_bad_spacing(self):
         with pytest.raises(InvalidSpacing):
             plan_linear_path(Pose.identity(), Pose.identity(), spacing=-1.0)
-
-    def test_plan_alignment_endpoint(self):
-        demo = make_demo()
-        delta = Pose.from_yaw(0.2, (0.05, 0.0, 0.0))
-        plan = plan_alignment(demo, delta, Pose(translation=np.array([0.4, 0.2, 0.45])))
-        assert plan.path[-1] == plan.target
-        assert plan.source_demo == demo.id
 
 
 class TestReplay:

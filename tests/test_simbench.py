@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from trajtransfer.demos import Dataset
-from trajtransfer.errors import NothingVisible, UnknownCategory
+from trajtransfer.errors import NothingVisible, OutOfRange, UnknownCategory
 from trajtransfer.se3 import Pose, PointCloud, compose, invert, pose_distance
 from trajtransfer.simbench import (
     CATEGORIES,
@@ -156,6 +156,13 @@ class TestRandomizeScene:
         with pytest.raises(ValueError):
             randomize_scene(default_task("mug"), generate_object("mug", 0), "wild", 0)
 
+    @pytest.mark.parametrize("occlusion", [-0.1, 0.95, 1.0, 1.5, math.nan])
+    def test_occlusion_leaves_a_cluster(self, occlusion):
+        """An occlusion outside [0, 1], or one that would mask every cluster
+        of the observed cloud, is refused when the scene is made."""
+        with pytest.raises(OutOfRange, match="occlusion_fraction"):
+            randomize_scene(default_task("mug"), generate_object("mug", 0), "thousand", 0, occlusion_fraction=occlusion)
+
 
 def make_bench(category="mug", demo_seed=42):
     task = default_task(category)
@@ -215,6 +222,12 @@ class TestRollout:
         a = run_rollout(bench, task, scene)
         b = run_rollout(bench, task, scene)
         assert a.to_trace_dict() == b.to_trace_dict()
+
+    def test_heaviest_occlusion_runs(self):
+        bench, task, inst, _ = make_bench()
+        scene = randomize_scene(task, inst, "thousand", 919, occlusion_fraction=0.94)
+        res = run_rollout(bench, task, scene)
+        assert res.registration is not None and res.executed is not None
 
     def test_trace_dict_fields(self):
         bench, task, inst, _ = make_bench()

@@ -1,0 +1,113 @@
+"""Run the benchmark on two checkouts in pairs and compare the end-to-end metrics.
+
+    python3 tools/bench_pairs.py OLD NEW WORKLOAD PAIRS
+
+OLD and NEW are checkout directories (the parent and the change).  For each
+seed 1..PAIRS it runs the command NEW/BENCHMARK.json declares with
+"--workload WORKLOAD --seed S --seconds <run_seconds> --trace 0" in each
+checkout, the old one first on odd seeds and the new one first on even seeds.
+It prints every run, then one line per end-to-end metric of
+NEW/BENCHMARK.json: both medians, the old runs' quartile distance, in how many
+pairs the new run was better (ties count for neither side), every value, and
+"WORSE" when the new median is worse than the old one by more than the
+metric's bound (a share of the old median).  Exits 1 if a run is not correct
+or the new runs fail a larger share of their operations than the old ones,
+2 on a usage error, and 0 otherwise.  Needs only the standard library.
+"""
+
+from __future__ import annotations
+
+import json
+import statistics
+import subprocess
+import sys
+from pathlib import Path
+
+
+def run(checkout: Path, command: list, workload: str, seed: int, seconds) -> dict:
+    """The result object a benchmark run prints last, or a failed record."""
+    argv = command + ["--workload", workload, "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"]
+    out = subprocess.run(argv, cwd=checkout, capture_output=True, text=True)
+    try:
+        result = json.loads(out.stdout.strip().splitlines()[-1])
+        if out.returncode == 0 and isinstance(result, dict):
+            return result
+    except (IndexError, ValueError):
+        pass
+    error = (out.stderr.strip().splitlines() or ["no output"])[-1]
+    return {"correct": False, "attempted": 0, "failed": 0, "metrics": {}, "error": f"exit {out.returncode}: {error}"}
+
+
+def quartile_distance(values: list) -> float:
+    if len(values) < 2:
+        return 0.0
+    q1, _, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return q3 - q1
+
+
+def failed_share(runs: list) -> float:
+    attempted = sum(r.get("attempted", 0) for r in runs)
+    return sum(r.get("failed", 0) for r in runs) / attempted if attempted else 0.0
+
+
+def summarize(end_to_end: list, old: list, new: list) -> tuple[list, int]:
+    """(printed lines, exit status) for the runs of each side, pair i being
+    (old[i], new[i]); ``end_to_end`` is BENCHMARK.json's list of metrics."""
+    lines = []
+    for side, runs in (("old", old), ("new", new)):
+        for seed, r in enumerate(runs, 1):
+            line = f"run {side} seed {seed}: correct {r.get('correct')}, failed {r.get('failed')}/{r.get('attempted')}"
+            lines.append(line + (f", {r['error']}" if "error" in r else ""))
+    for m in end_to_end:
+        name, sign = m["name"], 1 if m["better"] == "higher" else -1
+        pairs = [
+            (a["metrics"][name]["value"], b["metrics"][name]["value"])
+            for a, b in zip(old, new)
+            if name in a.get("metrics", {}) and name in b.get("metrics", {})
+        ]
+        if not pairs:
+            lines.append(f"{name}: no pair of runs reports it")
+            continue
+        a, b = [p[0] for p in pairs], [p[1] for p in pairs]
+        old_median, new_median = statistics.median(a), statistics.median(b)
+        better = sum(sign * (y - x) > 0 for x, y in pairs)
+        worse = sign * (new_median - old_median) < -m["bound"] * abs(old_median)
+        lines.append(
+            f"{name} ({m['unit']}, {m['better']} is better): old {old_median:.4g}, new {new_median:.4g}, "
+            f"old quartile distance {quartile_distance(a):.4g}, new better in {better}/{len(pairs)}"
+            + (f", WORSE by more than {m['bound']:g}" if worse else "")
+            + f"; old {' '.join(f'{v:.4g}' for v in a)}; new {' '.join(f'{v:.4g}' for v in b)}"
+        )
+    status = 0
+    if not all(r.get("correct") is True for r in old + new):
+        lines.append("error: a run is not correct")
+        status = 1
+    if failed_share(new) > failed_share(old):
+        lines.append(f"error: new runs fail {failed_share(new):.3g} of operations, old runs {failed_share(old):.3g}")
+        status = 1
+    return lines, status
+
+
+def main(argv) -> int:
+    if len(argv) != 4 or not argv[3].isdigit() or int(argv[3]) < 1:
+        print("usage: " + __doc__.strip().splitlines()[2].strip() + "  (PAIRS >= 1)", file=sys.stderr)
+        return 2
+    old_dir, new_dir, workload, pairs = Path(argv[0]), Path(argv[1]), argv[2], int(argv[3])
+    try:
+        spec = json.loads((new_dir / "BENCHMARK.json").read_text())
+    except (OSError, ValueError) as e:
+        print(f"error: {e}", file=sys.stderr)
+        return 2
+    old, new = [], []
+    for seed in range(1, pairs + 1):
+        order = ((old_dir, old), (new_dir, new)) if seed % 2 else ((new_dir, new), (old_dir, old))
+        for checkout, runs in order:
+            runs.append(run(checkout, spec["command"], workload, seed, spec["run_seconds"]))
+    lines, status = summarize(spec["end_to_end"], old, new)
+    print(f"{workload}: {pairs} pairs of {spec['run_seconds']} s runs, old {old_dir}, new {new_dir}")
+    print("\n".join(lines))
+    return status
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
