@@ -4,6 +4,9 @@ scene randomization, rollout execution and failure classification.
 Objects are dense surface-sampled clouds from six parametric families.  A
 virtual overhead depth camera produces partial clouds via hidden-point
 removal, so demo and test views of the same object never overlap fully.
+Visibility is computed in the object frame: the camera sits on the object's
+vertical axis at a fixed height, so every scene of an instance sees the same
+surface, and the instance keeps its last visible mask for the next render.
 Success is a geometric predicate on the final end-effector pose expressed in
 the ground-truth task-feature (anchor) frame of the object.
 """
@@ -18,7 +21,7 @@ import numpy as np
 from scipy.spatial import ConvexHull, QhullError
 
 from .demos import Dataset, Demonstration, EndEffectorState
-from .errors import NothingVisible, OutOfRange, UnknownCategory, UnknownSkill, NoCorrespondences
+from .errors import NothingVisible, OutOfRange, OutOfWorkspace, UnknownCategory, UnknownSkill, NoCorrespondences
 # run_rollout plans no approach path, as only its endpoint matters; perfbench's
 # tracer still wraps trajtransfer.simbench.plan_linear_path by name
 from .policies import build_replay_plan, execute_replay, jitter_cloud, mask_augment, plan_linear_path, transfer_alignment_pose
@@ -71,6 +74,9 @@ class ObjectInstance:
     shape_params: tuple
     canonical_cloud: PointCloud  # object frame, dense surface samples
     anchor: Pose  # task-relevant feature frame in the object frame
+    # render_partial_cloud's memo, one (camera centre, in-front mask, gamma)
+    # key -> visible mask of the in-front points; neither compared nor printed
+    visible_masks: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
 
 @dataclass(frozen=True)
@@ -103,6 +109,13 @@ class RenderSpec:
     gamma: float = 100.0  # hidden-point-removal sphere radius, times the max range
     n_max: int = 800
     seed: int = 0
+
+    def __post_init__(self):
+        # hidden_point_removal's inversion sphere must enclose every point
+        if not (math.isfinite(self.gamma) and self.gamma > 1.0):
+            raise OutOfRange(f"gamma must be finite and above 1, got {self.gamma}")
+        if self.n_max < 1:
+            raise OutOfRange(f"n_max must be at least 1, got {self.n_max}")
 
 
 @dataclass(frozen=True)
@@ -369,9 +382,18 @@ def generate_object(category: str, instance_seed: int) -> ObjectInstance:
 
 
 def hidden_point_removal(points: np.ndarray, gamma: float) -> np.ndarray:
-    """Visible-point mask via spherical inversion + convex hull.
+    """Visible-point mask via spherical inversion + convex hull (Katz, Tal and
+    Basri, "Direct Visibility of Point Sets", SIGGRAPH 2007).
 
-    ``points`` are in the camera frame with the camera at the origin.
+    ``points`` are relative to the camera centre, in any orientation: the
+    inversion and the hull commute with a rotation about the centre, so the
+    mask depends only on where the centre sits relative to the points, not on
+    where the camera looks.  A camera above the object on its vertical axis
+    (:func:`camera_above`) sits at the same object-frame point whatever the
+    object's yaw and position, so it sees one surface of an instance in every
+    scene.  In floating point a rotated input could flip a point that lies on
+    the hull up to rounding; the object-frame and camera-frame masks of the
+    benchmark's scenes agree bit for bit (tests/test_simbench.py checks it).
     """
     norms = np.linalg.norm(points, axis=1)
     norms = np.maximum(norms, 1e-12)
@@ -394,7 +416,12 @@ def render_partial_cloud(
     camera_pose: Pose,
     spec: RenderSpec = RenderSpec(),
 ) -> PointCloud:
-    """Partial robot-frame cloud of the posed object seen from the camera."""
+    """Partial robot-frame cloud of the posed object seen from the camera.
+
+    Visibility runs on the object-frame points relative to the camera centre,
+    and the instance keeps the last mask: for :func:`camera_above` every scene
+    of an instance has one key, so the hull runs once per instance.
+    """
     world = transform_cloud(object_pose, instance.canonical_cloud)
     cam_inv = invert(camera_pose)
     in_cam = world.points @ cam_inv.rotation_matrix().T + cam_inv.translation
@@ -402,7 +429,13 @@ def render_partial_cloud(
     if not np.any(in_front):
         raise NothingVisible(f"{instance.instance_id} is behind the camera")
     idx_front = np.nonzero(in_front)[0]
-    mask = hidden_point_removal(in_cam[in_front], spec.gamma)
+    centre = (camera_pose.translation - object_pose.translation) @ object_pose.rotation_matrix()
+    key = (centre.tobytes(), np.packbits(in_front).tobytes(), spec.gamma)
+    memo = instance.visible_masks
+    if key not in memo:
+        memo.clear()
+        memo[key] = hidden_point_removal(instance.canonical_cloud.points[in_front] - centre, spec.gamma)
+    mask = memo[key]
     visible = idx_front[mask]
     if len(visible) == 0:
         raise NothingVisible(f"{instance.instance_id} is fully self-occluded")
@@ -519,7 +552,7 @@ def run_rollout(
     cloud = _observed_cloud(scene)
     try:
         retrieval = hierarchical_retrieve(bench.dataset, task.description, cloud)
-    except UnknownSkill:
+    except (UnknownSkill, OutOfWorkspace):  # no demo has the skill, or the cloud is off the grid
         return RolloutResult(scene, None, None, None, None, False, FAILURE_RETRIEVAL)
     demo = bench.dataset.demos[retrieval.demo_id]
     demo_instance, demo_scene = bench.demo_meta[demo.id]
@@ -553,9 +586,9 @@ def classify_failure(
     """Failure class of a rollout of the retrieved ``demo``: registration if the
     estimated delta lies outside the task thresholds of the true one, else
     execution.  run_rollout assigns FAILURE_RETRIEVAL when no demo has the
-    skill; a retrieved demo is never at fault, because success is judged
-    against its own anchor-relative final pose, so its ground-truth transfer
-    always succeeds.
+    skill or the observed cloud lies off the embedding grid; a retrieved demo
+    is never at fault, because success is judged against its own
+    anchor-relative final pose, so its ground-truth transfer always succeeds.
     """
     if success:
         return FAILURE_NONE

@@ -39,6 +39,39 @@ def test_medians_quartiles_and_wins():
     # higher is better; ties count for neither side
     assert "new better in 1/4" in metric_line(lines, "success_rate")
     assert sum(line.startswith("run ") for line in lines) == 8
+    assert rule_line(lines, "rollout_p50_ms").startswith("    quartiles: old 41.5 44.5, new 30.75 34.75; ")
+
+
+def rule_line(lines, name):
+    """The indented quartiles and gain-rule line under a metric's line."""
+    return lines[lines.index(metric_line(lines, name)) + 1]
+
+
+OLD_TEN = [record(40.0 + i % 3, 0.5) for i in range(10)]  # quartiles 40 and 41.75, median 41
+
+
+def test_gain_rule_met():
+    new = [record(30.0 + i % 3, 0.5) for i in range(9)] + [record(45.0, 0.5)]
+    lines, _ = bench_pairs.summarize(END_TO_END, OLD_TEN, new)
+    assert "new better in 9/10" in metric_line(lines, "rollout_p50_ms")
+    assert rule_line(lines, "rollout_p50_ms") == "    quartiles: old 40 41.75, new 30.25 32; gain rule met"
+
+
+def test_gain_rule_unmet():
+    new = [record(30.0 + i % 3, 0.5) for i in range(8)] + [record(45.0, 0.5)] * 2
+    lines, _ = bench_pairs.summarize(END_TO_END, OLD_TEN, new)
+    assert rule_line(lines, "rollout_p50_ms").endswith("gain rule not met: new better in 8/10, under 9/10")
+    # every pair won, by less than the old runs spread
+    lines, _ = bench_pairs.summarize(END_TO_END, OLD_TEN, [record(39.5 + i % 3, 0.5) for i in range(10)])
+    assert rule_line(lines, "rollout_p50_ms").endswith(
+        "gain rule not met: median gap 0.5 not above the old quartile distance 1.75"
+    )
+    assert rule_line(lines, "success_rate").endswith(
+        "gain rule not met: new better in 0/10, under 9/10; median gap 0 not above the old quartile distance 0"
+    )
+    # too few pairs, whatever their margin
+    lines, _ = bench_pairs.summarize(END_TO_END, OLD_TEN[:4], [record(10.0, 0.5)] * 4)
+    assert rule_line(lines, "rollout_p50_ms").endswith("gain rule not met: 4 pairs, fewer than 10")
 
 
 def test_worse_beyond_the_bound_is_marked():

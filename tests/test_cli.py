@@ -270,6 +270,18 @@ class TestEvaluate:
         assert len(csv) == 3  # seen + unseen rows
         assert (workdir / "out" / "traces.jsonl").exists()
 
+    def test_noise_off_the_grid(self, workdir, capsys):
+        """Every rollout whose cloud noise leaves the embedding grid is a
+        recorded retrieval failure."""
+        cfg = {"mode": "thousand", "families": ["mug"], "noise_sigma": 1e7, "repeats": 1}
+        Path(workdir / "cfg.json").write_text(json.dumps(cfg))
+        code = cli.main(
+            ["evaluate", "--config", str(workdir / "cfg.json"), "--output", str(workdir / "out"), "--jobs", "1"]
+        )
+        assert code == cli.EXIT_OK
+        rows = [json.loads(line) for line in (workdir / "out" / "traces.jsonl").read_text().splitlines()]
+        assert rows and all(r["failure_class"] == "retrieval" and r["retrieval"] is None for r in rows)
+
     def test_bad_diversity_config(self, workdir):
         Path(workdir / "cfg.json").write_text(
             json.dumps({"mode": "diversity", "diversity_splits": [[10, 14]]})

@@ -2,13 +2,15 @@
 
 import itertools
 import math
+import pickle
 
 import numpy as np
 import pytest
 
+from trajtransfer import simbench
 from trajtransfer.demos import Dataset
 from trajtransfer.errors import NothingVisible, OutOfRange, UnknownCategory
-from trajtransfer.se3 import Pose, PointCloud, compose, invert, pose_distance
+from trajtransfer.se3 import Pose, PointCloud, compose, invert, pose_distance, transform_cloud
 from trajtransfer.simbench import (
     CATEGORIES,
     FAILURE_NONE,
@@ -17,6 +19,7 @@ from trajtransfer.simbench import (
     RenderSpec,
     _anchor_world,
     _final_pose_success,
+    _observed_cloud,
     camera_above,
     default_task,
     generate_object,
@@ -114,6 +117,149 @@ class TestRender:
         a = render_partial_cloud(inst, pose, camera_above(pose), RenderSpec(seed=5))
         b = render_partial_cloud(inst, pose, camera_above(pose), RenderSpec(seed=5))
         assert np.array_equal(a.points, b.points)
+
+    @pytest.mark.parametrize("gamma", [1.0, 0.5, 0.0, -3.0, math.nan, math.inf])
+    def test_gamma_above_one(self, gamma):
+        """The inversion sphere of radius gamma times the largest range must
+        enclose every point."""
+        with pytest.raises(OutOfRange, match="gamma"):
+            RenderSpec(gamma=gamma)
+
+    @pytest.mark.parametrize("n_max", [0, -1])
+    def test_n_max_positive(self, n_max):
+        with pytest.raises(OutOfRange, match="n_max"):
+            RenderSpec(n_max=n_max)
+
+    def test_smallest_valid_spec(self):
+        inst = generate_object("mug", 0)
+        pose = Pose(translation=np.array([0.40, 0.22, 0.0]))
+        assert len(render_partial_cloud(inst, pose, camera_above(pose), RenderSpec(gamma=1.0001, n_max=1))) == 1
+
+
+def camera_frame_render(instance, object_pose, camera_pose, spec=RenderSpec()):
+    """render_partial_cloud before the object-frame memo: hidden-point removal
+    on the camera-frame points, on every call."""
+    world = transform_cloud(object_pose, instance.canonical_cloud)
+    cam_inv = invert(camera_pose)
+    in_cam = world.points @ cam_inv.rotation_matrix().T + cam_inv.translation
+    in_front = in_cam[:, 2] > 1e-9
+    if not np.any(in_front):
+        raise NothingVisible(f"{instance.instance_id} is behind the camera")
+    visible = np.nonzero(in_front)[0][simbench.hidden_point_removal(in_cam[in_front], spec.gamma)]
+    if len(visible) > spec.n_max:
+        rng = np.random.default_rng(np.random.SeedSequence([spec.seed, 7]))
+        visible = np.sort(rng.choice(visible, size=spec.n_max, replace=False))
+    return PointCloud(world.points[visible])
+
+
+def tilted_camera(object_pose, offset, axis, angle):
+    """camera_above moved by ``offset`` and turned by ``angle`` about ``axis``
+    (in the camera frame)."""
+    above = camera_above(object_pose)
+    moved = Pose(above.rotation, above.translation + np.asarray(offset, dtype=np.float64))
+    return compose(moved, Pose.from_axis_angle(axis, angle))
+
+
+def assert_same_cloud(a, b):
+    assert a.points.shape == b.points.shape and np.array_equal(a.points, b.points)
+
+
+@pytest.fixture
+def hull_count(monkeypatch):
+    """Number of hidden_point_removal calls so far, as calls[0]."""
+    calls = [0]
+    hpr = simbench.hidden_point_removal
+
+    def counting(points, gamma):
+        calls[0] += 1
+        return hpr(points, gamma)
+
+    monkeypatch.setattr(simbench, "hidden_point_removal", counting)
+    return calls
+
+
+class TestVisibleMemo:
+    """Visibility in the object frame, kept on the instance, renders the
+    camera-frame clouds bit for bit."""
+
+    @pytest.mark.parametrize("family", CATEGORIES)
+    def test_observed_clouds(self, family, monkeypatch):
+        task = default_task(family)
+        scenes = [
+            randomize_scene(task, generate_object(family, seed), mode, s, occlusion_fraction=occ, noise_sigma=noise)
+            for seed in (0, 1000)
+            for mode in ("controlled", "thousand")
+            for s, (occ, noise) in enumerate(((0.0, 0.0), (0.0, 0.0), (0.4, 0.002), (0.4, 0.002)))
+        ]
+        clouds = [_observed_cloud(scene) for scene in scenes]
+        monkeypatch.setattr(simbench, "render_partial_cloud", camera_frame_render)
+        for scene, cloud in zip(scenes, clouds):
+            assert_same_cloud(cloud, _observed_cloud(scene))
+
+    @pytest.mark.parametrize("family", CATEGORIES)
+    def test_offset_tilted_cameras(self, family):
+        inst = generate_object(family, 1)
+        rng = np.random.default_rng(CATEGORIES.index(family))
+        for _ in range(5):
+            pose = Pose.from_yaw(rng.uniform(-math.pi, math.pi), (rng.uniform(0.1, 0.7), rng.uniform(0.1, 0.35), 0.0))
+            axis = np.append(rng.normal(size=2), 0.0)
+            camera = tilted_camera(pose, rng.uniform(-0.3, 0.3, 3), axis, rng.uniform(0.0, 0.5))
+            spec = RenderSpec(n_max=10**9)
+            expected = camera_frame_render(inst, pose, camera, spec)
+            assert_same_cloud(render_partial_cloud(inst, pose, camera, spec), expected)
+
+    def test_camera_with_part_of_the_object_behind_it(self):
+        inst = generate_object("mug", 0)
+        _, h, _ = inst.shape_params
+        pose = Pose.from_yaw(0.7, (0.40, 0.22, 0.0))
+        camera = Pose(camera_above(pose).rotation, np.array([0.55, 0.22, 0.5 * h]))
+        spec = RenderSpec(n_max=10**9)
+        cloud = render_partial_cloud(inst, pose, camera, spec)
+        assert np.all(cloud.points[:, 2] < 0.5 * h)
+        assert_same_cloud(cloud, camera_frame_render(inst, pose, camera, spec))
+        # the same centre, turned so that more of the object is in front
+        turned = compose(camera, Pose.from_axis_angle((0.0, 1.0, 0.0), -0.2))
+        for c in (turned, camera, turned):
+            assert_same_cloud(render_partial_cloud(inst, pose, c, spec), camera_frame_render(inst, pose, c, spec))
+
+    def test_one_hull_per_instance(self, hull_count):
+        task = default_task("kettle")
+        inst = generate_object("kettle", 3)
+        for mode, s in itertools.product(("controlled", "thousand"), range(10)):
+            _observed_cloud(randomize_scene(task, inst, mode, s))
+        assert hull_count[0] == 1
+        _observed_cloud(randomize_scene(task, generate_object("kettle", 3), "thousand", 0))
+        assert hull_count[0] == 2  # a fresh instance starts with an empty memo
+
+    def test_alternating_heights_and_gamma(self, hull_count):
+        inst = generate_object("box", 2)
+        pose = Pose.from_yaw(-1.1, (0.30, 0.25, 0.0))
+        low = Pose(camera_above(pose).rotation, np.array([0.30, 0.25, 0.4]))
+        views = (
+            (camera_above(pose), RenderSpec(n_max=10**9)),
+            (low, RenderSpec(n_max=10**9)),
+            (camera_above(pose), RenderSpec(gamma=3.0, n_max=10**9)),
+        )
+        expected = [camera_frame_render(inst, pose, c, spec) for c, spec in views]
+        assert len({len(e) for e in expected}) == 3  # each view sees a different surface
+        hull_count[0] = 0
+        for i in range(9):
+            camera, spec = views[i % 3]
+            assert_same_cloud(render_partial_cloud(inst, pose, camera, spec), expected[i % 3])
+        assert hull_count[0] == 9  # one entry: every change of view misses
+
+    def test_pickled_instance(self):
+        task = default_task("pan")
+        rendered = generate_object("pan", 1001)
+        _observed_cloud(randomize_scene(task, rendered, "controlled", 1))
+        for inst in (rendered, generate_object("pan", 1001)):
+            copy = pickle.loads(pickle.dumps(inst))
+            assert copy.visible_masks.keys() == inst.visible_masks.keys()  # the memo travels with it
+            scenes = [
+                randomize_scene(task, obj, "controlled", 2, occlusion_fraction=0.3, noise_sigma=0.001)
+                for obj in (copy, generate_object("pan", 1001))
+            ]
+            assert_same_cloud(_observed_cloud(scenes[0]), _observed_cloud(scenes[1]))
 
 
 class TestRandomizeScene:
@@ -228,6 +374,15 @@ class TestRollout:
         scene = randomize_scene(task, inst, "thousand", 919, occlusion_fraction=0.94)
         res = run_rollout(bench, task, scene)
         assert res.registration is not None and res.executed is not None
+
+    @pytest.mark.parametrize("sigma", [3.0, 30.0, 1e3, 1e6, 1e7])
+    def test_cloud_off_the_grid_is_retrieval_failure(self, sigma):
+        """Noise that scatters the observed cloud off the embedding grid is
+        recorded as a retrieval failure, not raised."""
+        bench, task, inst, _ = make_bench()
+        for s in range(4):
+            res = run_rollout(bench, task, randomize_scene(task, inst, "thousand", s, noise_sigma=sigma))
+            assert res.failure_class == FAILURE_RETRIEVAL and res.retrieval is None and not res.success
 
     def test_trace_dict_fields(self):
         bench, task, inst, _ = make_bench()

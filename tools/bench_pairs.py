@@ -10,9 +10,13 @@ It prints every run, then one line per end-to-end metric of
 NEW/BENCHMARK.json: both medians, the old runs' quartile distance, in how many
 pairs the new run was better (ties count for neither side), every value, and
 "WORSE" when the new median is worse than the old one by more than the
-metric's bound (a share of the old median).  Exits 1 if a run is not correct
-or the new runs fail a larger share of their operations than the old ones,
-2 on a usage error, and 0 otherwise.  Needs only the standard library.
+metric's bound (a share of the old median).  An indented line under it gives
+each side's quartiles and whether the gain rule holds: at least 10 pairs, the
+new run better in at least 9/10 of them, and the medians further apart, in
+the better direction, than the old runs' quartile distance.  Exits 1 if a run
+is not correct or the new runs fail a larger share of their operations than
+the old ones, 2 on a usage error, and 0 otherwise.  Needs only the standard
+library.
 """
 
 from __future__ import annotations
@@ -38,11 +42,25 @@ def run(checkout: Path, command: list, workload: str, seed: int, seconds) -> dic
     return {"correct": False, "attempted": 0, "failed": 0, "metrics": {}, "error": f"exit {out.returncode}: {error}"}
 
 
-def quartile_distance(values: list) -> float:
+def quartiles(values: list) -> tuple[float, float]:
     if len(values) < 2:
-        return 0.0
+        return values[0], values[0]
     q1, _, q3 = statistics.quantiles(values, n=4, method="inclusive")
-    return q3 - q1
+    return q1, q3
+
+
+def gain_rule(better: int, pairs: int, gap: float, spread: float) -> str:
+    """Whether ``better`` wins of ``pairs`` and a median ``gap`` (positive in
+    the better direction) against the old quartile distance ``spread`` meet
+    the gain rule, with the reasons it fails."""
+    unmet = []
+    if pairs < 10:
+        unmet.append(f"{pairs} pairs, fewer than 10")
+    if 10 * better < 9 * pairs:
+        unmet.append(f"new better in {better}/{pairs}, under 9/10")
+    if gap <= spread:
+        unmet.append(f"median gap {gap:.4g} not above the old quartile distance {spread:.4g}")
+    return "gain rule met" if not unmet else "gain rule not met: " + "; ".join(unmet)
 
 
 def failed_share(runs: list) -> float:
@@ -71,12 +89,18 @@ def summarize(end_to_end: list, old: list, new: list) -> tuple[list, int]:
         a, b = [p[0] for p in pairs], [p[1] for p in pairs]
         old_median, new_median = statistics.median(a), statistics.median(b)
         better = sum(sign * (y - x) > 0 for x, y in pairs)
-        worse = sign * (new_median - old_median) < -m["bound"] * abs(old_median)
+        gap = sign * (new_median - old_median)
+        worse = gap < -m["bound"] * abs(old_median)
+        (q1, q3), (n1, n3) = quartiles(a), quartiles(b)
         lines.append(
             f"{name} ({m['unit']}, {m['better']} is better): old {old_median:.4g}, new {new_median:.4g}, "
-            f"old quartile distance {quartile_distance(a):.4g}, new better in {better}/{len(pairs)}"
+            f"old quartile distance {q3 - q1:.4g}, new better in {better}/{len(pairs)}"
             + (f", WORSE by more than {m['bound']:g}" if worse else "")
             + f"; old {' '.join(f'{v:.4g}' for v in a)}; new {' '.join(f'{v:.4g}' for v in b)}"
+        )
+        lines.append(
+            f"    quartiles: old {q1:.4g} {q3:.4g}, new {n1:.4g} {n3:.4g}; "
+            + gain_rule(better, len(pairs), gap, q3 - q1)
         )
     status = 0
     if not all(r.get("correct") is True for r in old + new):
