@@ -38,8 +38,9 @@ def _canonicalize(q: np.ndarray) -> np.ndarray:
 
 
 def _quat_mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    aw, ax, ay, az = a
-    bw, bx, by, bz = b
+    # Python floats: the same IEEE operations as on numpy scalars, faster
+    aw, ax, ay, az = a.tolist()
+    bw, bx, by, bz = b.tolist()
     return np.array(
         [
             aw * bw - ax * bx - ay * by - az * bz,
@@ -55,7 +56,7 @@ def _quat_conj(q: np.ndarray) -> np.ndarray:
 
 
 def _quat_to_matrix(q: np.ndarray) -> np.ndarray:
-    w, x, y, z = q
+    w, x, y, z = q.tolist()  # Python floats, as in _quat_mul
     return np.array(
         [
             [1 - 2 * (y * y + z * z), 2 * (x * y - w * z), 2 * (x * z + w * y)],
@@ -81,6 +82,13 @@ class Pose:
         t.setflags(write=False)
         object.__setattr__(self, "rotation", q)
         object.__setattr__(self, "translation", t)
+
+    def __eq__(self, other):
+        if not isinstance(other, Pose):
+            return NotImplemented
+        return np.array_equal(self.rotation, other.rotation) and np.array_equal(
+            self.translation, other.translation
+        )
 
     @staticmethod
     def identity() -> "Pose":
@@ -142,6 +150,11 @@ class PointCloud:
 
     def __len__(self) -> int:
         return self.points.shape[0]
+
+    def __eq__(self, other):
+        if not isinstance(other, PointCloud):
+            return NotImplemented
+        return self.frame == other.frame and np.array_equal(self.points, other.points)
 
 
 def compose(a: Pose, b: Pose) -> Pose:

@@ -6,9 +6,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
+from trajtransfer import se3
+from trajtransfer.demos import EndEffectorState
 from trajtransfer.errors import EmptyCloud, OutOfRange
 from trajtransfer.se3 import (
+    EE_FRAME,
     Pose,
     PointCloud,
     compose,
@@ -18,6 +22,7 @@ from trajtransfer.se3 import (
     rotation_angle,
     transform_cloud,
 )
+from trajtransfer.simbench import default_task, generate_object, randomize_scene
 
 from conftest import random_pose
 
@@ -218,3 +223,89 @@ class TestSerialization:
             q = Pose.from_row(p.as_row())
             np.testing.assert_allclose(q.rotation, p.rotation, atol=1e-15)
             assert np.array_equal(p.translation, q.translation)
+
+
+def quat_mul_scalars(a, b):
+    """``se3._quat_mul`` on numpy scalars, as it was written before it
+    unpacked to Python floats: the reference for its bits."""
+    aw, ax, ay, az = a
+    bw, bx, by, bz = b
+    return np.array(
+        [
+            aw * bw - ax * bx - ay * by - az * bz,
+            aw * bx + ax * bw + ay * bz - az * by,
+            aw * by - ax * bz + ay * bw + az * bx,
+            aw * bz + ax * by - ay * bx + az * bw,
+        ]
+    )
+
+
+def quat_to_matrix_scalars(q):
+    """``se3._quat_to_matrix`` on numpy scalars (see ``quat_mul_scalars``)."""
+    w, x, y, z = q
+    return np.array(
+        [
+            [1 - 2 * (y * y + z * z), 2 * (x * y - w * z), 2 * (x * z + w * y)],
+            [2 * (x * y + w * z), 1 - 2 * (x * x + z * z), 2 * (y * z - w * x)],
+            [2 * (x * z - w * y), 2 * (y * z + w * x), 1 - 2 * (x * x + y * y)],
+        ]
+    )
+
+
+# wide enough for subnormal products, narrow enough that nothing overflows
+quats = arrays(np.float64, 4, elements=st.floats(-1e150, 1e150, allow_nan=False))
+
+
+class TestQuaternionBits:
+    """The quaternion kernels give the numpy-scalar form's bytes."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(a=quats, b=quats)
+    def test_quat_mul(self, a, b):
+        assert se3._quat_mul(a, b).tobytes() == quat_mul_scalars(a, b).tobytes()
+
+    @settings(max_examples=300, deadline=None)
+    @given(q=quats)
+    def test_quat_to_matrix(self, q):
+        assert se3._quat_to_matrix(q).tobytes() == quat_to_matrix_scalars(q).tobytes()
+
+    def test_unit_quaternions(self, rng):
+        for _ in range(200):
+            a, b = random_pose(rng), random_pose(rng)
+            want = Pose(quat_mul_scalars(a.rotation, b.rotation))
+            assert compose(a, b).rotation.tobytes() == want.rotation.tobytes()
+            assert a.rotation_matrix().tobytes() == quat_to_matrix_scalars(a.rotation).tobytes()
+
+
+class TestEquality:
+    """Poses and clouds compare by value, so the types holding them do too."""
+
+    def test_pose(self, rng):
+        p = random_pose(rng)
+        assert Pose() == Pose.identity()
+        assert p == Pose(p.rotation.copy(), p.translation.copy())
+        assert Pose(translation=(0.0, 0.0, 0.0)) == Pose(translation=(-0.0, 0.0, 0.0))
+        assert p != Pose(p.rotation, p.translation + [0.0, 0.0, 1e-12])
+        assert Pose() != Pose.from_yaw(1e-9)
+        assert Pose() != (1.0, 0.0, 0.0, 0.0)
+
+    def test_point_cloud(self, rng):
+        pts = rng.normal(size=(5, 3))
+        c = PointCloud(pts)
+        assert c == PointCloud(pts.copy())
+        assert c != PointCloud(pts, frame=EE_FRAME)
+        assert c != PointCloud(pts[:4])
+        assert c != PointCloud(pts + [0.0, 0.0, 1e-12])
+        assert c != pts.tolist()
+
+    def test_holders(self):
+        mug = generate_object("mug", 0)
+        assert mug == generate_object("mug", 0)
+        assert mug != generate_object("mug", 1)
+        task = default_task("mug")
+        scene = randomize_scene(task, mug, "controlled", 3)
+        assert scene == randomize_scene(task, generate_object("mug", 0), "controlled", 3)
+        assert scene != randomize_scene(task, mug, "controlled", 4)
+        state = EndEffectorState(Pose.from_yaw(0.5, (0.1, 0.2, 0.3)), 1, 7)
+        assert state == EndEffectorState(Pose.from_yaw(0.5, (0.1, 0.2, 0.3)), 1, 7)
+        assert state != EndEffectorState(Pose.from_yaw(0.5, (0.1, 0.2, 0.3)), 0, 7)
