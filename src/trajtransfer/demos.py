@@ -169,7 +169,7 @@ class Dataset:
         under an existing id raises DuplicateId.
         """
         if demo.id in self.demos:
-            if _demo_equal(self.demos[demo.id], demo):
+            if self.demos[demo.id] == demo:
                 return self.demos[demo.id]
             raise DuplicateId(f"demo id {demo.id!r} already present with different content")
         self.demos[demo.id] = demo
@@ -191,23 +191,6 @@ def _content_id(description, cloud, traj) -> str:
         h.update(np.ascontiguousarray(s.pose.rotation).tobytes())
         h.update(bytes([s.gripper & 1]))
     return h.hexdigest()[:12]
-
-
-def _demo_equal(a: Demonstration, b: Demonstration) -> bool:
-    return (
-        a.id == b.id
-        and a.description == b.description
-        and a.object_instance_id == b.object_instance_id
-        and np.array_equal(a.object_cloud.points, b.object_cloud.points)
-        and len(a.trajectory) == len(b.trajectory)
-        and all(
-            np.array_equal(x.pose.translation, y.pose.translation)
-            and np.array_equal(x.pose.rotation, y.pose.rotation)
-            and x.gripper == y.gripper
-            for x, y in zip(a.trajectory, b.trajectory)
-        )
-        and np.array_equal(a.embedding.values, b.embedding.values)
-    )
 
 
 # --- text formats -------------------------------------------------------------

@@ -77,6 +77,11 @@ class GeometryEmbedding:
         v.setflags(write=False)
         object.__setattr__(self, "values", v)
 
+    def __eq__(self, other):
+        if not isinstance(other, GeometryEmbedding):
+            return NotImplemented
+        return self.grid == other.grid and np.array_equal(self.values, other.values)
+
     @property
     def norm(self) -> float:
         return float(np.linalg.norm(self.values))

@@ -61,10 +61,6 @@ class UnknownCategory(TrajTransferError):
     pass
 
 
-class NothingVisible(TrajTransferError):
-    pass
-
-
 class InvalidTrials(TrajTransferError):
     pass
 

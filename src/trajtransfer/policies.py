@@ -37,7 +37,6 @@ ALIGN_PERTURB_ROT = (math.radians(0.5), math.radians(5.0))
 @dataclass(frozen=True)
 class ReplayPlan:
     steps: tuple  # (successor pose in the predecessor's frame, gripper command) per demo step
-    source_demo: str
 
 
 def transfer_alignment_pose(demo: Demonstration, delta: Pose) -> Pose:
@@ -60,7 +59,7 @@ def build_replay_plan(demo: Demonstration) -> ReplayPlan:
     steps = []
     for a, b in zip(demo.trajectory[:-1], demo.trajectory[1:]):
         steps.append((compose(invert(a.pose), b.pose), b.gripper))
-    return ReplayPlan(steps=tuple(steps), source_demo=demo.id)
+    return ReplayPlan(steps=tuple(steps))
 
 
 def execute_replay(plan: ReplayPlan, start: Pose, start_gripper: int = 0):

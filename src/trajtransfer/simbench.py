@@ -4,9 +4,9 @@ scene randomization, rollout execution and failure classification.
 Objects are dense surface-sampled clouds from six parametric families.  A
 virtual overhead depth camera produces partial clouds via hidden-point
 removal, so demo and test views of the same object never overlap fully.
-Visibility is computed in the object frame: the camera sits on the object's
-vertical axis at a fixed height, so every scene of an instance sees the same
-surface, and the instance keeps its last visible mask for the next render.
+The camera sits on the object's vertical axis at a fixed height, so every
+scene of an instance sees the same surface: each instance finds it once, in
+the object frame, at its first render.
 Success is a geometric predicate on the final end-effector pose expressed in
 the ground-truth task-feature (anchor) frame of the object.
 """
@@ -16,12 +16,13 @@ from __future__ import annotations
 import math
 import zlib
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 from scipy.spatial import ConvexHull, QhullError
 
 from .demos import Dataset, Demonstration, EndEffectorState
-from .errors import NothingVisible, OutOfRange, OutOfWorkspace, UnknownCategory, UnknownSkill, NoCorrespondences
+from .errors import OutOfRange, OutOfWorkspace, UnknownCategory, UnknownSkill, NoCorrespondences
 # run_rollout plans no approach path, as only its endpoint matters; perfbench's
 # tracer still wraps trajtransfer.simbench.plan_linear_path by name
 from .policies import build_replay_plan, execute_replay, jitter_cloud, mask_augment, plan_linear_path, transfer_alignment_pose
@@ -32,20 +33,15 @@ from .se3 import Pose, PointCloud, compose, invert, pose_distance, transform_clo
 WORKSPACE = (0.80, 0.45)  # metres, x by y
 WORKSPACE_MARGIN = 0.06
 
-# Head-mounted depth camera: optical +z looks straight down.  The robot faces
-# whatever it manipulates, so per-scene cameras sit directly above the object;
-# this keeps self-occlusion a function of the object's yaw rather than of
-# where it happens to sit in the workspace.
+# Head-mounted depth camera looking straight down.  The robot faces whatever
+# it manipulates, so the camera sits CAMERA_HEIGHT above the object's origin on
+# its vertical axis; this keeps self-occlusion a function of the object alone
+# rather than of its yaw or where it sits in the workspace.  Every object
+# point lies below the camera, so all of it is in front.
 CAMERA_HEIGHT = 2.00
-
-
-def camera_above(object_pose: Pose) -> Pose:
-    """Downward-looking camera pose centred over an object."""
-    x, y = object_pose.translation[:2]
-    return Pose(
-        rotation=np.array([0.0, 1.0, 0.0, 0.0]),  # 180 deg about x: +z maps to world -z
-        translation=np.array([x, y, CAMERA_HEIGHT]),
-    )
+CAMERA_CENTRE = np.array([0.0, 0.0, CAMERA_HEIGHT])  # object frame
+HPR_GAMMA = 100.0  # hidden-point-removal sphere radius, times the max range
+MAX_RENDER_POINTS = 800
 
 
 OCCLUSION_CLUSTERS = 10  # farthest-point clusters of an observed cloud; an occlusion masks some
@@ -74,9 +70,12 @@ class ObjectInstance:
     shape_params: tuple
     canonical_cloud: PointCloud  # object frame, dense surface samples
     anchor: Pose  # task-relevant feature frame in the object frame
-    # render_partial_cloud's memo, one (camera centre, in-front mask, gamma)
-    # key -> visible mask of the in-front points; neither compared nor printed
-    visible_masks: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+
+    @cached_property
+    def visible_indices(self) -> np.ndarray:
+        """Indices of the canonical points the camera sees, found at the first
+        render and kept on the instance (neither compared nor printed)."""
+        return np.nonzero(hidden_point_removal(self.canonical_cloud.points - CAMERA_CENTRE, HPR_GAMMA))[0]
 
 
 @dataclass(frozen=True)
@@ -102,20 +101,6 @@ class SceneSpec:
 
     def __post_init__(self):
         masked_clusters(self.occlusion_fraction)
-
-
-@dataclass(frozen=True)
-class RenderSpec:
-    gamma: float = 100.0  # hidden-point-removal sphere radius, times the max range
-    n_max: int = 800
-    seed: int = 0
-
-    def __post_init__(self):
-        # hidden_point_removal's inversion sphere must enclose every point
-        if not (math.isfinite(self.gamma) and self.gamma > 1.0):
-            raise OutOfRange(f"gamma must be finite and above 1, got {self.gamma}")
-        if self.n_max < 1:
-            raise OutOfRange(f"n_max must be at least 1, got {self.n_max}")
 
 
 @dataclass(frozen=True)
@@ -388,12 +373,12 @@ def hidden_point_removal(points: np.ndarray, gamma: float) -> np.ndarray:
     ``points`` are relative to the camera centre, in any orientation: the
     inversion and the hull commute with a rotation about the centre, so the
     mask depends only on where the centre sits relative to the points, not on
-    where the camera looks.  A camera above the object on its vertical axis
-    (:func:`camera_above`) sits at the same object-frame point whatever the
-    object's yaw and position, so it sees one surface of an instance in every
-    scene.  In floating point a rotated input could flip a point that lies on
-    the hull up to rounding; the object-frame and camera-frame masks of the
-    benchmark's scenes agree bit for bit (tests/test_simbench.py checks it).
+    where the camera looks.  The head camera sits at CAMERA_CENTRE in the
+    object frame whatever the object's yaw and position, so it sees one
+    surface of an instance in every scene.  In floating point a rotated input
+    could flip a point that lies on the hull up to rounding; the object-frame
+    and camera-frame masks of the benchmark's scenes agree bit for bit
+    (tests/test_simbench.py checks it).
     """
     norms = np.linalg.norm(points, axis=1)
     norms = np.maximum(norms, 1e-12)
@@ -410,39 +395,15 @@ def hidden_point_removal(points: np.ndarray, gamma: float) -> np.ndarray:
     return mask
 
 
-def render_partial_cloud(
-    instance: ObjectInstance,
-    object_pose: Pose,
-    camera_pose: Pose,
-    spec: RenderSpec = RenderSpec(),
-) -> PointCloud:
-    """Partial robot-frame cloud of the posed object seen from the camera.
-
-    Visibility runs on the object-frame points relative to the camera centre,
-    and the instance keeps the last mask: for :func:`camera_above` every scene
-    of an instance has one key, so the hull runs once per instance.
-    """
-    world = transform_cloud(object_pose, instance.canonical_cloud)
-    cam_inv = invert(camera_pose)
-    in_cam = world.points @ cam_inv.rotation_matrix().T + cam_inv.translation
-    in_front = in_cam[:, 2] > 1e-9
-    if not np.any(in_front):
-        raise NothingVisible(f"{instance.instance_id} is behind the camera")
-    idx_front = np.nonzero(in_front)[0]
-    centre = (camera_pose.translation - object_pose.translation) @ object_pose.rotation_matrix()
-    key = (centre.tobytes(), np.packbits(in_front).tobytes(), spec.gamma)
-    memo = instance.visible_masks
-    if key not in memo:
-        memo.clear()
-        memo[key] = hidden_point_removal(instance.canonical_cloud.points[in_front] - centre, spec.gamma)
-    mask = memo[key]
-    visible = idx_front[mask]
-    if len(visible) == 0:
-        raise NothingVisible(f"{instance.instance_id} is fully self-occluded")
-    if len(visible) > spec.n_max:
-        rng = np.random.default_rng(np.random.SeedSequence([spec.seed, 7]))
-        visible = np.sort(rng.choice(visible, size=spec.n_max, replace=False))
-    return PointCloud(world.points[visible])
+def render_partial_cloud(instance: ObjectInstance, object_pose: Pose, seed: int = 0) -> PointCloud:
+    """Partial robot-frame cloud of the posed object seen from the head camera:
+    the instance's visible points, at most MAX_RENDER_POINTS of them drawn by
+    ``seed``."""
+    visible = instance.visible_indices
+    if len(visible) > MAX_RENDER_POINTS:
+        rng = np.random.default_rng(np.random.SeedSequence([seed, 7]))
+        visible = np.sort(rng.choice(visible, size=MAX_RENDER_POINTS, replace=False))
+    return PointCloud(transform_cloud(object_pose, instance.canonical_cloud).points[visible])
 
 
 # --- scene randomization and demonstrations ----------------------------------
@@ -482,9 +443,13 @@ def randomize_scene(
     )
 
 
+def _anchor_world(instance: ObjectInstance, object_pose: Pose) -> Pose:
+    return compose(object_pose, instance.anchor)
+
+
 def template_trajectory(task: TaskSpec, instance: ObjectInstance, object_pose: Pose):
     """World-frame interaction trajectory for a task on a posed instance."""
-    anchor_world = compose(object_pose, instance.anchor)
+    anchor_world = _anchor_world(instance, object_pose)
     template = _TEMPLATES.get(task.category, _TEMPLATES["default"])
     states = []
     for i, (offset, gripper) in enumerate(template):
@@ -501,11 +466,10 @@ class Benchmark:
     demo_meta: dict = field(default_factory=dict)  # demo_id -> (instance, SceneSpec)
 
     def record_demonstration(self, task: TaskSpec, scene: SceneSpec) -> Demonstration:
-        """Run the ground-truth pipeline on a demo scene and store the result."""
+        """Run the ground-truth pipeline on a demo scene and store the result;
+        the demo's cloud is the one a rollout of ``scene`` observes."""
         instance = scene.object
-        cloud = render_partial_cloud(
-            instance, scene.object_pose, camera_above(scene.object_pose), RenderSpec(seed=scene.rng_seed)
-        )
+        cloud = _observed_cloud(scene)
         traj = template_trajectory(task, instance, scene.object_pose)
         demo = self.dataset.ingest(
             task.description,
@@ -518,20 +482,13 @@ class Benchmark:
 
 
 def _observed_cloud(scene: SceneSpec) -> PointCloud:
-    cloud = render_partial_cloud(
-        scene.object, scene.object_pose, camera_above(scene.object_pose),
-        RenderSpec(seed=scene.rng_seed),
-    )
+    cloud = render_partial_cloud(scene.object, scene.object_pose, scene.rng_seed)
     if scene.occlusion_fraction > 0.0:
         masked = masked_clusters(scene.occlusion_fraction)
         cloud = mask_augment(cloud, clusters=OCCLUSION_CLUSTERS, masked=masked, rng_seed=scene.rng_seed)
     if scene.noise_sigma > 0.0:
         cloud = jitter_cloud(cloud, scene.noise_sigma, rng_seed=scene.rng_seed)
     return cloud
-
-
-def _anchor_world(instance: ObjectInstance, object_pose: Pose) -> Pose:
-    return compose(object_pose, instance.anchor)
 
 
 def _final_pose_success(task, final_pose, scene, demo_instance, demo_scene, demo_final) -> bool:

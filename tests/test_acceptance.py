@@ -47,8 +47,6 @@ from trajtransfer.simbench import (
     CATEGORIES,
     FAILURE_REGISTRATION,
     Benchmark,
-    RenderSpec,
-    camera_above,
     default_task,
     generate_object,
     randomize_scene,
@@ -304,9 +302,7 @@ def _family_embeddings(family):
             x, y = task_center + rng.uniform(-0.02, 0.02, 2)
             yaw = rng.uniform(-math.radians(15), math.radians(15))
             pose = Pose.from_yaw(yaw, (x, y, 0.0))
-            cloud = render_partial_cloud(
-                inst, pose, camera_above(pose), RenderSpec(seed=int(base + 97 * i + j))
-            )
+            cloud = render_partial_cloud(inst, pose, int(base + 97 * i + j))
             vecs.append(occupancy_embedding(cloud).values)
             labels.append(i)
     return np.array(vecs), np.array(labels)

@@ -1,5 +1,7 @@
 """Demonstration store: parsing, resampling, ingestion, archive round-trip."""
 
+import copy
+import dataclasses
 import math
 import pickle
 
@@ -10,7 +12,6 @@ from trajtransfer.demos import (
     Dataset,
     Demonstration,
     EndEffectorState,
-    _demo_equal,
     alignment_target,
     load_dataset,
     parse_micro_skill,
@@ -26,7 +27,7 @@ from trajtransfer.errors import (
     MalformedFile,
     TrajectoryTooShort,
 )
-from trajtransfer.embedding import GridSpec, occupancy_embedding
+from trajtransfer.embedding import GeometryEmbedding, GridSpec, occupancy_embedding
 from trajtransfer.se3 import Pose, PointCloud, pose_distance
 
 
@@ -140,6 +141,24 @@ class TestIngest:
         ds.ingest("open bottle", small_cloud(), straight_traj(0.05), demo_id="d1")
         with pytest.raises(DuplicateId):
             ds.ingest("open box", small_cloud(), straight_traj(0.05), demo_id="d1")
+
+    def test_equality(self):
+        """Demonstrations compare by value, embeddings included, so add
+        decides a duplicate id with ==."""
+        ds = Dataset()
+        demo = ds.ingest("open bottle", small_cloud(), straight_traj(0.05))
+        twin = copy.deepcopy(demo)
+        assert twin == demo and twin.embedding == demo.embedding
+        assert ds.add(twin) is demo
+        values = demo.embedding.values.copy()
+        values[np.argmax(values)] *= 0.5
+        changed = dataclasses.replace(demo, embedding=GeometryEmbedding(values, demo.embedding.grid))
+        assert changed != demo and changed.embedding != demo.embedding
+        with pytest.raises(DuplicateId):
+            ds.add(changed)
+        other_grid = GridSpec(resolution=(24, 32, 16))
+        assert GeometryEmbedding(demo.embedding.values, other_grid) != demo.embedding
+        assert demo.embedding != demo.embedding.values.tolist()
 
     def test_empty_cloud(self):
         with pytest.raises(EmptyCloud):
@@ -280,7 +299,7 @@ class TestArchive:
         assert back.grid == ds.grid
         assert back.skill_index == ds.skill_index
         assert back.demos.keys() == ds.demos.keys()
-        assert all(_demo_equal(back.demos[i], ds.demos[i]) for i in ds.demos)
+        assert all(back.demos[i] == ds.demos[i] for i in ds.demos)
 
     def test_missing_manifest(self, tmp_path):
         with pytest.raises(MalformedFile):

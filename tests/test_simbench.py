@@ -9,18 +9,19 @@ import pytest
 
 from trajtransfer import simbench
 from trajtransfer.demos import Dataset
-from trajtransfer.errors import NothingVisible, OutOfRange, UnknownCategory
+from trajtransfer.errors import OutOfRange, UnknownCategory
 from trajtransfer.se3 import Pose, PointCloud, compose, invert, pose_distance, transform_cloud
 from trajtransfer.simbench import (
+    CAMERA_CENTRE,
+    CAMERA_HEIGHT,
     CATEGORIES,
     FAILURE_NONE,
     FAILURE_RETRIEVAL,
+    MAX_RENDER_POINTS,
     Benchmark,
-    RenderSpec,
     _anchor_world,
     _final_pose_success,
     _observed_cloud,
-    camera_above,
     default_task,
     generate_object,
     randomize_scene,
@@ -69,7 +70,7 @@ class TestRender:
     def test_tray_top_visible_underside_absent(self):
         inst = generate_object("tray", 0)
         pose = Pose(translation=np.array([0.40, 0.22, 0.0]))
-        cloud = render_partial_cloud(inst, pose, camera_above(pose))
+        cloud = render_partial_cloud(inst, pose)
         # base points sit at z = 0; rims/tab are higher.  No point may come
         # from a downward-facing surface hidden under the base plane.
         assert len(cloud) > 0
@@ -92,72 +93,67 @@ class TestRender:
             canonical_cloud=PointCloud(0.05 * v + np.array([0, 0, 0.05])),
             anchor=Pose.identity(),
         )
-        pose = Pose(translation=np.array([0.40, 0.22, 0.0]))
-        cloud = render_partial_cloud(inst, pose, camera_above(pose), RenderSpec(n_max=10**9))
-        frac = len(cloud) / 4000
+        render_partial_cloud(inst, Pose(translation=np.array([0.40, 0.22, 0.0])))
+        frac = len(inst.visible_indices) / 4000
         assert 0.35 <= frac <= 0.65
 
-    def test_behind_camera(self):
-        inst = generate_object("mug", 0)
-        above_cam = Pose(translation=np.array([0.40, 0.22, 3.0]))
-        with pytest.raises(NothingVisible):
-            render_partial_cloud(inst, above_cam, camera_above(Pose(translation=np.array([0.4, 0.22, 0.0]))))
-
     def test_subsample_cap(self):
-        inst = generate_object("mug", 0)
         pose = Pose(translation=np.array([0.40, 0.22, 0.0]))
-        full = render_partial_cloud(inst, pose, camera_above(pose), RenderSpec(n_max=10**9))
-        cap = len(full) // 2
-        cloud = render_partial_cloud(inst, pose, camera_above(pose), RenderSpec(n_max=cap))
-        assert len(cloud) == cap
+        sizes = []
+        for family in ("mug", "kettle"):
+            inst = generate_object(family, 0)
+            cloud = render_partial_cloud(inst, pose)
+            visible = inst.visible_indices
+            sizes.append(len(visible))
+            assert len(cloud) == min(MAX_RENDER_POINTS, len(visible))
+            seen = {tuple(p) for p in transform_cloud(pose, inst.canonical_cloud).points[visible]}
+            assert all(tuple(p) in seen for p in cloud.points)
+        assert sizes[0] < MAX_RENDER_POINTS < sizes[1]  # the cap binds on the kettle only
 
     def test_deterministic(self):
         inst = generate_object("box", 1)
         pose = Pose.from_yaw(0.4, (0.35, 0.20, 0.0))
-        a = render_partial_cloud(inst, pose, camera_above(pose), RenderSpec(seed=5))
-        b = render_partial_cloud(inst, pose, camera_above(pose), RenderSpec(seed=5))
+        a = render_partial_cloud(inst, pose, 5)
+        b = render_partial_cloud(inst, pose, 5)
         assert np.array_equal(a.points, b.points)
 
-    @pytest.mark.parametrize("gamma", [1.0, 0.5, 0.0, -3.0, math.nan, math.inf])
-    def test_gamma_above_one(self, gamma):
-        """The inversion sphere of radius gamma times the largest range must
-        enclose every point."""
-        with pytest.raises(OutOfRange, match="gamma"):
-            RenderSpec(gamma=gamma)
+    def test_head_camera_in_the_object_frame(self):
+        """The head camera, straight above the object at CAMERA_HEIGHT, sits
+        at CAMERA_CENTRE in the object frame of every scene, above every
+        object point: so the whole object is in front of it and one visible
+        set serves every scene of an instance."""
+        for cat in CATEGORIES:
+            task = default_task(cat)
+            inst = generate_object(cat, 0)
+            for mode, s in itertools.product(("controlled", "thousand"), range(100)):
+                pose = randomize_scene(task, inst, mode, s).object_pose
+                camera = head_camera(pose)
+                centre = (camera.translation - pose.translation) @ pose.rotation_matrix()
+                assert np.array_equal(centre, CAMERA_CENTRE)
+            for seed in (0, 1, 1000):
+                assert generate_object(cat, seed).canonical_cloud.points[:, 2].max() < CAMERA_HEIGHT
 
-    @pytest.mark.parametrize("n_max", [0, -1])
-    def test_n_max_positive(self, n_max):
-        with pytest.raises(OutOfRange, match="n_max"):
-            RenderSpec(n_max=n_max)
 
-    def test_smallest_valid_spec(self):
-        inst = generate_object("mug", 0)
-        pose = Pose(translation=np.array([0.40, 0.22, 0.0]))
-        assert len(render_partial_cloud(inst, pose, camera_above(pose), RenderSpec(gamma=1.0001, n_max=1))) == 1
+def head_camera(object_pose):
+    """The downward-looking camera CAMERA_HEIGHT above the object's origin,
+    as a world pose: optical +z looks straight down."""
+    x, y = object_pose.translation[:2]
+    return Pose(np.array([0.0, 1.0, 0.0, 0.0]), np.array([x, y, CAMERA_HEIGHT]))
 
 
-def camera_frame_render(instance, object_pose, camera_pose, spec=RenderSpec()):
-    """render_partial_cloud before the object-frame memo: hidden-point removal
-    on the camera-frame points, on every call."""
+def camera_frame_render(instance, object_pose, seed=0):
+    """render_partial_cloud before the visible set was kept on the instance:
+    hidden-point removal (gamma 100) on the camera-frame points in front of
+    the head camera, on every call, then at most 800 points drawn by seed."""
     world = transform_cloud(object_pose, instance.canonical_cloud)
-    cam_inv = invert(camera_pose)
+    cam_inv = invert(head_camera(object_pose))
     in_cam = world.points @ cam_inv.rotation_matrix().T + cam_inv.translation
     in_front = in_cam[:, 2] > 1e-9
-    if not np.any(in_front):
-        raise NothingVisible(f"{instance.instance_id} is behind the camera")
-    visible = np.nonzero(in_front)[0][simbench.hidden_point_removal(in_cam[in_front], spec.gamma)]
-    if len(visible) > spec.n_max:
-        rng = np.random.default_rng(np.random.SeedSequence([spec.seed, 7]))
-        visible = np.sort(rng.choice(visible, size=spec.n_max, replace=False))
+    visible = np.nonzero(in_front)[0][simbench.hidden_point_removal(in_cam[in_front], 100.0)]
+    if len(visible) > 800:
+        rng = np.random.default_rng(np.random.SeedSequence([seed, 7]))
+        visible = np.sort(rng.choice(visible, size=800, replace=False))
     return PointCloud(world.points[visible])
-
-
-def tilted_camera(object_pose, offset, axis, angle):
-    """camera_above moved by ``offset`` and turned by ``angle`` about ``axis``
-    (in the camera frame)."""
-    above = camera_above(object_pose)
-    moved = Pose(above.rotation, above.translation + np.asarray(offset, dtype=np.float64))
-    return compose(moved, Pose.from_axis_angle(axis, angle))
 
 
 def assert_same_cloud(a, b):
@@ -179,8 +175,8 @@ def hull_count(monkeypatch):
 
 
 class TestVisibleMemo:
-    """Visibility in the object frame, kept on the instance, renders the
-    camera-frame clouds bit for bit."""
+    """Visibility in the object frame, found once and kept on the instance,
+    renders the camera-frame clouds bit for bit."""
 
     @pytest.mark.parametrize("family", CATEGORIES)
     def test_observed_clouds(self, family, monkeypatch):
@@ -191,75 +187,45 @@ class TestVisibleMemo:
             for mode in ("controlled", "thousand")
             for s, (occ, noise) in enumerate(((0.0, 0.0), (0.0, 0.0), (0.4, 0.002), (0.4, 0.002)))
         ]
-        clouds = [_observed_cloud(scene) for scene in scenes]
+        demo_scenes = [scene for scene in scenes if scene.occlusion_fraction == 0.0]
+
+        def observe():
+            demos = [Benchmark(Dataset()).record_demonstration(task, scene) for scene in demo_scenes]
+            return [_observed_cloud(scene) for scene in scenes], [(d.id, d.object_cloud) for d in demos]
+
+        clouds, demos = observe()
         monkeypatch.setattr(simbench, "render_partial_cloud", camera_frame_render)
-        for scene, cloud in zip(scenes, clouds):
-            assert_same_cloud(cloud, _observed_cloud(scene))
-
-    @pytest.mark.parametrize("family", CATEGORIES)
-    def test_offset_tilted_cameras(self, family):
-        inst = generate_object(family, 1)
-        rng = np.random.default_rng(CATEGORIES.index(family))
-        for _ in range(5):
-            pose = Pose.from_yaw(rng.uniform(-math.pi, math.pi), (rng.uniform(0.1, 0.7), rng.uniform(0.1, 0.35), 0.0))
-            axis = np.append(rng.normal(size=2), 0.0)
-            camera = tilted_camera(pose, rng.uniform(-0.3, 0.3, 3), axis, rng.uniform(0.0, 0.5))
-            spec = RenderSpec(n_max=10**9)
-            expected = camera_frame_render(inst, pose, camera, spec)
-            assert_same_cloud(render_partial_cloud(inst, pose, camera, spec), expected)
-
-    def test_camera_with_part_of_the_object_behind_it(self):
-        inst = generate_object("mug", 0)
-        _, h, _ = inst.shape_params
-        pose = Pose.from_yaw(0.7, (0.40, 0.22, 0.0))
-        camera = Pose(camera_above(pose).rotation, np.array([0.55, 0.22, 0.5 * h]))
-        spec = RenderSpec(n_max=10**9)
-        cloud = render_partial_cloud(inst, pose, camera, spec)
-        assert np.all(cloud.points[:, 2] < 0.5 * h)
-        assert_same_cloud(cloud, camera_frame_render(inst, pose, camera, spec))
-        # the same centre, turned so that more of the object is in front
-        turned = compose(camera, Pose.from_axis_angle((0.0, 1.0, 0.0), -0.2))
-        for c in (turned, camera, turned):
-            assert_same_cloud(render_partial_cloud(inst, pose, c, spec), camera_frame_render(inst, pose, c, spec))
+        expected_clouds, expected_demos = observe()
+        for cloud, expected in zip(clouds, expected_clouds):
+            assert_same_cloud(cloud, expected)
+        for (demo_id, cloud), (expected_id, expected) in zip(demos, expected_demos):
+            assert demo_id == expected_id
+            assert_same_cloud(cloud, expected)
 
     def test_one_hull_per_instance(self, hull_count):
         task = default_task("kettle")
         inst = generate_object("kettle", 3)
+        assert hull_count[0] == 0  # generate_object leaves it to the first render
         for mode, s in itertools.product(("controlled", "thousand"), range(10)):
             _observed_cloud(randomize_scene(task, inst, mode, s))
         assert hull_count[0] == 1
         _observed_cloud(randomize_scene(task, generate_object("kettle", 3), "thousand", 0))
-        assert hull_count[0] == 2  # a fresh instance starts with an empty memo
+        assert hull_count[0] == 2  # a fresh instance finds its own set
 
-    def test_alternating_heights_and_gamma(self, hull_count):
-        inst = generate_object("box", 2)
-        pose = Pose.from_yaw(-1.1, (0.30, 0.25, 0.0))
-        low = Pose(camera_above(pose).rotation, np.array([0.30, 0.25, 0.4]))
-        views = (
-            (camera_above(pose), RenderSpec(n_max=10**9)),
-            (low, RenderSpec(n_max=10**9)),
-            (camera_above(pose), RenderSpec(gamma=3.0, n_max=10**9)),
-        )
-        expected = [camera_frame_render(inst, pose, c, spec) for c, spec in views]
-        assert len({len(e) for e in expected}) == 3  # each view sees a different surface
-        hull_count[0] = 0
-        for i in range(9):
-            camera, spec = views[i % 3]
-            assert_same_cloud(render_partial_cloud(inst, pose, camera, spec), expected[i % 3])
-        assert hull_count[0] == 9  # one entry: every change of view misses
-
-    def test_pickled_instance(self):
+    def test_pickled_instance(self, hull_count):
         task = default_task("pan")
         rendered = generate_object("pan", 1001)
         _observed_cloud(randomize_scene(task, rendered, "controlled", 1))
         for inst in (rendered, generate_object("pan", 1001)):
             copy = pickle.loads(pickle.dumps(inst))
-            assert copy.visible_masks.keys() == inst.visible_masks.keys()  # the memo travels with it
+            assert ("visible_indices" in vars(copy)) == ("visible_indices" in vars(inst))  # the set travels with it
+            assert copy == generate_object("pan", 1001)  # and is not compared
             scenes = [
                 randomize_scene(task, obj, "controlled", 2, occlusion_fraction=0.3, noise_sigma=0.001)
                 for obj in (copy, generate_object("pan", 1001))
             ]
             assert_same_cloud(_observed_cloud(scenes[0]), _observed_cloud(scenes[1]))
+        assert hull_count[0] == 4  # the first render, then both fresh instances and the unrendered copy
 
 
 class TestRandomizeScene:
