@@ -101,6 +101,7 @@ def cmd_rollout(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
+    _at_least(args.jobs, 1, "--jobs")
     config = stats_mod.read_config(args.config)
     if args.seed is not None:
         config.seed = args.seed

@@ -8,6 +8,7 @@ descriptor.  Descriptors are compared by cosine similarity.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -82,8 +83,9 @@ class GeometryEmbedding:
             return NotImplemented
         return self.grid == other.grid and np.array_equal(self.values, other.values)
 
-    @property
+    @cached_property
     def norm(self) -> float:
+        """Euclidean norm of the values, computed once (neither compared nor printed)."""
         return float(np.linalg.norm(self.values))
 
 

@@ -8,9 +8,11 @@ JSON-lines traces from which every table cell can be recomputed.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import math
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, fields, asdict
 from pathlib import Path
 
@@ -136,9 +138,8 @@ class ExperimentConfig:
             raise ConfigError(str(e)) from e
         if self.repeats < 1:
             raise ConfigError("repeats must be >= 1")
-        unknown = [f for f in self.families if f not in CATEGORIES]
-        if unknown:
-            raise ConfigError(f"unknown families: {unknown}")
+        if not self.families or any(f not in CATEGORIES for f in self.families):
+            raise ConfigError(f"families must be a non-empty list of {CATEGORIES}, got {list(self.families)}")
         if self.mode == "diversity":
             for tasks, demos in self.diversity_splits:
                 if tasks * demos != self.total_budget:
@@ -186,79 +187,15 @@ def _seed(*parts) -> int:
     return int(np.random.SeedSequence(list(parts)).generate_state(1)[0])
 
 
-def _build_benchmark(config, tasks, demos_per_task, cond_idx) -> Benchmark:
+def _build_benchmark(config, cond) -> Benchmark:
     bench = Benchmark(Dataset())
-    for t_idx, (task, instance) in enumerate(tasks):
-        for d in range(demos_per_task):
+    for t_idx, (task, instance) in enumerate(cond.seen):
+        for d in range(cond.demos_per_task):
             scene = randomize_scene(
-                task, instance, "controlled", _seed(config.seed, cond_idx, t_idx, d, 1)
+                task, instance, "controlled", _seed(config.seed, cond.cond_idx, t_idx, d, 1)
             )
             bench.record_demonstration(task, scene)
     return bench
-
-
-def _rollout_tasks(config, bench, eval_tasks, mode, cond_idx, split_tag, jobs=1):
-    """Run repeats x tasks rollouts; returns their traces."""
-    items = []
-    for t_idx, (task, instance) in enumerate(eval_tasks):
-        for rep in range(config.repeats):
-            scene = randomize_scene(
-                task,
-                instance,
-                mode,
-                _seed(config.seed, cond_idx, split_tag, t_idx, rep, 2),
-                occlusion_fraction=config.occlusion_fraction,
-                noise_sigma=config.noise_sigma,
-            )
-            items.append((task, scene))
-    results = run_rollout_batch(bench, items, jobs)
-    return [{**r.to_trace_dict(), "micro_skill": t.micro_skill} for (t, _), r in zip(items, results)]
-
-
-_WORKER_BENCH = None
-
-
-def _set_worker_bench(bench):
-    global _WORKER_BENCH
-    _WORKER_BENCH = bench
-
-
-def _rollout_one(args):
-    task, scene = args
-    return run_rollout(_WORKER_BENCH, task, scene)
-
-
-def run_rollout_batch(bench, items, jobs: int = 1):
-    """Rollouts in index order; results are independent of the job count."""
-    if jobs <= 1:
-        return [run_rollout(bench, task, scene) for task, scene in items]
-    from concurrent.futures import ProcessPoolExecutor
-
-    with ProcessPoolExecutor(
-        max_workers=jobs, initializer=_set_worker_bench, initargs=(bench,)
-    ) as pool:
-        return list(pool.map(_rollout_one, items, chunksize=4))
-
-
-def _seen_unseen_tasks(config):
-    """(seen, unseen) lists of (TaskSpec, ObjectInstance)."""
-    seen, unseen = [], []
-    for family in config.families:
-        task = default_task(family)
-        for i in range(config.seen_instances_per_family):
-            seen.append((task, generate_object(family, i)))
-        for i in range(config.unseen_instances_per_family):
-            unseen.append((task, generate_object(family, 1000 + i)))
-    return seen, unseen
-
-
-def _diversity_tasks(config, n_tasks):
-    """n_tasks (TaskSpec, instance) pairs cycling over the families."""
-    tasks = []
-    for i in range(n_tasks):
-        family = config.families[i % len(config.families)]
-        tasks.append((default_task(family), generate_object(family, i // len(config.families))))
-    return tasks
 
 
 @dataclass(frozen=True)
@@ -273,55 +210,101 @@ class _Condition:
 
 def _conditions(config):
     """Every condition of the configured protocol, in report order."""
+    families = config.families
+
+    @functools.cache  # one instance, and so one visible set, per (family, seed)
+    def pair(family, instance_seed):
+        return default_task(family), generate_object(family, instance_seed)
+
     if config.mode == "diversity":
+        # task i is instance i // len(families) of family i % len(families);
         # one unseen instance per family at 1000 + family index, unlike the
         # other protocols' 1000 + i per family
-        unseen = [
-            (default_task(f), generate_object(f, 1000 + i))
-            for i, f in enumerate(config.families)
-        ][: config.unseen_instances_per_family * len(config.families)]
+        unseen = [pair(f, 1000 + i) for i, f in enumerate(families) if config.unseen_instances_per_family]
         return [
             _Condition(
                 f"tasks={n_tasks}x{n_demos}",
-                _diversity_tasks(config, n_tasks),
+                [pair(families[i % len(families)], i // len(families)) for i in range(n_tasks)],
                 unseen,
                 n_demos,
-                100 + i,
+                100 + c,
                 "controlled",
             )
-            for i, (n_tasks, n_demos) in enumerate(config.diversity_splits)
+            for c, (n_tasks, n_demos) in enumerate(config.diversity_splits)
         ]
-    seen, unseen = _seen_unseen_tasks(config)
+    seen = [pair(f, i) for f in families for i in range(config.seen_instances_per_family)]
+    unseen = [pair(f, 1000 + i) for f in families for i in range(config.unseen_instances_per_family)]
     if config.mode == "thousand":
         return [_Condition("thousand", seen, unseen, 1, 200, "thousand")]
     return [
-        _Condition(f"demos={n_demos}", seen, unseen, n_demos, i, "controlled")
-        for i, n_demos in enumerate(config.demos_per_task)
+        _Condition(f"demos={n_demos}", seen, unseen, n_demos, c, "controlled")
+        for c, n_demos in enumerate(config.demos_per_task)
     ]
 
 
+def _trace(benches, items, i: int) -> dict:
+    """Item ``i`` of a run, rolled out, as the dict of its trace line."""
+    bench_idx, label, task, scene = items[i]
+    result = run_rollout(benches[bench_idx], task, scene)
+    return {**result.to_trace_dict(), "micro_skill": task.micro_skill, "condition": label}
+
+
+_WORKER_RUN = None  # (benches, items) of the run, in a pool worker
+
+
+def _start_worker(benches, items) -> None:
+    """The pool's initializer: under fork a worker inherits the run without
+    pickling it; under another start method it unpickles the run once."""
+    global _WORKER_RUN
+    _WORKER_RUN = benches, items
+
+
+def _worker_trace(i: int) -> dict:
+    return _trace(*_WORKER_RUN, i)
+
+
 def run_experiment(config: ExperimentConfig, outdir, jobs: int = 1):
-    """Run the configured protocol; returns (SuccessTable, trace file path)."""
+    """Run the configured protocol; returns (SuccessTable, trace file path).
+
+    Every condition's demos are recorded first, in this process.  Then each
+    rollout becomes its trace: in this process at ``jobs`` 1, otherwise in
+    one pool of at most ``jobs`` workers for the whole run, which return
+    trace dicts.  The traces, in item order, and so the table are the same
+    at any job count.
+    """
     config.validate()
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
-    table = SuccessTable()
-    all_traces = []
-    for cond in _conditions(config):
-        bench = _build_benchmark(config, cond.seen, cond.demos_per_task, cond.cond_idx)
+    conditions = _conditions(config)
+    benches = [_build_benchmark(config, cond) for cond in conditions]
+    items = []  # (bench index, row label, task, scene), in trace order
+    for b, cond in enumerate(conditions):
         for tag, (split, tasks) in enumerate((("seen", cond.seen), ("unseen", cond.unseen))):
-            traces = _rollout_tasks(config, bench, tasks, cond.scene_mode, cond.cond_idx, tag, jobs)
-            label = f"{cond.label}/{split}"
-            table.add(label, sum(t["success"] for t in traces), len(traces))
-            for t in traces:
-                t["condition"] = label
-            all_traces.extend(traces)
+            for t_idx, (task, instance) in enumerate(tasks):
+                for rep in range(config.repeats):
+                    scene = randomize_scene(
+                        task,
+                        instance,
+                        cond.scene_mode,
+                        _seed(config.seed, cond.cond_idx, tag, t_idx, rep, 2),
+                        occlusion_fraction=config.occlusion_fraction,
+                        noise_sigma=config.noise_sigma,
+                    )
+                    items.append((b, f"{cond.label}/{split}", task, scene))
+    workers = min(jobs, len(items))
+    if workers <= 1:
+        traces = [_trace(benches, items, i) for i in range(len(items))]
+    else:
+        with ProcessPoolExecutor(
+            max_workers=workers, initializer=_start_worker, initargs=(benches, items)
+        ) as pool:
+            chunk = -(-len(items) // (16 * workers))  # small last chunks even out the workers
+            traces = list(pool.map(_worker_trace, range(len(items)), chunksize=chunk))
 
     trace_path = outdir / "traces.jsonl"
     with open(trace_path, "w") as f:
-        for t in all_traces:
-            f.write(trace_line(t))
-    return table, trace_path
+        f.writelines(map(trace_line, traces))
+    return _table(traces), trace_path
 
 
 def trace_line(trace: dict) -> str:
@@ -353,17 +336,22 @@ def read_traces(trace_path) -> list:
     return traces
 
 
-def table_from_traces(trace_path) -> SuccessTable:
-    """Recompute the (k, n) table from a trace file."""
+def _table(traces, sort: bool = False) -> SuccessTable:
+    """The (k, n) table of some traces, rows in first-seen label order or sorted."""
     counts: dict[str, list[int]] = {}
-    for t in read_traces(trace_path):
+    for t in traces:
         c = counts.setdefault(t["condition"], [0, 0])
         c[0] += int(t["success"])
         c[1] += 1
     table = SuccessTable()
-    for label in sorted(counts):
-        table.add(label, counts[label][0], counts[label][1])
+    for label in sorted(counts) if sort else counts:
+        table.add(label, *counts[label])
     return table
+
+
+def table_from_traces(trace_path) -> SuccessTable:
+    """Recompute the (k, n) table from a trace file, rows sorted by label."""
+    return _table(read_traces(trace_path), sort=True)
 
 
 def failure_histogram(trace_path) -> dict:

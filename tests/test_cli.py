@@ -515,6 +515,14 @@ def _case_retrieve_top_below_one(w):
     return _query("retrieve", w) + ["--top", "-4"], "--top must be >= 1, got -4"
 
 
+def _case_evaluate(config, flags, where):
+    """evaluate on ``config`` with ``flags``; the error names ``where``."""
+    def case(w):
+        (w / "cfg.json").write_text(json.dumps(config))
+        return ["evaluate", "--config", str(w / "cfg.json"), "--output", str(w / "out"), *flags], where
+    return case
+
+
 def _case_register_huge_cloud(w):
     ingest_one(w)
     write_cloud(w / "q.txt", (1e200, 0.0, 0.0))
@@ -560,6 +568,11 @@ MALFORMED = {
     ),
     "gen-align-data-negative-count": _case_gen_align_data_negative_count,
     "retrieve-top-below-one": _case_retrieve_top_below_one,
+    "evaluate-without-families": _case_evaluate(
+        {"mode": "diversity", "families": []}, [], "families must be a non-empty list"
+    ),
+    "evaluate-jobs-zero": _case_evaluate({"mode": "thousand"}, ["--jobs", "0"], "--jobs must be >= 1, got 0"),
+    "evaluate-negative-jobs": _case_evaluate({"mode": "thousand"}, ["--jobs", "-3"], "--jobs must be >= 1, got -3"),
 }
 
 

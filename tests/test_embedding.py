@@ -135,3 +135,25 @@ class TestCosine:
         v[0] = -1.0
         with pytest.raises(ValueError):
             GeometryEmbedding(v, g)
+
+
+class TestNorm:
+    def test_computed_once(self, monkeypatch):
+        """The norm is np.linalg.norm of the values, computed at its first read
+        and kept; == and pickling see only the grid and the values."""
+        import pickle
+
+        a = GeometryEmbedding(3.0 * occupancy_embedding(blob((0.4, 0.2, 0.1))).values, GridSpec())
+        b = occupancy_embedding(blob((0.45, 0.2, 0.1)))
+        fresh = GeometryEmbedding(a.values, a.grid)
+        calls = []
+        real_norm = np.linalg.norm
+        monkeypatch.setattr(np.linalg, "norm", lambda v: calls.append(1) or real_norm(v))
+        sims = [cosine_similarity(a, b) for _ in range(3)]
+        assert len(calls) == 2 and sims[0] == sims[1] == sims[2]
+        monkeypatch.undo()
+        assert a.norm == real_norm(a.values) and b.norm == real_norm(b.values)
+        assert a == fresh and fresh == a  # one norm kept, one not yet read
+        back = pickle.loads(pickle.dumps(a))
+        assert back == a and back.norm == a.norm
+        assert pickle.loads(pickle.dumps(fresh)) == a

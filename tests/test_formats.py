@@ -392,11 +392,14 @@ class TestConfigFile:
             '{"mode": "thousand", "occlusion_fraction": 1.0}',
             '{"mode": "thousand", "occlusion_fraction": 0.95}',
             '{"mode": "thousand", "noise_sigma": "high"}',
+            '{"mode": "diversity", "families": []}',
+            '{"mode": "dataset_size", "families": [], "repeats": 1}',
         ],
         ids=[
             "not-json", "list", "null-echo", "no-mode", "float-repeats", "negative-seed",
             "int-families", "split-of-three", "occlusion-above-one",
             "occlusion-one", "occlusion-masking-every-cluster", "string-noise",
+            "diversity-without-families", "dataset-size-without-families",
         ],
     )
     def test_malformed_config(self, tmp_path, text):

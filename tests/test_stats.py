@@ -6,6 +6,7 @@ import re
 
 import pytest
 
+from trajtransfer import stats
 from trajtransfer.errors import ConfigError, InvalidTrials
 from trajtransfer.stats import (
     ExperimentConfig,
@@ -182,6 +183,44 @@ class TestExperiment:
             (r.label, r.k, r.n) for r in table2.rows
         ]
         assert trace_path.read_bytes() == trace_path2.read_bytes()
+
+    @pytest.mark.parametrize("jobs", [2, 3])
+    def test_job_count(self, small_run, tmp_path, jobs):
+        """A pool writes the in-process run's traces and table; 3 workers
+        share the 8 rollouts unevenly."""
+        _, table, trace_path, _ = small_run
+        table2, trace_path2 = run_experiment(small_run[0], tmp_path, jobs=jobs)
+        assert table2.rows == table.rows
+        assert trace_path2.read_bytes() == trace_path.read_bytes()
+
+    def test_one_pool_of_at_most_one_worker_per_rollout(self, small_run, tmp_path, monkeypatch):
+        """A stand-in executor, run in process, records every pool started."""
+        started = []
+
+        class Pool:
+            def __init__(self, max_workers, initializer, initargs):
+                started.append(max_workers)
+                initializer(*initargs)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items, chunksize):
+                return map(fn, items)
+
+        monkeypatch.setattr(stats, "ProcessPoolExecutor", Pool)
+        monkeypatch.setattr(stats, "_WORKER_RUN", None)  # the stand-in's worker is this process
+        cfg, table, trace_path, _ = small_run
+        table2, trace_path2 = run_experiment(cfg, tmp_path / "many", jobs=64)
+        assert started == [8]  # 2 conditions x 2 splits x 2 families x 1 repeat
+        assert table2.rows == table.rows
+        assert trace_path2.read_bytes() == trace_path.read_bytes()
+        one = ExperimentConfig(mode="thousand", repeats=1, families=("mug",), unseen_instances_per_family=0)
+        table3, _ = run_experiment(one, tmp_path / "one", jobs=4)
+        assert started == [8] and [r.n for r in table3.rows] == [1]  # one rollout, no pool
 
     def test_failure_histogram_totals(self, small_run):
         _, table, trace_path, _ = small_run

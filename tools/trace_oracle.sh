@@ -1,11 +1,12 @@
 #!/bin/sh
 # Behaviour oracle: run `evaluate` on {"mode": M, "seed": 7, "repeats": 2} for
 # each experiment mode at --jobs 1 and --jobs 2, and print one line
-# "mode jobs trace_sha256 seconds" per run, seconds being the wall time of the
-# `evaluate`.  Each hash is checked against tools/trace_oracle.expected, one
-# "mode trace_sha256" line per mode.  Exits 1 if a hash differs from the
-# expected one or depends on the job count (exit 2 if a run fails).  A
-# refactor that keeps behaviour keeps every hash.
+# "mode jobs trace_sha256 report_sha256 seconds" per run: the trace hash from
+# summary.json, the sha256 of report.csv, and the wall time of the `evaluate`.
+# Both hashes are checked against tools/trace_oracle.expected, one
+# "mode trace_sha256 report_sha256" line per mode.  Exits 1 if a hash differs
+# from the expected one or depends on the job count (exit 2 if a run fails).
+# A refactor that keeps behaviour keeps every hash.
 #
 #   sh tools/trace_oracle.sh
 set -eu
@@ -24,18 +25,19 @@ for mode in dataset_size diversity thousand; do
             --output "$work/$mode-$jobs" --jobs "$jobs" > /dev/null 2> "$work/log" \
             || { cat "$work/log" >&2; exit 2; }
         seconds=$(python3 -c 'import sys, time; print("%.1f" % (time.time() - float(sys.argv[1])))' "$start")
-        sha=$(python3 -c 'import json, sys; print(json.load(open(sys.argv[1]))["trace_sha256"])' \
-            "$work/$mode-$jobs/summary.json")
-        echo "$mode $jobs $sha $seconds"
-        expected=$(awk -v m="$mode" '$1 == m { print $2 }' "$root/tools/trace_oracle.expected")
-        if [ "$sha" != "$expected" ]; then
-            echo "error: $mode at --jobs $jobs: trace_sha256 $sha, expected ${expected:-none}" >&2
+        hashes=$(python3 -c 'import hashlib, json, sys; d = sys.argv[1]
+print(json.load(open(d + "/summary.json"))["trace_sha256"],
+      hashlib.sha256(open(d + "/report.csv", "rb").read()).hexdigest())' "$work/$mode-$jobs")
+        echo "$mode $jobs $hashes $seconds"
+        expected=$(awk -v m="$mode" '$1 == m { print $2, $3 }' "$root/tools/trace_oracle.expected")
+        if [ "$hashes" != "$expected" ]; then
+            echo "error: $mode at --jobs $jobs: hashes $hashes, expected ${expected:-none}" >&2
             status=1
         fi
         if [ -z "$first" ]; then
-            first=$sha
-        elif [ "$sha" != "$first" ]; then
-            echo "error: $mode traces differ between --jobs 1 and --jobs $jobs" >&2
+            first=$hashes
+        elif [ "$hashes" != "$first" ]; then
+            echo "error: $mode traces or report differ between --jobs 1 and --jobs $jobs" >&2
             status=1
         fi
     done
