@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
@@ -199,27 +200,32 @@ def _content_id(description, cloud, traj) -> str:
 # trajectory file   trajectory rows "t_index tx ty tz qw qx qy qz g", g = 0 or 1
 # archive           <dir>/dataset.json (demo ids, skill index, grid) and per demo
 #                   <dir>/<id>.demo: description, micro_skill and instance lines,
-#                   then "trajectory N", "cloud N" and "embedding N" blocks
+#                   then "trajectory N", "cloud N" and "voxels K" blocks; the
+#                   voxels block holds one row "index value" per non-zero
+#                   embedding entry, indices increasing, every other entry 0.
+#                   The reader also takes the dense "embedding N" block (one
+#                   value per row) that archives written before it hold.
 #
-# A malformed file raises MalformedFile naming its path and line.  A .demo must
-# hold a Demonstration (a one-line description with skill tokens, >= 2 states
-# with gripper 0 or 1, a non-empty cloud) and its micro_skill.
+# Floats are written with repr() and read with float() (or NumPy's conversion,
+# which gives the same bits), so a round trip is bit-exact.  A malformed file
+# raises MalformedFile naming its path and line.  A .demo must hold a
+# Demonstration (a one-line description with skill tokens, >= 2 states with
+# gripper 0 or 1, a non-empty cloud) and its micro_skill.
 
 
-def _f(x: float) -> str:
-    return repr(float(x))
-
-
-def _cloud_rows(cloud: PointCloud) -> list:
-    return [" ".join(_f(v) for v in p) for p in cloud.points]
+def _rows(array) -> list:
+    """Each row of a 2-D float array as the repr of its values, space-separated."""
+    return [" ".join(map(repr, row)) for row in np.asarray(array, dtype=np.float64).tolist()]
 
 
 def _trajectory_block(states) -> list:
-    lines = [f"trajectory {len(states)}"]
-    for s in states:
-        row = s.pose.as_row()
-        lines.append(" ".join([str(s.time_index)] + [_f(v) for v in row] + [str(s.gripper)]))
-    return lines
+    rows = _rows([s.pose.as_row() for s in states])
+    return [f"trajectory {len(states)}"] + [f"{s.time_index} {row} {s.gripper}" for s, row in zip(states, rows)]
+
+
+def _voxels_block(values: np.ndarray) -> list:
+    index = np.flatnonzero(values)
+    return [f"voxels {len(index)}"] + [f"{k} {v!r}" for k, v in zip(index.tolist(), values[index].tolist())]
 
 
 def _write_lines(path, lines) -> None:
@@ -240,12 +246,33 @@ def _point(line: str) -> list:
     return [float(v) for v in parts]
 
 
+def _points(rows) -> np.ndarray:
+    """Every row through :func:`_point` at once: one conversion of all the
+    columns, which raises ValueError if any row would."""
+    columns = [row.split() for row in rows]
+    if any(len(c) != 3 for c in columns):
+        raise ValueError("a row without 3 columns")
+    return np.array(columns, dtype=np.float64).reshape(-1, 3)
+
+
 def _state(line: str) -> EndEffectorState:
     parts = line.split()
     if len(parts) != 9:
         raise ValueError(f"expected 9 columns 't_index tx ty tz qw qx qy qz g', got {len(parts)}")
     gripper = int(parts[8]) if parts[8] in ("0", "1") else parts[8]  # so "01" and "1.0" stay errors
     return EndEffectorState(Pose.from_row([float(v) for v in parts[1:8]]), gripper, int(parts[0]))
+
+
+def _voxel(line: str, size: int) -> tuple:
+    parts = line.split()
+    if len(parts) != 2:
+        raise ValueError(f"expected 2 columns 'index value', got {len(parts)}")
+    index, value = int(parts[0]), float(parts[1])
+    if not 0 <= index < size:
+        raise ValueError(f"voxel index {index} is outside [0, {size})")
+    if not 0.0 < value < math.inf:
+        raise ValueError(f"voxel value {value!r} is not finite and > 0")
+    return index, value
 
 
 def _value(line: str, keyword: str) -> str:
@@ -264,25 +291,49 @@ def _parse(parse, lines, i: int, path, *args):
         raise MalformedFile(f"{path}:{i + 1}: {e}") from e
 
 
-def _block(lines, i: int, keyword: str, parse, path) -> list:
+def _block(lines, i: int, keyword: str, parse, path, parse_rows=None) -> list:
     """The header ``keyword N`` (``N`` alone if keyword is empty) at index i
-    and its N rows, each through parse."""
+    and its N rows, each through parse, or all through ``parse_rows(rows)``
+    if given: a ValueError from it means some row fails parse."""
     n = _parse(lambda line: int(_value(line, keyword) if keyword else line), lines, i, path)
     if not 0 <= n <= len(lines) - i - 1:
         raise MalformedFile(f"{path}:{i + 1}: {n} rows announced, {len(lines) - i - 1} follow")
+    rows = lines[i + 1 : i + 1 + n]
     try:
-        return [parse(line) for line in lines[i + 1 : i + 1 + n]]
+        return parse_rows(rows) if parse_rows else [parse(line) for line in rows]
     except ValueError:  # parse again line by line to name the line at fault
         return [_parse(parse, lines, j, path) for j in range(i + 1, i + 1 + n)]
 
 
 def _cloud(lines, i: int, keyword: str, path) -> PointCloud:
-    pts = np.array(_block(lines, i, keyword, _point, path), dtype=np.float64).reshape(-1, 3)
+    pts = np.asarray(_block(lines, i, keyword, _point, path, _points), dtype=np.float64).reshape(-1, 3)
     try:
         return PointCloud(pts)
     except ValueError as e:  # a non-finite coordinate: name its row
         row = int(np.argmin(np.isfinite(pts).all(axis=1)))
         raise MalformedFile(f"{path}:{i + 2 + row}: {e}") from e
+
+
+def _embedding(lines, i: int, grid: emb.GridSpec, path) -> emb.GeometryEmbedding:
+    """The ``voxels K`` block at index i, or an ``embedding N`` block of an
+    archive written before the voxels block, as an embedding on ``grid``."""
+    if i < len(lines) and lines[i].startswith("embedding "):
+        values = np.array(_block(lines, i, "embedding", float, path), dtype=np.float64)
+        try:
+            return emb.GeometryEmbedding(values, grid)
+        except ValueError as e:  # wrong length for the grid, or a negative or non-finite value
+            ok = np.isfinite(values) & (values >= 0.0)
+            lineno = i + 1 if ok.all() else i + 2 + int(np.argmin(ok))
+            raise MalformedFile(f"{path}:{lineno}: {e}") from e
+    voxels = _block(lines, i, "voxels", lambda line: _voxel(line, grid.size), path)
+    index = np.array([k for k, _ in voxels], dtype=np.int64)
+    behind = np.flatnonzero(np.diff(index) <= 0)  # rows whose index does not follow the row before's
+    if behind.size:
+        row = 1 + int(behind[0])
+        raise MalformedFile(f"{path}:{i + 2 + row}: voxel index {index[row]} does not follow {index[row - 1]}")
+    values = np.zeros(grid.size)
+    values[index] = [v for _, v in voxels]
+    return emb.GeometryEmbedding(values, grid)
 
 
 def read_cloud_file(path) -> PointCloud:
@@ -291,7 +342,7 @@ def read_cloud_file(path) -> PointCloud:
 
 
 def write_cloud_file(cloud: PointCloud, path) -> None:
-    _write_lines(path, [str(len(cloud))] + _cloud_rows(cloud))
+    _write_lines(path, [str(len(cloud))] + _rows(cloud.points))
 
 
 def read_trajectory_file(path) -> list:
@@ -322,9 +373,8 @@ def save_dataset(dataset: Dataset, path) -> None:
             f"instance {demo.object_instance_id if demo.object_instance_id else '-'}",
             *_trajectory_block(demo.trajectory),
             f"cloud {len(demo.object_cloud)}",
-            *_cloud_rows(demo.object_cloud),
-            f"embedding {len(demo.embedding.values)}",
-            *[_f(v) for v in demo.embedding.values],
+            *_rows(demo.object_cloud.points),
+            *_voxels_block(demo.embedding.values),
         ]
         _write_lines(path / f"{demo_id}.demo", lines)
 
@@ -338,14 +388,7 @@ def load_demo_file(path, grid: emb.GridSpec) -> Demonstration:
     traj = _block(lines, 3, "trajectory", _state, path)
     i = 4 + len(traj)
     cloud = _cloud(lines, i, "cloud", path)
-    i += 1 + len(cloud)
-    values = np.array(_block(lines, i, "embedding", float, path), dtype=np.float64)
-    try:
-        embedding = emb.GeometryEmbedding(values, grid)
-    except ValueError as e:  # wrong length for the grid, or a negative or non-finite value
-        ok = np.isfinite(values) & (values >= 0.0)
-        lineno = i + 1 if ok.all() else i + 2 + int(np.argmin(ok))
-        raise MalformedFile(f"{path}:{lineno}: {e}") from e
+    embedding = _embedding(lines, i + 1 + len(cloud), grid, path)
     try:
         demo = Demonstration(
             id=path.stem,

@@ -140,7 +140,14 @@ class ExperimentConfig:
             raise ConfigError("repeats must be >= 1")
         if not self.families or any(f not in CATEGORIES for f in self.families):
             raise ConfigError(f"families must be a non-empty list of {CATEGORIES}, got {list(self.families)}")
+        # a protocol without a condition or an instance would run no rollout
+        if self.mode != "diversity" and self.seen_instances_per_family == self.unseen_instances_per_family == 0:
+            raise ConfigError("seen_instances_per_family and unseen_instances_per_family are both 0: no rollout to run")
+        if self.mode == "dataset_size" and not self.demos_per_task:
+            raise ConfigError("demos_per_task must be a non-empty list in dataset_size mode")
         if self.mode == "diversity":
+            if not self.diversity_splits:
+                raise ConfigError("diversity_splits must be a non-empty list in diversity mode")
             for tasks, demos in self.diversity_splits:
                 if tasks * demos != self.total_budget:
                     raise ConfigError(

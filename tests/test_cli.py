@@ -453,7 +453,7 @@ def _case_demo_nonfinite_point(w):
 
 def _case_demo_negative_embedding(w):
     ingest_one(w)
-    _replace_line(w / "ds" / "d1.demo", "embedding ", "-0.5")
+    _replace_line(w / "ds" / "d1.demo", "voxels ", "0 -0.5")  # the first row of the voxels block
     return _query("retrieve", w), "d1.demo:"
 
 
@@ -570,6 +570,22 @@ MALFORMED = {
     "retrieve-top-below-one": _case_retrieve_top_below_one,
     "evaluate-without-families": _case_evaluate(
         {"mode": "diversity", "families": []}, [], "families must be a non-empty list"
+    ),
+    "evaluate-dataset-size-without-instances": _case_evaluate(
+        {"mode": "dataset_size", "seen_instances_per_family": 0, "unseen_instances_per_family": 0},
+        [],
+        "no rollout to run",
+    ),
+    "evaluate-thousand-without-instances": _case_evaluate(
+        {"mode": "thousand", "seen_instances_per_family": 0, "unseen_instances_per_family": 0},
+        [],
+        "no rollout to run",
+    ),
+    "evaluate-without-demos-per-task": _case_evaluate(
+        {"mode": "dataset_size", "demos_per_task": []}, [], "demos_per_task must be a non-empty list"
+    ),
+    "evaluate-without-diversity-splits": _case_evaluate(
+        {"mode": "diversity", "diversity_splits": []}, [], "diversity_splits must be a non-empty list"
     ),
     "evaluate-jobs-zero": _case_evaluate({"mode": "thousand"}, ["--jobs", "0"], "--jobs must be >= 1, got 0"),
     "evaluate-negative-jobs": _case_evaluate({"mode": "thousand"}, ["--jobs", "-3"], "--jobs must be >= 1, got -3"),

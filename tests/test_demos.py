@@ -2,11 +2,15 @@
 
 import copy
 import dataclasses
+import hashlib
+import json
 import math
 import pickle
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from trajtransfer.demos import (
     Dataset,
@@ -14,6 +18,7 @@ from trajtransfer.demos import (
     EndEffectorState,
     alignment_target,
     load_dataset,
+    load_demo_file,
     parse_micro_skill,
     resample_trajectory,
     save_dataset,
@@ -314,3 +319,103 @@ class TestArchive:
         f.write_text("\n".join(text[: len(text) // 2]))
         with pytest.raises(MalformedFile):
             load_dataset(tmp_path / "arch")
+
+
+GRID8 = GridSpec(resolution=(2, 2, 2))
+STATES = (
+    EndEffectorState(Pose.from_row([0.4, 0.2, 0.2, 1.0, 0.0, 0.0, 0.0]), 0, 0),
+    EndEffectorState(Pose.from_row([0.4, 0.2, 0.12, 0.9238795325112867, 0.0, 0.0, 0.3826834323650898]), 1, 1),
+)
+CLOUD3 = PointCloud(np.array([[0.41, 0.2, 0.05], [0.38, 0.21, 0.06], [0.4, 0.19, 0.04]]))
+
+
+def demo_on_grid8(values, demo_id="d", description="open the bottle", cloud=CLOUD3, instance="bottle-3"):
+    """A Demonstration on the 2 x 2 x 2 grid with the given embedding values."""
+    return Demonstration(
+        id=demo_id,
+        description=description,
+        object_cloud=cloud,
+        trajectory=STATES,
+        embedding=GeometryEmbedding(np.array(values, dtype=np.float64), GRID8),
+        object_instance_id=instance,
+    )
+
+
+# a .demo as the dense-embedding writer wrote it, before the voxels block
+DENSE_DEMO = (
+    "description open the bottle\nmicro_skill open bottle\ninstance bottle-3\ntrajectory 2\n"
+    "0 0.4 0.2 0.2 1.0 0.0 0.0 0.0 0\n1 0.4 0.2 0.12 0.9238795325112867 0.0 0.0 0.3826834323650898 1\n"
+    "cloud 3\n0.41 0.2 0.05\n0.38 0.21 0.06\n0.4 0.19 0.04\nembedding 8\n0.6047546581822695\n0.0\n"
+    "0.39052725179804243\n0.0\n0.5852904027271837\n0.0\n0.37308901549813284\n0.0\n"
+)
+DENSE_VALUES = [0.6047546581822695, 0.0, 0.39052725179804243, 0.0, 0.5852904027271837, 0.0, 0.37308901549813284, 0.0]
+
+embedding_entries = st.one_of(
+    st.just(0.0),
+    st.floats(min_value=0.0, allow_nan=False, allow_infinity=False),
+    st.sampled_from([5e-324, 2.5e-310, 1.0]),  # the least subnormal, another subnormal, one
+)
+
+
+class TestEmbeddingBlock:
+    """The archive stores an embedding's non-zero entries as a ``voxels K``
+    block and still reads the dense ``embedding N`` block of older archives."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(values=st.lists(embedding_entries, min_size=8, max_size=8))
+    @example(values=[0.0] * 8)
+    @example(values=[0.0] * 7 + [1.0])
+    @example(values=[5e-324] + [0.0] * 7)
+    @example(values=[0.5, 1e-300, 2.5e-310, 5e-324, 1.0, 3.0, 1e300, 0.1])
+    def test_round_trip_bit_exact(self, tmp_path_factory, values):
+        ds = Dataset(GRID8)
+        demo = ds.add(demo_on_grid8(values))
+        path = tmp_path_factory.mktemp("voxels")
+        save_dataset(ds, path)
+        back = load_dataset(path).demos["d"]
+        assert back == demo
+        assert np.array_equal(back.embedding.values.view(np.uint64), demo.embedding.values.view(np.uint64))
+        assert f"voxels {np.count_nonzero(values)}" in (path / "d.demo").read_text().splitlines()
+
+    def test_dense_block_still_read(self, tmp_path):
+        (tmp_path / "d.demo").write_text(DENSE_DEMO)
+        assert load_demo_file(tmp_path / "d.demo", GRID8) == demo_on_grid8(DENSE_VALUES)
+
+    def test_dense_block_names_a_negative_value(self, tmp_path):
+        (tmp_path / "d.demo").write_text(DENSE_DEMO.replace("\n0.0\n0.5852", "\n-0.5\n0.5852"))
+        with pytest.raises(MalformedFile, match=r"d\.demo:15: embedding entries must be finite"):
+            load_demo_file(tmp_path / "d.demo", GRID8)
+
+    def test_dense_archive_loads_as_saved_again(self, tmp_path):
+        """An archive with a dense block loads into the Dataset that, saved
+        again, writes the voxels block and loads equal."""
+        (tmp_path / "old").mkdir()
+        (tmp_path / "old" / "d.demo").write_text(DENSE_DEMO)
+        manifest = {"demo_ids": ["d"], "grid": GRID8.to_dict(), "skill_index": {"open bottle": ["d"]}}
+        (tmp_path / "old" / "dataset.json").write_text(json.dumps(manifest))
+        old = load_dataset(tmp_path / "old")
+        save_dataset(old, tmp_path / "new")
+        new = load_dataset(tmp_path / "new")
+        assert new.demos == old.demos and new.skill_index == old.skill_index and new.grid == old.grid
+        text = (tmp_path / "new" / "d.demo").read_text()
+        assert text == DENSE_DEMO[: DENSE_DEMO.index("embedding 8")] + (
+            "voxels 4\n0 0.6047546581822695\n2 0.39052725179804243\n4 0.5852904027271837\n6 0.37308901549813284\n"
+        )
+
+    def test_archive_bytes_pinned(self, tmp_path):
+        """The writer's text, pinned: a change that moves any byte of the
+        archive fails here first."""
+        ds = Dataset(GRID8)
+        ds.add(demo_on_grid8(DENSE_VALUES))
+        cloud = PointCloud(np.array([[0.5, -0.0, 1e-05], [0.3333333333333333, 0.25, 0.125]]))
+        ds.add(demo_on_grid8([0.0, 5e-324, 0.0, 0.0, 0.0, 0.0, 1.0, 0.0], "e", "open box", cloud, None))
+        save_dataset(ds, tmp_path)
+        digests = {f.name: hashlib.sha256(f.read_bytes()).hexdigest() for f in sorted(tmp_path.iterdir())}
+        assert digests == ARCHIVE_SHA256
+
+
+ARCHIVE_SHA256 = {
+    "d.demo": "d7d2bcecf9641023a1004ae96faad2582c2f0fd024fa7a7d895a97a63b275d80",
+    "dataset.json": "3f004271487448001e6b325ed0ae67faafa1508cf85ceeb61b02c2195a65019f",
+    "e.demo": "74c3e41e51bb29fe7f7f0aac5b8d6801ff7c3d870e6307faa92753618aff9bd6",
+}

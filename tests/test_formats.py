@@ -6,6 +6,7 @@ TrajTransferError, never another exception.
 """
 
 import json
+import struct
 
 import numpy as np
 import pytest
@@ -16,6 +17,8 @@ from trajtransfer.demos import (
     Dataset,
     Demonstration,
     EndEffectorState,
+    _point,
+    _points,
     load_dataset,
     parse_micro_skill,
     read_cloud_file,
@@ -103,6 +106,32 @@ class TestCloudFile:
         (tmp_path / "c.txt").write_text("2\n0.1 0.2\n0.3 0.4 0.5 0.6\n")
         with pytest.raises(MalformedFile, match=r"c\.txt:2: expected 3 columns"):
             read_cloud_file(tmp_path / "c.txt")
+
+
+# a row of three coordinates: each the repr of a float drawn by value or by
+# bit pattern, or a token near the edge of what float() reads; or any line
+coordinates = st.one_of(
+    st.floats().map(repr),
+    st.integers(0, 2**64 - 1).map(lambda bits: repr(struct.unpack("<d", bits.to_bytes(8, "little"))[0])),
+    st.sampled_from(["1_0", "\u0661", "\uff11.5", "+.5e-3", "1e-400", "-nan", "Infinity", "0x10", "1d0", "_1"]),
+)
+coordinate_rows = st.one_of(st.lists(coordinates, min_size=3, max_size=3).map(" ".join), lines)
+
+
+class TestCloudRows:
+    """A cloud block's rows are converted in one call; it must accept exactly
+    the rows the per-row parse accepts, with the same floats."""
+
+    @FUZZ
+    @given(rows=st.lists(coordinate_rows, max_size=6))
+    def test_one_conversion_is_the_row_parse(self, rows):
+        try:
+            expected = np.array([_point(row) for row in rows], dtype=np.float64).reshape(-1, 3)
+        except ValueError:
+            with pytest.raises(ValueError):
+                _points(rows)
+            return
+        assert np.array_equal(_points(rows).view(np.uint64), expected.view(np.uint64))
 
 
 class TestTrajectoryFile:
@@ -221,10 +250,11 @@ class TestArchive:
         """``text`` with a block cut short, or a few of its lines replaced,
         deleted or duplicated."""
         if draw(st.booleans()):
-            _, rows = TestArchive.cut(text, draw(st.sampled_from(["trajectory", "cloud"])), draw(st.integers(0, 3)))
+            block = draw(st.sampled_from(["trajectory", "cloud", "voxels"]))
+            _, rows = TestArchive.cut(text, block, draw(st.integers(0, 3)))
             text = "\n".join(rows)
         rows = text.splitlines()
-        keyword = st.sampled_from(["description", "micro_skill", "instance", "trajectory", "cloud", "embedding"])
+        keyword = st.sampled_from(["description", "micro_skill", "instance", "trajectory", "cloud", "voxels", "embedding"])
         header = st.tuples(keyword, words).map(" ".join)
         for _ in range(draw(st.integers(0, 3))):
             i = draw(st.integers(0, len(rows)))
@@ -317,6 +347,42 @@ class TestArchive:
         with pytest.raises(MalformedFile, match=rf"d\.demo:{at + 1}: "):
             load_dataset(path)
 
+    @pytest.mark.parametrize(
+        "rows,row,message",
+        [
+            (["1 0.5", "3"], 2, "expected 2 columns"),
+            (["1 0.5", "3 0.5 7"], 2, "expected 2 columns"),
+            (["1.0 0.5"], 1, "invalid literal for int"),
+            (["x 0.5"], 1, "invalid literal for int"),
+            (["1 0.5", "-1 0.5"], 2, r"voxel index -1 is outside \[0, 8\)"),
+            (["1 0.5", "8 0.5"], 2, r"voxel index 8 is outside \[0, 8\)"),
+            (["1 0.5", "3 0.5", "3 0.25"], 3, "voxel index 3 does not follow 3"),
+            (["3 0.5", "2 0.25"], 2, "voxel index 2 does not follow 3"),
+            (["1 inf"], 1, "voxel value inf is not finite and > 0"),
+            (["1 nan"], 1, "voxel value nan is not finite and > 0"),
+            (["1 0.5", "2 0.0"], 2, "voxel value 0.0 is not finite and > 0"),
+            (["1 -0.0"], 1, "voxel value -0.0 is not finite and > 0"),
+            (["1 -0.5"], 1, "voxel value -0.5 is not finite and > 0"),
+            (["1 x"], 1, "could not convert string to float"),
+        ],
+        ids=[
+            "one-column", "three-columns", "float-index", "word-index", "negative-index",
+            "index-past-grid", "repeated-index", "decreasing-index", "infinite-value",
+            "nan-value", "zero-value", "negative-zero-value", "negative-value", "word-value",
+        ],
+    )
+    def test_malformed_voxels(self, archive, rows, row, message):
+        """Each row of the ``voxels K`` block is ``index value``: an integer
+        index in [0, grid size), above the row before's, and a finite value
+        > 0.  A row that breaks a rule names its line."""
+        path, manifest, demo = archive
+        at, lines = self.cut(demo, "voxels", 0)
+        lines[at : at + 1] = [f"voxels {len(rows)}", *rows]
+        (path / "dataset.json").write_text(json.dumps(manifest))
+        (path / "d.demo").write_text("\n".join(lines) + "\n")
+        with pytest.raises(MalformedFile, match=rf"d\.demo:{at + 1 + row}: {message}"):
+            load_dataset(path)
+
     @pytest.mark.parametrize("dropped", [["open bottle", "open box"], ["open box"]], ids=["empty", "one-missing"])
     def test_partial_skill_index(self, tmp_path, dropped):
         """The manifest's skill index must list every skill the demos have."""
@@ -394,12 +460,18 @@ class TestConfigFile:
             '{"mode": "thousand", "noise_sigma": "high"}',
             '{"mode": "diversity", "families": []}',
             '{"mode": "dataset_size", "families": [], "repeats": 1}',
+            '{"mode": "dataset_size", "seen_instances_per_family": 0, "unseen_instances_per_family": 0}',
+            '{"mode": "thousand", "seen_instances_per_family": 0, "unseen_instances_per_family": 0}',
+            '{"mode": "dataset_size", "demos_per_task": []}',
+            '{"mode": "diversity", "diversity_splits": []}',
         ],
         ids=[
             "not-json", "list", "null-echo", "no-mode", "float-repeats", "negative-seed",
             "int-families", "split-of-three", "occlusion-above-one",
             "occlusion-one", "occlusion-masking-every-cluster", "string-noise",
             "diversity-without-families", "dataset-size-without-families",
+            "dataset-size-without-instances", "thousand-without-instances",
+            "dataset-size-without-conditions", "diversity-without-splits",
         ],
     )
     def test_malformed_config(self, tmp_path, text):
