@@ -25,6 +25,7 @@ from .errors import (
     DuplicateId,
     EmptyCloud,
     EmptyDescription,
+    GridMismatch,
     InvalidDescription,
     InvalidSpacing,
     MalformedFile,
@@ -167,8 +168,10 @@ class Dataset:
         """Store ``demo`` and return the stored demo.
 
         Idempotent for an identical demo under the same id; a differing demo
-        under an existing id raises DuplicateId.
+        under an existing id raises DuplicateId, one on another grid GridMismatch.
         """
+        if demo.embedding.grid != self.grid:
+            raise GridMismatch(f"demo {demo.id!r} is embedded on another grid than the dataset's")
         if demo.id in self.demos:
             if self.demos[demo.id] == demo:
                 return self.demos[demo.id]

@@ -3,6 +3,10 @@
 A point cloud is splatted into a voxel grid with trilinear weights and the
 flattened grid, normalized to unit length, serves as a joint pose+geometry
 descriptor.  Descriptors are compared by cosine similarity.
+
+One splat pass covers all eight voxel corners: weights ``(wx * wy) * wz``,
+summed by one ``np.bincount`` from +0.0 in corner-major, point-minor order,
+the order of eight per-corner ``np.add.at`` passes, so the bits are theirs.
 """
 
 from __future__ import annotations
@@ -100,23 +104,26 @@ def occupancy_embedding(cloud: PointCloud, grid: GridSpec = GridSpec()) -> Geome
         raise EmptyCloud("cannot embed an empty cloud")
     if cloud.frame != ROBOT_FRAME:
         raise ValueError(f"embedding requires a robot-frame cloud, got {cloud.frame!r}")
-    res = np.array(grid.resolution)
-    acc = np.zeros(grid.resolution, dtype=np.float64)
-    # voxel centers sit at origin + (i + 0.5) * voxel_size
-    u = (cloud.points - np.array(grid.origin)) / grid.voxel_size - 0.5
-    base = np.floor(u).astype(np.int64)
+    origin, extent, res = np.array(grid.origin), np.array(grid.extent), np.array(grid.resolution)
+    # voxel centres at origin + (i + 0.5) * voxel_size; the clip (no overflow) moves no point touching a voxel
+    u = ((np.clip(cloud.points, origin - extent, origin + 2.0 * extent) - origin) / grid.voxel_size - 0.5).T
+    u = u.compress(np.all((u >= -1.0) & (u < res[:, None]), axis=0), axis=1)  # (3, M): points touching a voxel
+    base = np.floor(u)
     frac = u - base
-    for corner in range(8):
-        d = np.array([(corner >> 2) & 1, (corner >> 1) & 1, corner & 1])
-        idx = base + d
-        w = np.prod(np.where(d == 1, frac, 1.0 - frac), axis=1)
-        ok = np.all((idx >= 0) & (idx < res), axis=1)
-        np.add.at(acc, (idx[ok, 0], idx[ok, 1], idx[ok, 2]), w[ok])
-    flat = acc.reshape(-1)
-    n = np.linalg.norm(flat)
+    idx = base.astype(np.int64) + np.array([0, 1])[:, None, None]  # (2, 3, M): low, high neighbour
+    w = _corners(np.stack([1.0 - frac, frac]), np.multiply)
+    ok = _corners((idx >= 0) & (idx < res[:, None]), np.logical_and)
+    flat = _corners(idx * np.array([res[1] * res[2], res[2], 1])[:, None], np.add)
+    acc = np.bincount(flat[ok], weights=w[ok], minlength=grid.size)
+    n = np.linalg.norm(acc)
     if n == 0.0:
         raise OutOfWorkspace("cloud lies entirely outside the embedding grid")
-    return GeometryEmbedding(flat / n, grid)
+    return GeometryEmbedding(acc / n, grid)
+
+
+def _corners(a: np.ndarray, op) -> np.ndarray:
+    """(2, 3, M) low/high rows per axis -> op(op(x, y), z) at corners 4 dx + 2 dy + dz, corner-major."""
+    return op(op(a[:, 0, None, None], a[:, 1, None]), a[:, 2]).reshape(-1)
 
 
 def cosine_similarity(a: GeometryEmbedding, b: GeometryEmbedding) -> float:

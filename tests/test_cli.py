@@ -2,12 +2,16 @@
 
 import argparse
 import json
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import trajtransfer
 from trajtransfer import cli, demos, simbench
 from trajtransfer.se3 import Pose
 
@@ -125,6 +129,21 @@ class TestRetrieve:
         assert [r["demo_id"] for r in ranking] == ["d1", "d2"]
         sims = [r["similarity"] for r in ranking]
         assert sims == sorted(sims, reverse=True)
+
+    @pytest.mark.parametrize("center", [(1e300, 0.0, 0.0), (1.7e308, -1.7e308, 0.0)])
+    def test_far_cloud_one_error_line(self, workdir, center):
+        """A cloud far off the grid ends in one error line and exit 2, with
+        no numpy warning on stderr (run as a process, as a user runs it)."""
+        ingest_one(workdir)
+        write_cloud(workdir / "far.txt", center)
+        env = dict(os.environ, PYTHONPATH=str(Path(trajtransfer.__file__).parents[1]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "trajtransfer.cli", *_query("retrieve", workdir, "far.txt")],
+            capture_output=True, text=True, env=env,
+        )
+        assert proc.returncode == cli.EXIT_INPUT
+        lines = [line for line in proc.stderr.splitlines() if not line.startswith("config: ")]
+        assert lines == ["error: OutOfWorkspace: cloud lies entirely outside the embedding grid"], proc.stderr
 
     def test_missing_dataset(self, workdir):
         code = cli.main(

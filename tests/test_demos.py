@@ -27,6 +27,7 @@ from trajtransfer.errors import (
     DuplicateId,
     EmptyCloud,
     EmptyDescription,
+    GridMismatch,
     InvalidDescription,
     InvalidSpacing,
     MalformedFile,
@@ -164,6 +165,20 @@ class TestIngest:
         other_grid = GridSpec(resolution=(24, 32, 16))
         assert GeometryEmbedding(demo.embedding.values, other_grid) != demo.embedding
         assert demo.embedding != demo.embedding.values.tolist()
+
+    def test_other_grid_rejected(self, tmp_path):
+        """A demo embedded on another grid is refused and the dataset is left
+        as it was, so retrieval never meets it and no archive holds it."""
+        coarse = Dataset(GridSpec(resolution=(16, 12, 8)))
+        foreign = coarse.ingest("open bottle", small_cloud(), straight_traj(0.05), demo_id="d2")
+        ds = Dataset()
+        kept = ds.ingest("open bottle", small_cloud((0.5, 0.3, 0.05)), straight_traj(0.05), demo_id="d1")
+        for demo in (foreign, dataclasses.replace(foreign, id="d1")):
+            with pytest.raises(GridMismatch):
+                ds.add(demo)
+            assert ds.demos == {"d1": kept} and ds.skill_index == {"open bottle": ["d1"]}
+        save_dataset(ds, tmp_path)
+        assert load_dataset(tmp_path).demos == {"d1": kept}
 
     def test_empty_cloud(self):
         with pytest.raises(EmptyCloud):

@@ -1,7 +1,11 @@
 """Occupancy-grid descriptor: splatting, cosine similarity, pose sensitivity."""
 
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from trajtransfer.embedding import (
     GeometryEmbedding,
@@ -11,6 +15,7 @@ from trajtransfer.embedding import (
 )
 from trajtransfer.errors import EmptyCloud, GridMismatch, OutOfWorkspace, ZeroEmbedding
 from trajtransfer.se3 import EE_FRAME, PointCloud
+from trajtransfer.simbench import CATEGORIES, _observed_cloud, default_task, generate_object, randomize_scene
 
 
 def blob(center, n=60, scale=0.015, seed=3):
@@ -99,6 +104,105 @@ class TestOccupancyEmbedding:
         a = occupancy_embedding(c)
         b = occupancy_embedding(c)
         assert np.array_equal(a.values, b.values)
+
+
+def splat_per_corner(cloud, grid=GridSpec()):
+    """The splat as eight per-corner ``np.add.at`` passes: the reference the
+    one-pass splat must match bit for bit."""
+    res = np.array(grid.resolution)
+    acc = np.zeros(grid.resolution, dtype=np.float64)
+    with np.errstate(over="ignore", invalid="ignore"):  # far points: inf, nan and int casts
+        u = (cloud.points - np.array(grid.origin)) / grid.voxel_size - 0.5
+        base = np.floor(u).astype(np.int64)
+        frac = u - base
+        for corner in range(8):
+            d = np.array([(corner >> 2) & 1, (corner >> 1) & 1, corner & 1])
+            idx = base + d
+            w = np.prod(np.where(d == 1, frac, 1.0 - frac), axis=1)
+            ok = np.all((idx >= 0) & (idx < res), axis=1)
+            np.add.at(acc, (idx[ok, 0], idx[ok, 1], idx[ok, 2]), w[ok])
+    flat = acc.reshape(-1)
+    n = np.linalg.norm(flat)
+    if n == 0.0:
+        raise OutOfWorkspace("cloud lies entirely outside the embedding grid")
+    return GeometryEmbedding(flat / n, grid)
+
+
+def splat_bytes(splat, cloud, grid):
+    """The embedding's bytes, or "OutOfWorkspace"."""
+    try:
+        return splat(cloud, grid).values.tobytes()
+    except OutOfWorkspace:
+        return "OutOfWorkspace"
+
+
+# exact voxel sizes (powers of two) on the small grids, so that voxel centres
+# (u integer, frac == 0) and voxel faces (u + 0.5 integer) are hit exactly
+SPLAT_GRIDS = (
+    GridSpec(),
+    GridSpec((0.0, 0.0, 0.0), (1.0, 1.0, 0.5), (2, 2, 2)),
+    GridSpec((-0.5, 0.25, -0.125), (1.25, 0.875, 0.375), (5, 7, 3)),
+)
+
+
+@st.composite
+def grid_clouds(draw):
+    """1-30 points in voxel units u: anywhere from 3 voxels before the grid to
+    2 past it on each axis, on voxel centres, or on voxel faces; sometimes with
+    points 1e300 m away."""
+    grid = draw(st.sampled_from(SPLAT_GRIDS))
+    n = draw(st.integers(1, 30))
+    axes = []
+    for r in grid.resolution:
+        coord = st.one_of(
+            st.floats(-3.0, r + 2.0),
+            st.integers(-2, r + 1).map(float),
+            st.integers(-4, 2 * r + 2).map(lambda k: k / 2.0 - 0.5),
+        )
+        axes.append(draw(st.lists(coord, min_size=n, max_size=n)))
+    u = np.array(axes).T
+    points = np.array(grid.origin) + (u + 0.5) * grid.voxel_size
+    far = draw(st.lists(st.booleans(), min_size=n, max_size=n))
+    points[np.array(far)] *= 1e300
+    return PointCloud(points), grid
+
+
+class TestOnePassSplat:
+    """occupancy_embedding returns the per-corner splat's values bit for bit,
+    and raises OutOfWorkspace on the same clouds."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(case=grid_clouds())
+    def test_small_clouds(self, case):
+        cloud, grid = case
+        assert splat_bytes(occupancy_embedding, cloud, grid) == splat_bytes(splat_per_corner, cloud, grid)
+
+    @pytest.mark.parametrize("family", CATEGORIES)
+    def test_benchmark_clouds(self, family):
+        task = default_task(family)
+        for seed, instance_seed in enumerate((0, 1000), start=2):
+            instance = generate_object(family, instance_seed)
+            for mode in ("controlled", "thousand"):
+                for occlusion, noise in ((0.0, 0.0), (0.4, 0.002)):
+                    scene = randomize_scene(
+                        task, instance, mode, seed, occlusion_fraction=occlusion, noise_sigma=noise
+                    )
+                    cloud = _observed_cloud(scene)
+                    for grid in SPLAT_GRIDS:
+                        want = splat_bytes(splat_per_corner, cloud, grid)
+                        assert splat_bytes(occupancy_embedding, cloud, grid) == want
+
+    @pytest.mark.parametrize("far", [(1e300, 0.0, 0.0), (1.7e308, -1.7e308, 0.0), (-1e-300, 1e308, -1.7e308)])
+    def test_far_points_raise_no_warning(self, far):
+        """Points far off the grid touch no voxel: alone they raise
+        OutOfWorkspace, next to others they change no bit, and neither warns."""
+        inside = blob((0.4, 0.2, 0.1))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(OutOfWorkspace):
+                occupancy_embedding(PointCloud(np.array([far, far])))
+            mixed = occupancy_embedding(PointCloud(np.vstack([[far], inside.points, [far]])))
+        assert mixed.values.tobytes() == occupancy_embedding(inside).values.tobytes()
 
 
 class TestCosine:
