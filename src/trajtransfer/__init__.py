@@ -6,7 +6,6 @@ from .embedding import GridSpec, GeometryEmbedding, occupancy_embedding, cosine_
 from .retrieval import RetrievalResult, language_filter, hierarchical_retrieve
 from .registration import GicpParams, RegistrationResult, coarse_align, estimate_covariances, generalized_icp, estimate_delta
 from .policies import (
-    ReplayPlan,
     transfer_alignment_pose,
     plan_linear_path,
     build_replay_plan,

@@ -27,7 +27,7 @@ from .errors import (
     EmptyDescription,
     GridMismatch,
     InvalidDescription,
-    InvalidSpacing,
+    InvalidId,
     MalformedFile,
     TrajectoryTooShort,
 )
@@ -52,9 +52,9 @@ class EndEffectorState:
 
 @dataclass(frozen=True)
 class Demonstration:
-    """Raises EmptyCloud, TrajectoryTooShort (< 2 states), EmptyDescription (no
-    skill tokens) or InvalidDescription (a line break: the archive holds the
-    description on one line); ``micro_skill`` is :func:`parse_micro_skill`'s."""
+    """Raises InvalidId (see :func:`is_file_name`), EmptyCloud, TrajectoryTooShort
+    (< 2 states), EmptyDescription (no skill tokens) or InvalidDescription (a line
+    break: the archive holds it on one line); ``micro_skill`` is :func:`parse_micro_skill`'s."""
 
     id: str
     description: str
@@ -63,11 +63,13 @@ class Demonstration:
     trajectory: tuple  # EndEffectorState, interaction phase only
     embedding: emb.GeometryEmbedding
     object_instance_id: str | None = None
-    # registration's memo, k -> LocalCovariances of object_cloud, filled by
+    # registration's memo, k -> covariances of object_cloud, filled by
     # registration.estimate_delta; neither compared, printed nor archived
     covariances: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        if not is_file_name(self.id):
+            raise InvalidId(f"demo id {self.id!r} is not a file name")
         if len(self.object_cloud) == 0:
             raise EmptyCloud("demonstration object cloud is empty")
         if len(self.trajectory) < 2:
@@ -77,7 +79,13 @@ class Demonstration:
             raise InvalidDescription(f"description {self.description!r} contains a line break")
 
 
-def _load_default_stopwords() -> frozenset:
+def is_file_name(demo_id: str) -> bool:
+    """The archive's rule for a demo id: ``<dir>/<demo_id>.demo`` is a file in ``<dir>`` with that stem."""
+    path = Path(f"{demo_id}.demo")
+    return path.parent == Path() and path.stem == demo_id
+
+
+def _load_stopwords() -> frozenset:
     text = resources.files("trajtransfer.data").joinpath("stopwords.txt").read_text()
     words = set()
     for line in text.splitlines():
@@ -87,38 +95,36 @@ def _load_default_stopwords() -> frozenset:
     return frozenset(words)
 
 
-_DEFAULT_STOPWORDS = _load_default_stopwords()
+_STOPWORDS = _load_stopwords()
 
 
-def parse_micro_skill(description: str, stopwords: frozenset = _DEFAULT_STOPWORDS) -> str:
+def parse_micro_skill(description: str) -> str:
     """Canonical micro-skill string: lowercase, trimmed, stop tokens removed."""
     if description is None or not description.strip():
         raise EmptyDescription("task description is empty")
     tokens = description.lower().split()
-    kept = [t for t in tokens if t not in stopwords]
+    kept = [t for t in tokens if t not in _STOPWORDS]
     if not kept:
         raise EmptyDescription(f"description {description!r} contains no skill tokens")
     return " ".join(kept)
 
 
-def resample_trajectory(traj, spacing: float = DEFAULT_SPACING):
-    """Resample so consecutive translation distances are <= spacing.
+def resample_trajectory(traj):
+    """Resample so consecutive translation distances are <= DEFAULT_SPACING.
 
     Every original waypoint is retained exactly (so gripper-change events
     survive); interior waypoints are placed at arc-length multiples of
-    ``spacing`` along each original segment.
+    DEFAULT_SPACING along each original segment.
     """
-    if spacing <= 0:
-        raise InvalidSpacing(f"spacing must be positive, got {spacing}")
     traj = list(traj)
     if len(traj) < 2:
         raise TrajectoryTooShort("need at least 2 states to resample")
     out = [EndEffectorState(traj[0].pose, traj[0].gripper, 0)]
     for a, b in zip(traj[:-1], traj[1:]):
         seg_len, _ = pose_distance(a.pose, b.pose)
-        n_interior = int(np.floor(seg_len / spacing - 1e-12))
+        n_interior = int(np.floor(seg_len / DEFAULT_SPACING - 1e-12))
         for k in range(1, n_interior + 1):
-            s = k * spacing / seg_len
+            s = k * DEFAULT_SPACING / seg_len
             out.append(EndEffectorState(interpolate(a.pose, b.pose, s), a.gripper, len(out)))
         out.append(EndEffectorState(b.pose, b.gripper, len(out)))
     return out
@@ -146,10 +152,9 @@ class Dataset:
         trajectory,
         demo_id: str | None = None,
         object_instance_id: str | None = None,
-        spacing: float = DEFAULT_SPACING,
     ) -> Demonstration:
         """Build a Demonstration and add it to the dataset; returns the stored demo."""
-        traj = tuple(resample_trajectory(trajectory, spacing))
+        traj = tuple(resample_trajectory(trajectory))
         embedding = emb.occupancy_embedding(object_cloud, self.grid)
         if demo_id is None:
             demo_id = _content_id(description, object_cloud, traj)
@@ -212,8 +217,9 @@ def _content_id(description, cloud, traj) -> str:
 # Floats are written with repr() and read with float() (or NumPy's conversion,
 # which gives the same bits), so a round trip is bit-exact.  A malformed file
 # raises MalformedFile naming its path and line.  A .demo must hold a
-# Demonstration (a one-line description with skill tokens, >= 2 states with
-# gripper 0 or 1, a non-empty cloud) and its micro_skill.
+# Demonstration (an id that is_file_name, a one-line description with skill
+# tokens, >= 2 states with gripper 0 or 1, a non-empty cloud), its micro_skill
+# and an embedding with a value > 0.
 
 
 def _rows(array) -> list:
@@ -362,12 +368,6 @@ def write_trajectory_blocks(trajectories, path) -> None:
 def save_dataset(dataset: Dataset, path) -> None:
     path = Path(path)
     path.mkdir(parents=True, exist_ok=True)
-    manifest = {
-        "demo_ids": sorted(dataset.demos),
-        "skill_index": {k: sorted(v) for k, v in sorted(dataset.skill_index.items())},
-        "grid": dataset.grid.to_dict(),
-    }
-    (path / "dataset.json").write_text(json.dumps(manifest, indent=2, sort_keys=True))
     for demo_id in sorted(dataset.demos):
         demo = dataset.demos[demo_id]
         lines = [
@@ -380,6 +380,12 @@ def save_dataset(dataset: Dataset, path) -> None:
             *_voxels_block(demo.embedding.values),
         ]
         _write_lines(path / f"{demo_id}.demo", lines)
+    manifest = {
+        "demo_ids": sorted(dataset.demos),
+        "skill_index": {k: sorted(v) for k, v in sorted(dataset.skill_index.items())},
+        "grid": dataset.grid.to_dict(),
+    }
+    (path / "dataset.json").write_text(json.dumps(manifest, indent=2, sort_keys=True))  # last: it lists the demos
 
 
 def load_demo_file(path, grid: emb.GridSpec) -> Demonstration:
@@ -392,6 +398,8 @@ def load_demo_file(path, grid: emb.GridSpec) -> Demonstration:
     i = 4 + len(traj)
     cloud = _cloud(lines, i, "cloud", path)
     embedding = _embedding(lines, i + 1 + len(cloud), grid, path)
+    if not embedding.values.any():  # ingest never embeds a cloud to zero: cosine is undefined
+        raise MalformedFile(f"{path}:{i + 2 + len(cloud)}: the embedding is all zero")
     try:
         demo = Demonstration(
             id=path.stem,
@@ -425,11 +433,10 @@ def load_dataset(path) -> Dataset:
         raise MalformedFile(f"{manifest_path}: {e}") from e
     dataset = Dataset(grid)
     for demo_id in demo_ids:
-        demo_path = path / f"{demo_id}.demo"
-        if demo_path.parent != path or demo_path.stem != demo_id:
+        if not is_file_name(demo_id):
             raise MalformedFile(f"{manifest_path}: demo id {demo_id!r} is not a file name")
         try:
-            demo = load_demo_file(demo_path, grid)
+            demo = load_demo_file(path / f"{demo_id}.demo", grid)
         except (OSError, ValueError) as e:  # no such file, or a name the file system rejects
             raise MalformedFile(f"{manifest_path}: demo {demo_id!r}: {e}") from e
         dataset.add(demo)

@@ -17,7 +17,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import EmptyCloud, GridMismatch, OutOfWorkspace, ZeroEmbedding
-from .se3 import ROBOT_FRAME, PointCloud
+from .se3 import PointCloud
 
 # Default grid: the 80x45 cm task space plus 40 cm of height, ~2.5 cm voxels.
 DEFAULT_ORIGIN = (0.0, 0.0, 0.0)
@@ -102,8 +102,6 @@ def occupancy_embedding(cloud: PointCloud, grid: GridSpec = GridSpec()) -> Geome
     """
     if len(cloud) == 0:
         raise EmptyCloud("cannot embed an empty cloud")
-    if cloud.frame != ROBOT_FRAME:
-        raise ValueError(f"embedding requires a robot-frame cloud, got {cloud.frame!r}")
     origin, extent, res = np.array(grid.origin), np.array(grid.extent), np.array(grid.resolution)
     # voxel centres at origin + (i + 0.5) * voxel_size; the clip (no overflow) moves no point touching a voxel
     u = ((np.clip(cloud.points, origin - extent, origin + 2.0 * extent) - origin) / grid.voxel_size - 0.5).T

@@ -13,10 +13,6 @@ class OutOfRange(TrajTransferError):
     pass
 
 
-class InvalidSpacing(TrajTransferError):
-    pass
-
-
 class EmptyDescription(TrajTransferError):
     pass
 
@@ -30,6 +26,10 @@ class TrajectoryTooShort(TrajTransferError):
 
 
 class DuplicateId(TrajTransferError):
+    pass
+
+
+class InvalidId(TrajTransferError):
     pass
 
 

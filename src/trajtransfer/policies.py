@@ -13,8 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .demos import Demonstration, EndEffectorState, alignment_target
-from .errors import InvalidSpacing, OutOfRange, TooFewPoints
+from .demos import DEFAULT_SPACING, Demonstration, EndEffectorState, alignment_target
+from .errors import OutOfRange, TooFewPoints
 from .se3 import (
     Pose,
     PointCloud,
@@ -33,10 +33,7 @@ ALIGN_CUBOID_SIZE = (0.30, 0.80, 0.80)
 ALIGN_PERTURB_TRANS = (0.001, 0.01)  # metres
 ALIGN_PERTURB_ROT = (math.radians(0.5), math.radians(5.0))
 
-
-@dataclass(frozen=True)
-class ReplayPlan:
-    steps: tuple  # (successor pose in the predecessor's frame, gripper command) per demo step
+OCCLUSION_CLUSTERS = 10  # farthest-point clusters of a cloud; an occlusion masks some
 
 
 def transfer_alignment_pose(demo: Demonstration, delta: Pose) -> Pose:
@@ -44,29 +41,28 @@ def transfer_alignment_pose(demo: Demonstration, delta: Pose) -> Pose:
     return compose(delta, alignment_target(demo))
 
 
-def plan_linear_path(start: Pose, target: Pose, spacing: float = 0.01):
-    """Straight-line pose path with translation steps <= spacing, endpoints exact."""
-    if spacing <= 0:
-        raise InvalidSpacing(f"spacing must be positive, got {spacing}")
+def plan_linear_path(start: Pose, target: Pose):
+    """Straight-line pose path with translation steps <= DEFAULT_SPACING, endpoints exact."""
     dist, ang = pose_distance(start, target)
     if dist == 0.0 and ang == 0.0:
         return [start]
-    n = max(1, int(math.ceil(dist / spacing - 1e-12)))
+    n = max(1, int(math.ceil(dist / DEFAULT_SPACING - 1e-12)))
     return [interpolate(start, target, k / n) for k in range(n + 1)]
 
 
-def build_replay_plan(demo: Demonstration) -> ReplayPlan:
+def build_replay_plan(demo: Demonstration) -> tuple:
+    """(successor pose in the predecessor's frame, gripper command) per demo step."""
     steps = []
     for a, b in zip(demo.trajectory[:-1], demo.trajectory[1:]):
         steps.append((compose(invert(a.pose), b.pose), b.gripper))
-    return ReplayPlan(steps=tuple(steps))
+    return tuple(steps)
 
 
-def execute_replay(plan: ReplayPlan, start: Pose, start_gripper: int = 0):
-    """Open-loop replay: chain the stored relative motions from ``start``."""
+def execute_replay(plan: tuple, start: Pose, start_gripper: int = 0):
+    """Open-loop replay: chain the relative motions of ``plan`` from ``start``."""
     out = [EndEffectorState(start, start_gripper, 0)]
     pose = start
-    for i, (motion, gripper) in enumerate(plan.steps):
+    for i, (motion, gripper) in enumerate(plan):
         pose = compose(pose, motion)
         out.append(EndEffectorState(pose, gripper, i + 1))
     return out
@@ -102,9 +98,6 @@ def simulate_alignment_trajectories(
     demo: Demonstration,
     count: int = 1000,
     rng_seed: int = 0,
-    spacing: float = 0.01,
-    cuboid_origin=ALIGN_CUBOID_ORIGIN,
-    cuboid_size=ALIGN_CUBOID_SIZE,
 ) -> AlignmentTrajectorySet:
     """Linear approach trajectories from random start poses in the cuboid.
 
@@ -116,8 +109,8 @@ def simulate_alignment_trajectories(
     if rng_seed < 0:
         raise OutOfRange(f"seed must be non-negative, got {rng_seed}")
     target = alignment_target(demo)
-    origin = np.asarray(cuboid_origin, dtype=np.float64)
-    size = np.asarray(cuboid_size, dtype=np.float64)
+    origin = np.asarray(ALIGN_CUBOID_ORIGIN, dtype=np.float64)
+    size = np.asarray(ALIGN_CUBOID_SIZE, dtype=np.float64)
     trajectories = []
     perturbed = []
     for i in range(count):
@@ -125,7 +118,7 @@ def simulate_alignment_trajectories(
         pos = origin + rng.uniform(size=3) * size
         yaw = rng.uniform(-math.pi, math.pi)
         start = Pose.from_yaw(yaw, pos)
-        path = plan_linear_path(start, target, spacing)
+        path = plan_linear_path(start, target)
         trajectories.append(tuple(path))
         perturbed.append(tuple(_perturbed_pose(target, rng) for _ in path))
     return AlignmentTrajectorySet(tuple(trajectories), tuple(perturbed), target)
@@ -143,26 +136,26 @@ def farthest_point_seeds(points: np.ndarray, count: int, rng) -> np.ndarray:
     return np.array(seeds)
 
 
-def cluster_partition(cloud: PointCloud, clusters: int, rng_seed: int):
-    """(labels, seed indices): nearest-seed assignment over FPS seeds."""
+def cluster_partition(cloud: PointCloud, rng_seed: int):
+    """(labels, seed indices): nearest-seed assignment over OCCLUSION_CLUSTERS FPS seeds."""
     n = len(cloud)
-    if n < clusters:
-        raise TooFewPoints(f"need >= {clusters} points, cloud has {n}")
+    if n < OCCLUSION_CLUSTERS:
+        raise TooFewPoints(f"need >= {OCCLUSION_CLUSTERS} points, cloud has {n}")
     rng = np.random.default_rng(rng_seed)
-    seeds = farthest_point_seeds(cloud.points, clusters, rng)
+    seeds = farthest_point_seeds(cloud.points, OCCLUSION_CLUSTERS, rng)
     d = np.linalg.norm(cloud.points[:, None, :] - cloud.points[seeds][None, :, :], axis=2)
     return np.argmin(d, axis=1), seeds
 
 
-def mask_augment(cloud: PointCloud, clusters: int = 10, masked: int = 4, rng_seed: int = 0) -> PointCloud:
+def mask_augment(cloud: PointCloud, masked: int = 4, rng_seed: int = 0) -> PointCloud:
     """Drop the points of ``masked`` randomly chosen FPS clusters."""
-    labels, _ = cluster_partition(cloud, clusters, rng_seed)
+    labels, _ = cluster_partition(cloud, rng_seed)
     if masked == 0:
         return cloud
     rng = np.random.default_rng(np.random.SeedSequence([rng_seed, 1]))
-    dropped = rng.choice(clusters, size=masked, replace=False)
+    dropped = rng.choice(OCCLUSION_CLUSTERS, size=masked, replace=False)
     keep = ~np.isin(labels, dropped)
-    return PointCloud(cloud.points[keep], frame=cloud.frame)
+    return PointCloud(cloud.points[keep])
 
 
 def jitter_cloud(cloud: PointCloud, sigma: float, rng_seed: int = 0) -> PointCloud:
@@ -172,4 +165,4 @@ def jitter_cloud(cloud: PointCloud, sigma: float, rng_seed: int = 0) -> PointClo
     if sigma == 0.0:
         return cloud
     rng = np.random.default_rng(rng_seed)
-    return PointCloud(cloud.points + rng.normal(scale=sigma, size=cloud.points.shape), frame=cloud.frame)
+    return PointCloud(cloud.points + rng.normal(scale=sigma, size=cloud.points.shape))

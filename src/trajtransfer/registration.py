@@ -103,11 +103,6 @@ class RegistrationResult:
         }
 
 
-@dataclass(frozen=True)
-class LocalCovariances:
-    matrices: np.ndarray  # (N, 3, 3), symmetric PSD, regularized
-
-
 def _check_extent(*clouds: PointCloud) -> None:
     for cloud in clouds:
         if len(cloud) and np.abs(cloud.points).max() > MAX_COORDINATE:
@@ -280,8 +275,8 @@ def _eigh3x3(A: np.ndarray):
     return w, v
 
 
-def estimate_covariances(cloud: PointCloud, k: int = 20) -> LocalCovariances:
-    """Per-point covariance of the k nearest neighbours, planar-regularized.
+def estimate_covariances(cloud: PointCloud, k: int = 20) -> np.ndarray:
+    """(N, 3, 3) per-point covariances of the k nearest neighbours, planar-regularized.
 
     Eigenvalues are clamped below at EPS_PLANE times the largest so plane
     patches stay invertible in the Mahalanobis weights.  A plane needs
@@ -302,8 +297,7 @@ def estimate_covariances(cloud: PointCloud, k: int = 20) -> LocalCovariances:
     w, v = _eigh3x3(cov)
     largest = np.maximum(w[:, -1], 1e-12)
     w = np.maximum(w, (EPS_PLANE * largest)[:, None])
-    cov = (v * w[:, None, :]) @ v.transpose(0, 2, 1)
-    return LocalCovariances(cov)
+    return (v * w[:, None, :]) @ v.transpose(0, 2, 1)
 
 
 def _inv3x3(c: np.ndarray) -> np.ndarray:
@@ -454,10 +448,12 @@ def generalized_icp(
     init: Pose,
     params: GicpParams = GicpParams(),
     *,
-    demo_covariances: LocalCovariances | None = None,
-    test_covariances: LocalCovariances | None = None,
+    demo_covariances: np.ndarray | None = None,
+    test_covariances: np.ndarray | None = None,
 ) -> RegistrationResult:
-    """Refine ``init`` by plane-to-plane GICP; returns the best pose visited.
+    """Refine ``init`` by plane-to-plane GICP; returns the last accepted pose,
+    which is the best visited, since a trial is accepted only if it lowers the
+    cost.
 
     ``demo_covariances``/``test_covariances`` accept precomputed
     :func:`estimate_covariances` results with
@@ -475,19 +471,16 @@ def generalized_icp(
         demo_covariances = estimate_covariances(demo_cloud, k)
     if test_covariances is None:
         test_covariances = estimate_covariances(test_cloud, k)
-    cov_demo = demo_covariances.matrices
-    cov_test = test_covariances.matrices
     demo_pts = demo_cloud.points
     test_pts = test_cloud.points
     tree = _Matches(cKDTree(test_pts), params.inlier_radius)
 
     state = _corresponding_cost(
-        init, demo_pts, cov_demo, tree, test_pts, cov_test, params.inlier_radius
+        init, demo_pts, demo_covariances, tree, test_pts, test_covariances, params.inlier_radius
     )
     if state is None:
         raise NoCorrespondences("no correspondences within the inlier radius at init")
     pose = init
-    best_pose, best_cost = pose, state[5]
     lam = params.damping
     min_move = params.rel_tolerance * params.inlier_radius
     converged = False
@@ -520,7 +513,7 @@ def generalized_icp(
                 break
             cand = compose(_exp_step(step), pose)
             cand_state = _corresponding_cost(
-                cand, demo_pts, cov_demo, tree, test_pts, cov_test, params.inlier_radius
+                cand, demo_pts, demo_covariances, tree, test_pts, test_covariances, params.inlier_radius
             )
             if cand_state is not None and cand_state[5] < cost:
                 accepted = True
@@ -533,22 +526,20 @@ def generalized_icp(
             break
         rel_change = abs(cost - new_state[5]) / max(cost, 1e-30)
         pose, state = new_pose, new_state
-        if state[5] < best_cost:
-            best_pose, best_cost = pose, state[5]
         if rel_change < params.rel_tolerance:
             converged = True
             break
 
-    # diagnostics at the best pose: coverage of the test cloud
-    R = best_pose.rotation_matrix()
-    moved = demo_pts @ R.T + best_pose.translation
+    # diagnostics at the final pose: coverage of the test cloud
+    R = pose.rotation_matrix()
+    moved = demo_pts @ R.T + pose.translation
     back_tree = cKDTree(moved)
     dist, _ = _query_within(back_tree, test_pts, params.inlier_radius)
     inliers = dist <= params.inlier_radius
     fitness = float(np.count_nonzero(inliers) / len(test_pts))
     inlier_rmse = float(np.sqrt(np.mean(dist[inliers] ** 2))) if np.any(inliers) else 0.0
     return RegistrationResult(
-        delta=best_pose,
+        delta=pose,
         inlier_rmse=inlier_rmse,
         fitness=fitness,
         iterations=iterations,

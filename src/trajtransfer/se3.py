@@ -14,9 +14,6 @@ import numpy as np
 
 from .errors import EmptyCloud, OutOfRange
 
-ROBOT_FRAME = "robot"
-EE_FRAME = "end_effector"
-
 
 def _canonicalize(q: np.ndarray) -> np.ndarray:
     """Normalize a quaternion and fix its sign deterministically."""
@@ -136,10 +133,9 @@ class Pose:
 
 @dataclass(frozen=True)
 class PointCloud:
-    """Points (N,3) in metres, tagged with the frame they are expressed in."""
+    """Points (N,3) in metres."""
 
     points: np.ndarray
-    frame: str = ROBOT_FRAME
 
     def __post_init__(self):
         p = np.asarray(self.points, dtype=np.float64).reshape(-1, 3).copy()
@@ -154,7 +150,7 @@ class PointCloud:
     def __eq__(self, other):
         if not isinstance(other, PointCloud):
             return NotImplemented
-        return self.frame == other.frame and np.array_equal(self.points, other.points)
+        return np.array_equal(self.points, other.points)
 
 
 def compose(a: Pose, b: Pose) -> Pose:
@@ -174,7 +170,7 @@ def transform_cloud(T: Pose, c: PointCloud) -> PointCloud:
     if len(c) == 0:
         raise EmptyCloud("cannot transform an empty cloud")
     R = T.rotation_matrix()
-    return PointCloud(c.points @ R.T + T.translation, frame=c.frame)
+    return PointCloud(c.points @ R.T + T.translation)
 
 
 def rotation_angle(q: np.ndarray) -> float:

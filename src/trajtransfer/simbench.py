@@ -23,10 +23,11 @@ from scipy.spatial import ConvexHull, QhullError
 
 from .demos import Dataset, Demonstration, EndEffectorState
 from .errors import OutOfRange, OutOfWorkspace, UnknownCategory, UnknownSkill, NoCorrespondences
+from .policies import OCCLUSION_CLUSTERS, build_replay_plan, execute_replay, jitter_cloud, mask_augment, transfer_alignment_pose
 # run_rollout plans no approach path, as only its endpoint matters; perfbench's
 # tracer still wraps trajtransfer.simbench.plan_linear_path by name
-from .policies import build_replay_plan, execute_replay, jitter_cloud, mask_augment, plan_linear_path, transfer_alignment_pose
-from .registration import GicpParams, RegistrationResult, estimate_delta
+from .policies import plan_linear_path
+from .registration import RegistrationResult, estimate_delta
 from .retrieval import RetrievalResult, hierarchical_retrieve
 from .se3 import Pose, PointCloud, compose, invert, pose_distance, transform_cloud
 
@@ -42,9 +43,6 @@ CAMERA_HEIGHT = 2.00
 CAMERA_CENTRE = np.array([0.0, 0.0, CAMERA_HEIGHT])  # object frame
 HPR_GAMMA = 100.0  # hidden-point-removal sphere radius, times the max range
 MAX_RENDER_POINTS = 800
-
-
-OCCLUSION_CLUSTERS = 10  # farthest-point clusters of an observed cloud; an occlusion masks some
 
 
 def masked_clusters(occlusion_fraction: float) -> int:
@@ -75,7 +73,7 @@ class ObjectInstance:
     def visible_indices(self) -> np.ndarray:
         """Indices of the canonical points the camera sees, found at the first
         render and kept on the instance (neither compared nor printed)."""
-        return np.nonzero(hidden_point_removal(self.canonical_cloud.points - CAMERA_CENTRE, HPR_GAMMA))[0]
+        return np.nonzero(hidden_point_removal(self.canonical_cloud.points - CAMERA_CENTRE))[0]
 
 
 @dataclass(frozen=True)
@@ -366,7 +364,7 @@ def generate_object(category: str, instance_seed: int) -> ObjectInstance:
 # --- virtual depth camera -----------------------------------------------------
 
 
-def hidden_point_removal(points: np.ndarray, gamma: float) -> np.ndarray:
+def hidden_point_removal(points: np.ndarray) -> np.ndarray:
     """Visible-point mask via spherical inversion + convex hull (Katz, Tal and
     Basri, "Direct Visibility of Point Sets", SIGGRAPH 2007).
 
@@ -382,7 +380,7 @@ def hidden_point_removal(points: np.ndarray, gamma: float) -> np.ndarray:
     """
     norms = np.linalg.norm(points, axis=1)
     norms = np.maximum(norms, 1e-12)
-    radius = gamma * norms.max()
+    radius = HPR_GAMMA * norms.max()
     inverted = points + 2.0 * (radius - norms)[:, None] * points / norms[:, None]
     all_pts = np.vstack([inverted, np.zeros(3)])
     try:
@@ -463,21 +461,20 @@ class Benchmark:
     """Dataset plus simulator-side ground truth for every stored demo."""
 
     dataset: Dataset
-    demo_meta: dict = field(default_factory=dict)  # demo_id -> (instance, SceneSpec)
+    demo_meta: dict = field(default_factory=dict)  # demo_id -> SceneSpec
 
     def record_demonstration(self, task: TaskSpec, scene: SceneSpec) -> Demonstration:
         """Run the ground-truth pipeline on a demo scene and store the result;
         the demo's cloud is the one a rollout of ``scene`` observes."""
-        instance = scene.object
         cloud = _observed_cloud(scene)
-        traj = template_trajectory(task, instance, scene.object_pose)
+        traj = template_trajectory(task, scene.object, scene.object_pose)
         demo = self.dataset.ingest(
             task.description,
             cloud,
             traj,
-            object_instance_id=instance.instance_id,
+            object_instance_id=scene.object.instance_id,
         )
-        self.demo_meta[demo.id] = (instance, scene)
+        self.demo_meta[demo.id] = scene
         return demo
 
 
@@ -485,15 +482,15 @@ def _observed_cloud(scene: SceneSpec) -> PointCloud:
     cloud = render_partial_cloud(scene.object, scene.object_pose, scene.rng_seed)
     if scene.occlusion_fraction > 0.0:
         masked = masked_clusters(scene.occlusion_fraction)
-        cloud = mask_augment(cloud, clusters=OCCLUSION_CLUSTERS, masked=masked, rng_seed=scene.rng_seed)
+        cloud = mask_augment(cloud, masked=masked, rng_seed=scene.rng_seed)
     if scene.noise_sigma > 0.0:
         cloud = jitter_cloud(cloud, scene.noise_sigma, rng_seed=scene.rng_seed)
     return cloud
 
 
-def _final_pose_success(task, final_pose, scene, demo_instance, demo_scene, demo_final) -> bool:
+def _final_pose_success(task, final_pose, scene, demo_scene, demo_final) -> bool:
     rel_test = compose(invert(_anchor_world(scene.object, scene.object_pose)), final_pose)
-    rel_demo = compose(invert(_anchor_world(demo_instance, demo_scene.object_pose)), demo_final)
+    rel_demo = compose(invert(_anchor_world(demo_scene.object, demo_scene.object_pose)), demo_final)
     dt, dr = pose_distance(rel_test, rel_demo)
     return dt <= task.delta_t and dr <= task.delta_r
 
@@ -503,7 +500,6 @@ def run_rollout(
     task: TaskSpec,
     scene: SceneSpec,
     use_gt_delta: bool = False,
-    params: GicpParams = GicpParams(),
 ) -> RolloutResult:
     """Full pipeline on one scene; all failures are recorded, never raised."""
     cloud = _observed_cloud(scene)
@@ -512,13 +508,13 @@ def run_rollout(
     except (UnknownSkill, OutOfWorkspace):  # no demo has the skill, or the cloud is off the grid
         return RolloutResult(scene, None, None, None, None, False, FAILURE_RETRIEVAL)
     demo = bench.dataset.demos[retrieval.demo_id]
-    demo_instance, demo_scene = bench.demo_meta[demo.id]
+    demo_scene = bench.demo_meta[demo.id]
     gt_delta = compose(
         _anchor_world(scene.object, scene.object_pose),
-        invert(_anchor_world(demo_instance, demo_scene.object_pose)),
+        invert(_anchor_world(demo_scene.object, demo_scene.object_pose)),
     )
     try:
-        registration = estimate_delta(demo, cloud, params)
+        registration = estimate_delta(demo, cloud)
     except NoCorrespondences:
         return RolloutResult(scene, retrieval, None, gt_delta, None, False, FAILURE_REGISTRATION)
     delta = gt_delta if use_gt_delta else registration.delta
@@ -527,7 +523,7 @@ def run_rollout(
     executed = execute_replay(build_replay_plan(demo), target, demo.trajectory[0].gripper)
 
     success = _final_pose_success(
-        task, executed[-1].pose, scene, demo_instance, demo_scene, demo.trajectory[-1].pose
+        task, executed[-1].pose, scene, demo_scene, demo.trajectory[-1].pose
     )
     failure = classify_failure(task, demo, registration, gt_delta, success)
     return RolloutResult(scene, retrieval, registration, gt_delta, tuple(executed), success, failure)

@@ -151,7 +151,7 @@ def test_criterion_03_registration_recovery():
         )
         demo_cloud = PointCloud(pts[np.sort(pick)])
         lc_demo = estimate_covariances(demo_cloud, params.k_neighbors)
-        cov_demo = lc_demo.matrices
+        cov_demo = lc_demo
         rng = np.random.default_rng(zlib.crc32(family.encode()) + 1)
         for trial in range(per_family):
             g = Pose.from_yaw(
@@ -184,7 +184,7 @@ def test_criterion_03_registration_recovery():
                     noisy_ok += hit
                 # monotone refinement: cost at the returned pose never exceeds
                 # the cost at the coarse init
-                cov_test = lc_test.matrices
+                cov_test = lc_test
                 tree = cKDTree(test_cloud.points)
                 c_init = _corresponding_cost(
                     init, demo_cloud.points, cov_demo, tree,
@@ -470,8 +470,8 @@ def test_criterion_09_generator_fidelity():
 
     rng = np.random.default_rng(99)
     cloud = PointCloud(rng.uniform(0, 0.1, size=(600, 3)))
-    labels, seeds = cluster_partition(cloud, 10, rng_seed=1)
-    masked = mask_augment(cloud, clusters=10, masked=4, rng_seed=1)
+    labels, seeds = cluster_partition(cloud, rng_seed=1)
+    masked = mask_augment(cloud, masked=4, rng_seed=1)
     kept_labels = set()
     kept_rows = {tuple(p) for p in masked.points}
     for i, p in enumerate(cloud.points):

@@ -517,6 +517,15 @@ def _case_ingest_line_break(w):
     return argv, "line break"
 
 
+def _case_ingest_id(demo_id, existing):
+    """ingest under an id that is not a file name, into a new or an existing archive."""
+    def case(w):
+        if existing:
+            ingest_one(w)
+        return _ingest(w) + ["--id", demo_id], "is not a file name"
+    return case
+
+
 def _case_gen_align_data_negative_seed(w):
     ingest_one(w)
     argv = ["gen-align-data", "--dataset", str(w / "ds"), "--demo-id", "d1", "--count", "2"]
@@ -569,6 +578,9 @@ MALFORMED = {
     ),
     "gripper-out-of-range": _case_gripper_out_of_range,
     "ingest-line-break-description": _case_ingest_line_break,
+    "ingest-id-outside-archive": _case_ingest_id("../escape", existing=False),
+    "ingest-id-in-subdirectory": _case_ingest_id("sub/x", existing=True),
+    "ingest-id-empty": _case_ingest_id("", existing=False),
     "gen-scene-negative-seed": lambda w: (["gen-scene", "--family", "mug", "--seed", "-1"], "got -1"),
     "gen-scene-negative-instance-seed": lambda w: (
         ["gen-scene", "--family", "mug", "--instance-seed", "-2"],
@@ -620,6 +632,21 @@ def test_malformed_input_exits_2(workdir, capsys, case):
     assert "Traceback" not in err
     error = [line for line in err.splitlines() if line.startswith("error:")]
     assert len(error) == 1 and where in error[0], err
+
+
+@pytest.mark.parametrize("demo_id", ["../escape", "sub/x", ""])
+def test_bad_id_leaves_archive_unchanged(workdir, capsys, demo_id):
+    """ingest refuses the id before it writes: the archive keeps its bytes and
+    loads, and no file appears outside it."""
+    ingest_one(workdir)
+
+    def files():
+        return {p: p.read_bytes() for p in sorted(workdir.rglob("*")) if p.is_file()}
+
+    before = files()
+    assert cli.main(_ingest(workdir) + ["--id", demo_id]) == cli.EXIT_INPUT
+    assert files() == before
+    assert list(demos.load_dataset(workdir / "ds").demos) == ["d1"]
 
 
 def parser_flags() -> dict:

@@ -14,7 +14,7 @@ from trajtransfer.embedding import (
     occupancy_embedding,
 )
 from trajtransfer.errors import EmptyCloud, GridMismatch, OutOfWorkspace, ZeroEmbedding
-from trajtransfer.se3 import EE_FRAME, PointCloud
+from trajtransfer.se3 import PointCloud
 from trajtransfer.simbench import CATEGORIES, _observed_cloud, default_task, generate_object, randomize_scene
 
 
@@ -94,10 +94,6 @@ class TestOccupancyEmbedding:
     def test_empty_cloud(self):
         with pytest.raises(EmptyCloud):
             occupancy_embedding(PointCloud(np.zeros((0, 3))))
-
-    def test_requires_robot_frame(self):
-        with pytest.raises(ValueError):
-            occupancy_embedding(PointCloud(np.zeros((3, 3)) + 0.2, frame=EE_FRAME))
 
     def test_determinism(self):
         c = blob((0.33, 0.21, 0.17), n=300)

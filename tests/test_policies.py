@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from trajtransfer.demos import Dataset, EndEffectorState
-from trajtransfer.errors import InvalidSpacing, TooFewPoints
+from trajtransfer.errors import TooFewPoints
 from trajtransfer.policies import (
     ALIGN_CUBOID_ORIGIN,
     ALIGN_CUBOID_SIZE,
@@ -90,16 +90,12 @@ class TestPlanLinearPath:
         for p in path:
             np.testing.assert_allclose(p.translation, [0, 0, 0], atol=1e-15)
 
-    def test_bad_spacing(self):
-        with pytest.raises(InvalidSpacing):
-            plan_linear_path(Pose.identity(), Pose.identity(), spacing=-1.0)
-
 
 class TestReplay:
     def test_round_trip(self):
         demo = make_demo()
         plan = build_replay_plan(demo)
-        assert len(plan.steps) == len(demo.trajectory) - 1
+        assert len(plan) == len(demo.trajectory) - 1
         out = execute_replay(plan, demo.trajectory[0].pose, demo.trajectory[0].gripper)
         assert len(out) == len(demo.trajectory)
         for a, b in zip(out, demo.trajectory):
@@ -123,7 +119,7 @@ class TestReplay:
         demo = make_demo()
         plan = build_replay_plan(demo)
         out = execute_replay(plan, Pose.from_yaw(1.0, (1.0, 2.0, 3.0)))
-        for i, (motion, _) in enumerate(plan.steps):
+        for i, (motion, _) in enumerate(plan):
             step = compose(invert(out[i].pose), out[i + 1].pose)
             dt, dr = pose_distance(step, motion)
             assert dt < 1e-12 and dr < 1e-12
@@ -185,10 +181,10 @@ class TestMaskAugment:
 
     def test_partition(self):
         c = self.cloud()
-        labels, seeds = cluster_partition(c, 10, rng_seed=0)
+        labels, seeds = cluster_partition(c, rng_seed=0)
         assert len(seeds) == 10
         assert set(labels) == set(range(10))
-        out = mask_augment(c, clusters=10, masked=4, rng_seed=0)
+        out = mask_augment(c, masked=4, rng_seed=0)
         # kept points come from exactly 6 clusters and are a subset of the input
         kept_rows = {tuple(p) for p in out.points}
         all_rows = [tuple(p) for p in c.points]
@@ -205,7 +201,7 @@ class TestMaskAugment:
 
     def test_too_few_points(self):
         with pytest.raises(TooFewPoints):
-            mask_augment(PointCloud(np.zeros((5, 3))), clusters=10)
+            mask_augment(PointCloud(np.zeros((5, 3))))
 
 
 class TestJitter:

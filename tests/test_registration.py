@@ -181,19 +181,19 @@ class TestEstimateCovariances:
         rng = np.random.default_rng(4)
         pts = np.zeros((200, 3))
         pts[:, :2] = rng.uniform(-0.1, 0.1, size=(200, 2))
-        cov = estimate_covariances(PointCloud(pts)).matrices
+        cov = estimate_covariances(PointCloud(pts))
         w = np.linalg.eigvalsh(cov)
         np.testing.assert_allclose(w[:, 0], EPS_PLANE * w[:, 2], rtol=1e-9)
 
     def test_isotropic_blob(self):
         rng = np.random.default_rng(5)
         pts = rng.normal(scale=0.05, size=(400, 3))
-        cov = estimate_covariances(PointCloud(pts), k=40).matrices
+        cov = estimate_covariances(PointCloud(pts), k=40)
         w = np.linalg.eigvalsh(cov)
         assert np.median(w[:, 0] / w[:, 2]) > 0.5
 
     def test_symmetric_psd(self):
-        cov = estimate_covariances(mug_cloud()).matrices
+        cov = estimate_covariances(mug_cloud())
         np.testing.assert_allclose(cov, np.transpose(cov, (0, 2, 1)), atol=1e-15)
         assert np.all(np.linalg.eigvalsh(cov) >= 0)
 
@@ -452,8 +452,9 @@ def step_stop_scenes(family, kind):
 
 @lru_cache(maxsize=None)
 def step_stop_runs(family, kind):
-    """Per scene: GICP from the coarse init under a TrialLog, the oracle's
-    pose and call count, and the cost at the init and at the result."""
+    """Per scene: GICP from the coarse init under a TrialLog, the last pose
+    it accepted, the oracle's pose and call count, and the cost at the init
+    and at the result."""
     params = GicpParams()
     runs = []
     for demo_cloud, test_cloud in step_stop_scenes(family, kind):
@@ -468,18 +469,19 @@ def step_stop_runs(family, kind):
                 demo_cloud, test_cloud, init, params, demo_covariances=cov_demo, test_covariances=cov_test
             )
         want, oracle_calls = polish_to_noise(
-            demo_cloud, test_cloud, init, params, cov_demo.matrices, cov_test.matrices
+            demo_cloud, test_cloud, init, params, cov_demo, cov_test
         )
         tree = cKDTree(test_cloud.points)
         cost_init, cost_final = (
             _corresponding_cost(
-                pose, demo_cloud.points, cov_demo.matrices, tree, test_cloud.points,
-                cov_test.matrices, params.inlier_radius,
+                pose, demo_cloud.points, cov_demo, tree, test_cloud.points,
+                cov_test, params.inlier_radius,
             )[5]
             for pose in (init, res.delta)
         )
         runs.append(SimpleNamespace(
-            res=res, want=want, log=log, oracle_calls=oracle_calls, cost_init=cost_init, cost_final=cost_final
+            res=res, accepted=log.current[0], want=want, log=log, oracle_calls=oracle_calls,
+            cost_init=cost_init, cost_final=cost_final,
         ))
     return runs
 
@@ -504,6 +506,9 @@ class TestStepStop:
     def test_cost_never_above_init(self, family, kind):
         for run in step_stop_runs(family, kind):
             assert run.cost_final <= run.cost_init
+            # each accepted trial lowers the cost, so the last one is the best
+            # pose visited, and GICP returns it bit for bit
+            assert run.accepted == run.res.delta
 
     @pytest.mark.parametrize("family,kind", STEP_STOP_CASES)
     def test_no_trial_within_the_stop(self, family, kind):
@@ -698,7 +703,7 @@ class TestRotateCovariances:
         demo, _, _ = family_demo(family)
         (_, occluded), *_ = step_stop_scenes(family, "unseen")
         for cloud in (demo.object_cloud, occluded):
-            cov = estimate_covariances(cloud).matrices
+            cov = estimate_covariances(cloud)
             for scale in (1e-150, 1.0, 1e6):
                 for _ in range(10):
                     R = Pose(rng.normal(size=4)).rotation_matrix()

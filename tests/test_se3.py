@@ -12,7 +12,6 @@ from trajtransfer import se3
 from trajtransfer.demos import EndEffectorState
 from trajtransfer.errors import EmptyCloud, OutOfRange
 from trajtransfer.se3 import (
-    EE_FRAME,
     Pose,
     PointCloud,
     compose,
@@ -126,7 +125,6 @@ class TestTransformCloud:
         c = PointCloud(rng.normal(size=(20, 3)))
         out = transform_cloud(Pose.identity(), c)
         np.testing.assert_array_equal(out.points, c.points)
-        assert out.frame == c.frame
 
     def test_single_point_lift(self):
         c = PointCloud(np.zeros((1, 3)))
@@ -293,7 +291,6 @@ class TestEquality:
         pts = rng.normal(size=(5, 3))
         c = PointCloud(pts)
         assert c == PointCloud(pts.copy())
-        assert c != PointCloud(pts, frame=EE_FRAME)
         assert c != PointCloud(pts[:4])
         assert c != PointCloud(pts + [0.0, 0.0, 1e-12])
         assert c != pts.tolist()

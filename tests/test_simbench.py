@@ -149,7 +149,7 @@ def camera_frame_render(instance, object_pose, seed=0):
     cam_inv = invert(head_camera(object_pose))
     in_cam = world.points @ cam_inv.rotation_matrix().T + cam_inv.translation
     in_front = in_cam[:, 2] > 1e-9
-    visible = np.nonzero(in_front)[0][simbench.hidden_point_removal(in_cam[in_front], 100.0)]
+    visible = np.nonzero(in_front)[0][simbench.hidden_point_removal(in_cam[in_front])]
     if len(visible) > 800:
         rng = np.random.default_rng(np.random.SeedSequence([seed, 7]))
         visible = np.sort(rng.choice(visible, size=800, replace=False))
@@ -166,9 +166,9 @@ def hull_count(monkeypatch):
     calls = [0]
     hpr = simbench.hidden_point_removal
 
-    def counting(points, gamma):
+    def counting(points):
         calls[0] += 1
-        return hpr(points, gamma)
+        return hpr(points)
 
     monkeypatch.setattr(simbench, "hidden_point_removal", counting)
     return calls
@@ -373,12 +373,12 @@ class TestGroundTruthTransfer:
         for instance_seed, mode, s in itertools.product((0, 1000), ("controlled", "thousand"), range(4)):
             scene = randomize_scene(task, generate_object(family, instance_seed), mode, 70 + s)
             for demo_id, demo in bench.dataset.demos.items():
-                demo_inst, demo_scene = bench.demo_meta[demo_id]
+                demo_scene = bench.demo_meta[demo_id]
                 gt = compose(
                     _anchor_world(scene.object, scene.object_pose),
-                    invert(_anchor_world(demo_inst, demo_scene.object_pose)),
+                    invert(_anchor_world(demo_scene.object, demo_scene.object_pose)),
                 )
                 demo_final = demo.trajectory[-1].pose
                 assert _final_pose_success(
-                    task, compose(gt, demo_final), scene, demo_inst, demo_scene, demo_final
+                    task, compose(gt, demo_final), scene, demo_scene, demo_final
                 )
