@@ -147,12 +147,12 @@ def cmd_gen_align_data(args) -> int:
     if args.demo_id not in dataset.demos:
         raise MalformedFile(f"demo id {args.demo_id!r} not in dataset")
     demo = dataset.demos[args.demo_id]
-    out = simulate_alignment_trajectories(demo, count=args.count, rng_seed=args.seed)
+    paths = simulate_alignment_trajectories(demo, count=args.count, rng_seed=args.seed)
     demos_mod.write_trajectory_blocks(
-        [[demos_mod.EndEffectorState(p, 0, i) for i, p in enumerate(traj)] for traj in out.trajectories],
+        [[demos_mod.EndEffectorState(p, 0, i) for i, p in enumerate(path)] for path in paths],
         args.output,
     )
-    print(f"{len(out.trajectories)} trajectories written to {args.output}")
+    print(f"{len(paths)} trajectories written to {args.output}")
     return EXIT_OK
 
 

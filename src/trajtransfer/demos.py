@@ -211,8 +211,6 @@ def _content_id(description, cloud, traj) -> str:
 #                   then "trajectory N", "cloud N" and "voxels K" blocks; the
 #                   voxels block holds one row "index value" per non-zero
 #                   embedding entry, indices increasing, every other entry 0.
-#                   The reader also takes the dense "embedding N" block (one
-#                   value per row) that archives written before it hold.
 #
 # Floats are written with repr() and read with float() (or NumPy's conversion,
 # which gives the same bits), so a round trip is bit-exact.  A malformed file
@@ -324,16 +322,7 @@ def _cloud(lines, i: int, keyword: str, path) -> PointCloud:
 
 
 def _embedding(lines, i: int, grid: emb.GridSpec, path) -> emb.GeometryEmbedding:
-    """The ``voxels K`` block at index i, or an ``embedding N`` block of an
-    archive written before the voxels block, as an embedding on ``grid``."""
-    if i < len(lines) and lines[i].startswith("embedding "):
-        values = np.array(_block(lines, i, "embedding", float, path), dtype=np.float64)
-        try:
-            return emb.GeometryEmbedding(values, grid)
-        except ValueError as e:  # wrong length for the grid, or a negative or non-finite value
-            ok = np.isfinite(values) & (values >= 0.0)
-            lineno = i + 1 if ok.all() else i + 2 + int(np.argmin(ok))
-            raise MalformedFile(f"{path}:{lineno}: {e}") from e
+    """The ``voxels K`` block at index i as an embedding on ``grid``."""
     voxels = _block(lines, i, "voxels", lambda line: _voxel(line, grid.size), path)
     index = np.array([k for k, _ in voxels], dtype=np.int64)
     behind = np.flatnonzero(np.diff(index) <= 0)  # rows whose index does not follow the row before's
@@ -342,7 +331,10 @@ def _embedding(lines, i: int, grid: emb.GridSpec, path) -> emb.GeometryEmbedding
         raise MalformedFile(f"{path}:{i + 2 + row}: voxel index {index[row]} does not follow {index[row - 1]}")
     values = np.zeros(grid.size)
     values[index] = [v for _, v in voxels]
-    return emb.GeometryEmbedding(values, grid)
+    try:
+        return emb.GeometryEmbedding(values, grid)
+    except ValueError as e:  # no rows, or values too small to have a norm
+        raise MalformedFile(f"{path}:{i + 1}: {e}") from e
 
 
 def read_cloud_file(path) -> PointCloud:
@@ -398,8 +390,6 @@ def load_demo_file(path, grid: emb.GridSpec) -> Demonstration:
     i = 4 + len(traj)
     cloud = _cloud(lines, i, "cloud", path)
     embedding = _embedding(lines, i + 1 + len(cloud), grid, path)
-    if not embedding.values.any():  # ingest never embeds a cloud to zero: cosine is undefined
-        raise MalformedFile(f"{path}:{i + 2 + len(cloud)}: the embedding is all zero")
     try:
         demo = Demonstration(
             id=path.stem,

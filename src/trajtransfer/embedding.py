@@ -16,7 +16,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import EmptyCloud, GridMismatch, OutOfWorkspace, ZeroEmbedding
+from .errors import EmptyCloud, GridMismatch, OutOfWorkspace
 from .se3 import PointCloud
 
 # Default grid: the 80x45 cm task space plus 40 cm of height, ~2.5 cm voxels.
@@ -77,8 +77,11 @@ class GeometryEmbedding:
         v = np.asarray(self.values, dtype=np.float64).reshape(-1).copy()
         if v.shape[0] != self.grid.size:
             raise ValueError("embedding length does not match grid size")
-        if not np.all(np.isfinite(v) & (v >= 0.0)):
+        lo, hi = float(v.min()), float(v.max())  # NaN if any value is NaN, which fails the first test
+        if not (lo >= 0.0 and hi < np.inf):
             raise ValueError("embedding entries must be finite and non-negative")
+        if hi * hi == 0.0:  # exactly when the norm is 0.0 (no square exceeds hi * hi): cosine is undefined
+            raise ValueError("the embedding is all zero, or its norm underflows to 0")
         v.setflags(write=False)
         object.__setattr__(self, "values", v)
 
@@ -127,7 +130,4 @@ def _corners(a: np.ndarray, op) -> np.ndarray:
 def cosine_similarity(a: GeometryEmbedding, b: GeometryEmbedding) -> float:
     if a.grid != b.grid:
         raise GridMismatch("embeddings computed on different grids")
-    na, nb = a.norm, b.norm
-    if na == 0.0 or nb == 0.0:
-        raise ZeroEmbedding("cosine undefined for a zero embedding")
-    return float(a.values @ b.values / (na * nb))
+    return float(a.values @ b.values / (a.norm * b.norm))

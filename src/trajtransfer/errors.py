@@ -41,10 +41,6 @@ class GridMismatch(TrajTransferError):
     pass
 
 
-class ZeroEmbedding(TrajTransferError):
-    pass
-
-
 class UnknownSkill(TrajTransferError):
     pass
 

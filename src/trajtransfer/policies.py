@@ -9,7 +9,6 @@ expressed in the end-effector frame, open loop.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -28,10 +27,6 @@ from .se3 import (
 # above the task space, with uniform random yaw.
 ALIGN_CUBOID_ORIGIN = (0.25, -0.175, 0.40)
 ALIGN_CUBOID_SIZE = (0.30, 0.80, 0.80)
-
-# Waypoint perturbation bounds for alignment training pairs.
-ALIGN_PERTURB_TRANS = (0.001, 0.01)  # metres
-ALIGN_PERTURB_ROT = (math.radians(0.5), math.radians(5.0))
 
 OCCLUSION_CLUSTERS = 10  # farthest-point clusters of a cloud; an occlusion masks some
 
@@ -68,43 +63,16 @@ def execute_replay(plan: tuple, start: Pose, start_gripper: int = 0):
     return out
 
 
-@dataclass(frozen=True)
-class AlignmentTrajectorySet:
-    trajectories: tuple  # tuple of Pose sequences, each ending at the target
-    perturbed: tuple  # per trajectory: tuple of poses near the target, one per waypoint
-    target: Pose
-
-
-def _random_unit_vector(rng) -> np.ndarray:
-    v = rng.normal(size=3)
-    n = np.linalg.norm(v)
-    while n < 1e-12:
-        v = rng.normal(size=3)
-        n = np.linalg.norm(v)
-    return v / n
-
-
-def _perturbed_pose(target: Pose, rng) -> Pose:
-    dt = rng.uniform(*ALIGN_PERTURB_TRANS) * _random_unit_vector(rng)
-    ang = rng.uniform(*ALIGN_PERTURB_ROT)
-    axis = _random_unit_vector(rng)
-    dq = Pose.from_axis_angle(axis, ang).rotation
-    from .se3 import _quat_mul  # local import to keep the public surface small
-
-    return Pose(_quat_mul(dq, target.rotation), target.translation + dt)
-
-
 def simulate_alignment_trajectories(
     demo: Demonstration,
     count: int = 1000,
     rng_seed: int = 0,
-) -> AlignmentTrajectorySet:
-    """Linear approach trajectories from random start poses in the cuboid.
+) -> tuple:
+    """Linear approach paths (tuples of poses) from random start poses in the cuboid.
 
-    Each trajectory ends exactly at the demo's alignment target.  For every
-    waypoint one extra pose is generated by perturbing the target within the
-    configured translation/rotation bounds.  Per-trajectory RNG streams are
-    derived from (rng_seed, index) so generation parallelizes deterministically.
+    Each path ends exactly at the demo's alignment target.  Per-trajectory RNG
+    streams are derived from (rng_seed, index) so generation parallelizes
+    deterministically.
     """
     if rng_seed < 0:
         raise OutOfRange(f"seed must be non-negative, got {rng_seed}")
@@ -112,7 +80,6 @@ def simulate_alignment_trajectories(
     origin = np.asarray(ALIGN_CUBOID_ORIGIN, dtype=np.float64)
     size = np.asarray(ALIGN_CUBOID_SIZE, dtype=np.float64)
     trajectories = []
-    perturbed = []
     for i in range(count):
         rng = np.random.default_rng(np.random.SeedSequence([rng_seed, i]))
         pos = origin + rng.uniform(size=3) * size
@@ -120,8 +87,7 @@ def simulate_alignment_trajectories(
         start = Pose.from_yaw(yaw, pos)
         path = plan_linear_path(start, target)
         trajectories.append(tuple(path))
-        perturbed.append(tuple(_perturbed_pose(target, rng) for _ in path))
-    return AlignmentTrajectorySet(tuple(trajectories), tuple(perturbed), target)
+    return tuple(trajectories)
 
 
 def farthest_point_seeds(points: np.ndarray, count: int, rng) -> np.ndarray:

@@ -499,7 +499,6 @@ def run_rollout(
     bench: Benchmark,
     task: TaskSpec,
     scene: SceneSpec,
-    use_gt_delta: bool = False,
 ) -> RolloutResult:
     """Full pipeline on one scene; all failures are recorded, never raised."""
     cloud = _observed_cloud(scene)
@@ -517,16 +516,18 @@ def run_rollout(
         registration = estimate_delta(demo, cloud)
     except NoCorrespondences:
         return RolloutResult(scene, retrieval, None, gt_delta, None, False, FAILURE_REGISTRATION)
-    delta = gt_delta if use_gt_delta else registration.delta
 
-    target = transfer_alignment_pose(demo, delta)
-    executed = execute_replay(build_replay_plan(demo), target, demo.trajectory[0].gripper)
-
-    success = _final_pose_success(
-        task, executed[-1].pose, scene, demo_scene, demo.trajectory[-1].pose
-    )
+    executed, success = _replay(task, demo, registration.delta, scene, demo_scene)
     failure = classify_failure(task, demo, registration, gt_delta, success)
-    return RolloutResult(scene, retrieval, registration, gt_delta, tuple(executed), success, failure)
+    return RolloutResult(scene, retrieval, registration, gt_delta, executed, success, failure)
+
+
+def _replay(task: TaskSpec, demo: Demonstration, delta: Pose, scene: SceneSpec, demo_scene: SceneSpec):
+    """Replay ``demo`` under the object motion ``delta`` in ``scene``: the
+    executed states, and whether the final pose meets the task's thresholds."""
+    target = transfer_alignment_pose(demo, delta)
+    executed = tuple(execute_replay(build_replay_plan(demo), target, demo.trajectory[0].gripper))
+    return executed, _final_pose_success(task, executed[-1].pose, scene, demo_scene, demo.trajectory[-1].pose)
 
 
 def classify_failure(

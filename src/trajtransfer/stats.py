@@ -343,22 +343,22 @@ def read_traces(trace_path) -> list:
     return traces
 
 
-def _table(traces, sort: bool = False) -> SuccessTable:
-    """The (k, n) table of some traces, rows in first-seen label order or sorted."""
+def _table(traces) -> SuccessTable:
+    """The (k, n) table of some traces, rows in first-seen label order."""
     counts: dict[str, list[int]] = {}
     for t in traces:
         c = counts.setdefault(t["condition"], [0, 0])
         c[0] += int(t["success"])
         c[1] += 1
     table = SuccessTable()
-    for label in sorted(counts) if sort else counts:
+    for label in counts:
         table.add(label, *counts[label])
     return table
 
 
 def table_from_traces(trace_path) -> SuccessTable:
-    """Recompute the (k, n) table from a trace file, rows sorted by label."""
-    return _table(read_traces(trace_path), sort=True)
+    """Recompute the (k, n) table from a trace file, as run_experiment returned it."""
+    return _table(read_traces(trace_path))
 
 
 def failure_histogram(trace_path) -> dict:

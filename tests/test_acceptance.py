@@ -13,7 +13,7 @@ import numpy as np
 from scipy.spatial import cKDTree
 
 from trajtransfer import cli
-from trajtransfer.demos import Dataset, EndEffectorState
+from trajtransfer.demos import Dataset, EndEffectorState, alignment_target
 from trajtransfer.embedding import occupancy_embedding
 from trajtransfer.policies import (
     ALIGN_CUBOID_ORIGIN,
@@ -55,7 +55,7 @@ from trajtransfer.simbench import (
 )
 from trajtransfer.stats import ExperimentConfig, run_experiment, table_from_traces
 
-from conftest import random_pose
+from conftest import gt_delta_success, random_pose
 
 TOL = 1e-9
 
@@ -346,8 +346,9 @@ def test_criterion_06_same_instance_benchmark():
         bench.record_demonstration(task, randomize_scene(task, inst, "controlled", 42))
         for i in range(n_per_family):
             scene = randomize_scene(task, inst, "controlled", 100 + i)
-            pipeline_ok += run_rollout(bench, task, scene).success
-            gt_ok += run_rollout(bench, task, scene, use_gt_delta=True).success
+            result = run_rollout(bench, task, scene)
+            pipeline_ok += result.success
+            gt_ok += gt_delta_success(bench, task, result)
     elapsed = time.perf_counter() - t0
     n = n_per_family * len(CATEGORIES)
     ok = pipeline_ok >= math.ceil(0.95 * n) and gt_ok == n and elapsed < 900.0
@@ -455,15 +456,15 @@ def test_criterion_08_protocol_fidelity(tmp_path):
 
 def test_criterion_09_generator_fidelity():
     demo = make_demo(seed=9)
-    out = simulate_alignment_trajectories(demo, count=1000, rng_seed=0)
+    paths = simulate_alignment_trajectories(demo, count=1000, rng_seed=0)
     origin = np.array(ALIGN_CUBOID_ORIGIN)
     size = np.array(ALIGN_CUBOID_SIZE)
-    count_ok = len(out.trajectories) == 1000
+    count_ok = len(paths) == 1000
     starts_ok = spacing_ok = endpoint_ok = True
-    for traj in out.trajectories:
+    for traj in paths:
         s = traj[0].translation
         starts_ok &= bool(np.all(s >= origin - 1e-12) and np.all(s <= origin + size + 1e-12))
-        dt, dr = pose_distance(traj[-1], out.target)
+        dt, dr = pose_distance(traj[-1], alignment_target(demo))
         endpoint_ok &= dt == 0.0 and dr == 0.0
         t = np.array([p.translation for p in traj])
         spacing_ok &= bool(np.all(np.linalg.norm(np.diff(t, axis=0), axis=1) <= 0.01 + 1e-9))

@@ -1,6 +1,7 @@
 """Command-line interface: exit codes, JSON output, determinism, flag docs."""
 
 import argparse
+import hashlib
 import json
 import os
 import re
@@ -244,6 +245,8 @@ class TestGenScene:
 
 class TestGenAlignData:
     def test_export(self, workdir, capsys):
+        """The exported approach paths, pinned: a change that moves any byte
+        of gen-align-data's output fails here first."""
         ingest_one(workdir)
         capsys.readouterr()
         out_file = workdir / "align.txt"
@@ -252,22 +255,24 @@ class TestGenAlignData:
                 "gen-align-data",
                 "--dataset", str(workdir / "ds"),
                 "--demo-id", "d1",
-                "--count", "5",
+                "--count", "20",
                 "--output", str(out_file),
             ]
         )
         assert code == cli.EXIT_OK
         text = out_file.read_text()
-        assert text.count("trajectory ") == 5
+        assert text.count("trajectory ") == 20
+        digest = hashlib.sha256(out_file.read_bytes()).hexdigest()
+        assert digest == "721d8d9e2597a16f0d8abe68ac04056ad6399aa8827b6368a8d030e7c176a1c1"
 
 
-def eval_config(path, seed=3):
+def eval_config(path, seed=3, demos_per_task=(1,)):
     cfg = {
         "mode": "dataset_size",
         "seed": seed,
         "repeats": 1,
         "families": ["mug", "tray"],
-        "demos_per_task": [1],
+        "demos_per_task": list(demos_per_task),
     }
     Path(path).write_text(json.dumps(cfg))
 
@@ -350,7 +355,9 @@ class TestEvaluate:
 
 class TestReportConfig:
     def test_summary_json_round_trip(self, workdir, capsys):
-        eval_config(workdir / "cfg.json")
+        """report rebuilds evaluate's four report files byte for byte, rows in
+        evaluate's order even where the labels sort otherwise (demos=10 < demos=3)."""
+        eval_config(workdir / "cfg.json", demos_per_task=(3, 10))
         cli.main(
             [
                 "evaluate",
@@ -368,7 +375,7 @@ class TestReportConfig:
             ]
         )
         assert code == cli.EXIT_OK
-        for name in ("summary.json", "report.csv", "failures.svg"):
+        for name in ("summary.json", "report.csv", "chart.svg", "failures.svg"):
             assert (workdir / "rep" / name).read_bytes() == (workdir / "out" / name).read_bytes()
 
     def test_summary_json_with_retired_key(self, workdir, capsys):

@@ -3,7 +3,6 @@
 import copy
 import dataclasses
 import hashlib
-import json
 import math
 import pickle
 
@@ -12,14 +11,13 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from trajtransfer import demos
+from trajtransfer import cli, demos
 from trajtransfer.demos import (
     Dataset,
     Demonstration,
     EndEffectorState,
     alignment_target,
     load_dataset,
-    load_demo_file,
     parse_micro_skill,
     resample_trajectory,
     save_dataset,
@@ -382,14 +380,7 @@ def demo_on_grid8(values, demo_id="d", description="open the bottle", cloud=CLOU
     )
 
 
-# a .demo as the dense-embedding writer wrote it, before the voxels block
-DENSE_DEMO = (
-    "description open the bottle\nmicro_skill open bottle\ninstance bottle-3\ntrajectory 2\n"
-    "0 0.4 0.2 0.2 1.0 0.0 0.0 0.0 0\n1 0.4 0.2 0.12 0.9238795325112867 0.0 0.0 0.3826834323650898 1\n"
-    "cloud 3\n0.41 0.2 0.05\n0.38 0.21 0.06\n0.4 0.19 0.04\nembedding 8\n0.6047546581822695\n0.0\n"
-    "0.39052725179804243\n0.0\n0.5852904027271837\n0.0\n0.37308901549813284\n0.0\n"
-)
-DENSE_VALUES = [0.6047546581822695, 0.0, 0.39052725179804243, 0.0, 0.5852904027271837, 0.0, 0.37308901549813284, 0.0]
+DEMO_VALUES = [0.6047546581822695, 0.0, 0.39052725179804243, 0.0, 0.5852904027271837, 0.0, 0.37308901549813284, 0.0]
 
 embedding_entries = st.one_of(
     st.just(0.0),
@@ -399,8 +390,7 @@ embedding_entries = st.one_of(
 
 
 class TestEmbeddingBlock:
-    """The archive stores an embedding's non-zero entries as a ``voxels K``
-    block and still reads the dense ``embedding N`` block of older archives."""
+    """The archive stores an embedding's non-zero entries as a ``voxels K`` block."""
 
     @settings(max_examples=60, deadline=None)
     @given(values=st.lists(embedding_entries, min_size=8, max_size=8))
@@ -409,55 +399,38 @@ class TestEmbeddingBlock:
     @example(values=[5e-324] + [0.0] * 7)
     @example(values=[0.5, 1e-300, 2.5e-310, 5e-324, 1.0, 3.0, 1e300, 0.1])
     def test_round_trip_bit_exact(self, tmp_path_factory, values):
+        if max(values) * max(values) == 0.0:  # zero norm: cosine is undefined, so no demo holds it and no archive can
+            with pytest.raises(ValueError, match="the embedding is all zero"):
+                demo_on_grid8(values)
+            return
         ds = Dataset(GRID8)
         demo = ds.add(demo_on_grid8(values))
         path = tmp_path_factory.mktemp("voxels")
         save_dataset(ds, path)
         assert f"voxels {np.count_nonzero(values)}" in (path / "d.demo").read_text().splitlines()
-        if not any(values):  # no cloud embeds to zero, and the reader refuses it (cosine is undefined)
-            with pytest.raises(MalformedFile, match=r"d\.demo:11: the embedding is all zero"):
-                load_dataset(path)
-            return
         back = load_dataset(path).demos["d"]
         assert back == demo
         assert np.array_equal(back.embedding.values.view(np.uint64), demo.embedding.values.view(np.uint64))
 
-    def test_dense_block_still_read(self, tmp_path):
-        (tmp_path / "d.demo").write_text(DENSE_DEMO)
-        assert load_demo_file(tmp_path / "d.demo", GRID8) == demo_on_grid8(DENSE_VALUES)
-
-    def test_dense_block_all_zero_names_its_header(self, tmp_path):
-        zero = DENSE_DEMO[: DENSE_DEMO.index("embedding 8")] + "embedding 8\n" + "0.0\n" * 8
-        (tmp_path / "d.demo").write_text(zero)
-        with pytest.raises(MalformedFile, match=r"d\.demo:11: the embedding is all zero"):
-            load_demo_file(tmp_path / "d.demo", GRID8)
-
-    def test_dense_block_names_a_negative_value(self, tmp_path):
-        (tmp_path / "d.demo").write_text(DENSE_DEMO.replace("\n0.0\n0.5852", "\n-0.5\n0.5852"))
-        with pytest.raises(MalformedFile, match=r"d\.demo:15: embedding entries must be finite"):
-            load_demo_file(tmp_path / "d.demo", GRID8)
-
-    def test_dense_archive_loads_as_saved_again(self, tmp_path):
-        """An archive with a dense block loads into the Dataset that, saved
-        again, writes the voxels block and loads equal."""
-        (tmp_path / "old").mkdir()
-        (tmp_path / "old" / "d.demo").write_text(DENSE_DEMO)
-        manifest = {"demo_ids": ["d"], "grid": GRID8.to_dict(), "skill_index": {"open bottle": ["d"]}}
-        (tmp_path / "old" / "dataset.json").write_text(json.dumps(manifest))
-        old = load_dataset(tmp_path / "old")
-        save_dataset(old, tmp_path / "new")
-        new = load_dataset(tmp_path / "new")
-        assert new.demos == old.demos and new.skill_index == old.skill_index and new.grid == old.grid
-        text = (tmp_path / "new" / "d.demo").read_text()
-        assert text == DENSE_DEMO[: DENSE_DEMO.index("embedding 8")] + (
-            "voxels 4\n0 0.6047546581822695\n2 0.39052725179804243\n4 0.5852904027271837\n6 0.37308901549813284\n"
-        )
+    def test_dense_header_names_its_line(self, tmp_path, capsys):
+        """The dense ``embedding N`` block that the voxels block replaced is a
+        malformed header: the CLI exits 2 naming its line."""
+        ds = Dataset(GRID8)
+        ds.add(demo_on_grid8(DEMO_VALUES))
+        save_dataset(ds, tmp_path)
+        lines = (tmp_path / "d.demo").read_text().splitlines()
+        at = lines.index("voxels 4")
+        lines[at:] = ["embedding 8", *map(repr, DEMO_VALUES)]
+        (tmp_path / "d.demo").write_text("\n".join(lines) + "\n")
+        argv = ["gen-align-data", "--dataset", str(tmp_path), "--demo-id", "d", "--output", str(tmp_path / "a")]
+        assert cli.main(argv) == cli.EXIT_INPUT
+        assert f"d.demo:{at + 1}: expected 'voxels ...', got 'embedding 8'" in capsys.readouterr().err
 
     def test_archive_bytes_pinned(self, tmp_path):
         """The writer's text, pinned: a change that moves any byte of the
         archive fails here first."""
         ds = Dataset(GRID8)
-        ds.add(demo_on_grid8(DENSE_VALUES))
+        ds.add(demo_on_grid8(DEMO_VALUES))
         cloud = PointCloud(np.array([[0.5, -0.0, 1e-05], [0.3333333333333333, 0.25, 0.125]]))
         ds.add(demo_on_grid8([0.0, 5e-324, 0.0, 0.0, 0.0, 0.0, 1.0, 0.0], "e", "open box", cloud, None))
         save_dataset(ds, tmp_path)

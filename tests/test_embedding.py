@@ -13,7 +13,7 @@ from trajtransfer.embedding import (
     cosine_similarity,
     occupancy_embedding,
 )
-from trajtransfer.errors import EmptyCloud, GridMismatch, OutOfWorkspace, ZeroEmbedding
+from trajtransfer.errors import EmptyCloud, GridMismatch, OutOfWorkspace
 from trajtransfer.se3 import PointCloud
 from trajtransfer.simbench import CATEGORIES, _observed_cloud, default_task, generate_object, randomize_scene
 
@@ -222,19 +222,18 @@ class TestCosine:
         with pytest.raises(GridMismatch):
             cosine_similarity(a, b)
 
-    def test_zero_embedding(self):
-        g = GridSpec()
-        z = GeometryEmbedding(np.zeros(g.size), g)
-        e = occupancy_embedding(blob((0.4, 0.2, 0.1)))
-        with pytest.raises(ZeroEmbedding):
-            cosine_similarity(e, z)
-
     def test_negative_entries_rejected(self):
+        """A negative or non-finite embedding, or one whose norm is 0.0 (all
+        zero, or so small that its norm underflows), cannot be built, so every
+        cosine of two embeddings on one grid is defined."""
         g = GridSpec()
-        v = np.zeros(g.size)
-        v[0] = -1.0
-        with pytest.raises(ValueError):
-            GeometryEmbedding(v, g)
+        for value, message in (
+            (-1.0, "non-negative"), (np.nan, "finite"), (np.inf, "finite"), (0.0, "all zero"), (1e-200, "norm underflows")
+        ):
+            v = np.zeros(g.size)
+            v[0] = value
+            with pytest.raises(ValueError, match=message):
+                GeometryEmbedding(v, g)
 
 
 class TestNorm:

@@ -365,12 +365,13 @@ class TestArchive:
             (["1 -0.5"], 1, "voxel value -0.5 is not finite and > 0"),
             (["1 x"], 1, "could not convert string to float"),
             ([], 0, "the embedding is all zero"),
+            (["0 1e-200"], 0, "the embedding is all zero, or its norm underflows to 0"),
         ],
         ids=[
             "one-column", "three-columns", "float-index", "word-index", "negative-index",
             "index-past-grid", "repeated-index", "decreasing-index", "infinite-value",
             "nan-value", "zero-value", "negative-zero-value", "negative-value", "word-value",
-            "no-rows",
+            "no-rows", "norm-underflows",
         ],
     )
     def test_malformed_voxels(self, archive, rows, row, message):

@@ -5,13 +5,11 @@ import math
 import numpy as np
 import pytest
 
-from trajtransfer.demos import Dataset, EndEffectorState
+from trajtransfer.demos import Dataset, EndEffectorState, alignment_target
 from trajtransfer.errors import TooFewPoints
 from trajtransfer.policies import (
     ALIGN_CUBOID_ORIGIN,
     ALIGN_CUBOID_SIZE,
-    ALIGN_PERTURB_ROT,
-    ALIGN_PERTURB_TRANS,
     build_replay_plan,
     cluster_partition,
     execute_replay,
@@ -136,34 +134,24 @@ class TestReplay:
 class TestAlignmentTrajectories:
     def test_generation(self):
         demo = make_demo()
-        out = simulate_alignment_trajectories(demo, count=20, rng_seed=3)
-        assert len(out.trajectories) == 20
+        paths = simulate_alignment_trajectories(demo, count=20, rng_seed=3)
+        assert len(paths) == 20
         origin = np.array(ALIGN_CUBOID_ORIGIN)
         size = np.array(ALIGN_CUBOID_SIZE)
-        for traj in out.trajectories:
+        for traj in paths:
             start = traj[0].translation
             assert np.all(start >= origin - 1e-12) and np.all(start <= origin + size + 1e-12)
-            dt, dr = pose_distance(traj[-1], out.target)
+            dt, dr = pose_distance(traj[-1], alignment_target(demo))
             assert dt == 0.0 and dr == 0.0
             for a, b in zip(traj[:-1], traj[1:]):
                 d, _ = pose_distance(a, b)
                 assert d <= 0.01 + 1e-9
 
-    def test_perturbation_bounds(self):
-        demo = make_demo()
-        out = simulate_alignment_trajectories(demo, count=5, rng_seed=4)
-        for traj, perts in zip(out.trajectories, out.perturbed):
-            assert len(perts) == len(traj)
-            for p in perts:
-                dt, dr = pose_distance(p, out.target)
-                assert ALIGN_PERTURB_TRANS[0] - 1e-12 <= dt <= ALIGN_PERTURB_TRANS[1] + 1e-12
-                assert ALIGN_PERTURB_ROT[0] - 1e-9 <= dr <= ALIGN_PERTURB_ROT[1] + 1e-9
-
     def test_determinism(self):
         demo = make_demo()
         a = simulate_alignment_trajectories(demo, count=3, rng_seed=9)
         b = simulate_alignment_trajectories(demo, count=3, rng_seed=9)
-        for ta, tb in zip(a.trajectories, b.trajectories):
+        for ta, tb in zip(a, b):
             for pa, pb in zip(ta, tb):
                 assert np.array_equal(pa.translation, pb.translation)
                 assert np.array_equal(pa.rotation, pb.rotation)

@@ -29,6 +29,8 @@ from trajtransfer.simbench import (
     run_rollout,
 )
 
+from conftest import gt_delta_success
+
 
 class TestGenerateObject:
     def test_deterministic(self):
@@ -318,8 +320,7 @@ class TestRollout:
         bench, task, inst, _ = make_bench()
         for s in (903, 904, 905):
             scene = randomize_scene(task, inst, "controlled", s)
-            res = run_rollout(bench, task, scene, use_gt_delta=True)
-            assert res.success
+            assert gt_delta_success(bench, task, run_rollout(bench, task, scene))
 
     def test_failure_class_partition(self):
         bench, task, inst, _ = make_bench()

@@ -6,6 +6,9 @@
 # Both hashes are checked against tools/trace_oracle.expected, one
 # "mode trace_sha256 report_sha256" line per mode.  Exits 1 if a hash differs
 # from the expected one or depends on the job count (exit 2 if a run fails).
+# For each --jobs 1 run it also runs `report` on the run's traces.jsonl and
+# summary.json and exits 1, naming the file, unless report.csv, summary.json,
+# chart.svg and failures.svg come out byte for byte as `evaluate` wrote them.
 # A refactor that keeps behaviour keeps every hash.
 #
 #   sh tools/trace_oracle.sh
@@ -33,6 +36,18 @@ print(json.load(open(d + "/summary.json"))["trace_sha256"],
         if [ "$hashes" != "$expected" ]; then
             echo "error: $mode at --jobs $jobs: hashes $hashes, expected ${expected:-none}" >&2
             status=1
+        fi
+        if [ "$jobs" = 1 ]; then
+            out="$work/$mode-$jobs"
+            python3 -m trajtransfer.cli report --traces "$out/traces.jsonl" --config "$out/summary.json" \
+                --output "$work/$mode-report" > /dev/null 2> "$work/log" \
+                || { cat "$work/log" >&2; exit 2; }
+            for name in report.csv summary.json chart.svg failures.svg; do
+                if ! cmp -s "$work/$mode-report/$name" "$out/$name"; then
+                    echo "error: $mode: report does not rebuild evaluate's $name" >&2
+                    status=1
+                fi
+            done
         fi
         if [ -z "$first" ]; then
             first=$hashes
