@@ -11,8 +11,7 @@ the order of eight per-corner ``np.add.at`` passes, so the bits are theirs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import cached_property
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -72,28 +71,29 @@ class GridSpec:
 class GeometryEmbedding:
     values: np.ndarray
     grid: GridSpec
+    # Euclidean norm of the values, computed once when built (neither compared nor printed)
+    norm: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         v = np.asarray(self.values, dtype=np.float64).reshape(-1).copy()
         if v.shape[0] != self.grid.size:
             raise ValueError("embedding length does not match grid size")
-        lo, hi = float(v.min()), float(v.max())  # NaN if any value is NaN, which fails the first test
-        if not (lo >= 0.0 and hi < np.inf):
+        if not float(v.min()) >= 0.0:  # NaN if any value is NaN
             raise ValueError("embedding entries must be finite and non-negative")
-        if hi * hi == 0.0:  # exactly when the norm is 0.0 (no square exceeds hi * hi): cosine is undefined
+        with np.errstate(over="ignore"):
+            norm = float(np.linalg.norm(v))  # inf if any value is inf
+        if norm == 0.0:  # all zero, or every square underflows: the cosine is undefined
             raise ValueError("the embedding is all zero, or its norm underflows to 0")
+        if norm == np.inf:
+            raise ValueError("embedding entries must be finite, and their norm overflows")
         v.setflags(write=False)
         object.__setattr__(self, "values", v)
+        object.__setattr__(self, "norm", norm)
 
     def __eq__(self, other):
         if not isinstance(other, GeometryEmbedding):
             return NotImplemented
         return self.grid == other.grid and np.array_equal(self.values, other.values)
-
-    @cached_property
-    def norm(self) -> float:
-        """Euclidean norm of the values, computed once (neither compared nor printed)."""
-        return float(np.linalg.norm(self.values))
 
 
 def occupancy_embedding(cloud: PointCloud, grid: GridSpec = GridSpec()) -> GeometryEmbedding:

@@ -1,6 +1,7 @@
 """Command-line interface: exit codes, JSON output, determinism, flag docs."""
 
 import argparse
+import base64
 import hashlib
 import json
 import os
@@ -71,6 +72,16 @@ class TestIngest:
     def test_malformed_cloud(self, workdir):
         (workdir / "cloud.txt").write_text("not a number\n")
         assert ingest_one(workdir) == cli.EXIT_INPUT
+
+    def test_second_ingest_keeps_the_first_demo(self, workdir):
+        """ingest loads the archive and saves it again: a demo already there
+        is written back byte for byte."""
+        assert ingest_one(workdir) == cli.EXIT_OK
+        before = (workdir / "ds" / "d1.demo").read_bytes()
+        write_cloud(workdir / "cloud.txt", (0.55, 0.3, 0.05), seed=4)
+        assert ingest_one(workdir, demo_id="d2") == cli.EXIT_OK
+        assert (workdir / "ds" / "d1.demo").read_bytes() == before
+        assert sorted(demos.load_dataset(workdir / "ds").demos) == ["d1", "d2"]
 
 
 class TestRetrieve:
@@ -471,10 +482,37 @@ def _case_manifest_without_grid(w):
     return _query("retrieve", w), "dataset.json"
 
 
+def _demo_lines(w):
+    """(lines of the ingested d1.demo, index of its ``cloud N`` header)."""
+    lines = (w / "ds" / "d1.demo").read_text().splitlines()
+    return lines, next(i for i, line in enumerate(lines) if line.startswith("cloud "))
+
+
 def _case_demo_nonfinite_point(w):
     ingest_one(w)
-    _replace_line(w / "ds" / "d1.demo", "cloud ", "0.4 inf 0.05")
-    return _query("retrieve", w), "d1.demo:"
+    lines, at = _demo_lines(w)
+    points = np.frombuffer(base64.b64decode(lines[at + 1]), "<f8").copy()
+    points[3 * 5 + 1] = np.inf  # y of point 5
+    _replace_line(w / "ds" / "d1.demo", "cloud ", base64.b64encode(points.tobytes()).decode())
+    return _query("retrieve", w), f"d1.demo:{at + 2}: cloud point 5 is not finite"
+
+
+def _case_demo_cloud_rows(w):
+    """An archive saved before the cloud was packed: its cloud block holds
+    one text row per point."""
+    ingest_one(w)
+    lines, at = _demo_lines(w)
+    rows = (w / "cloud.txt").read_text().splitlines()[1:]
+    lines[at + 1 : at + 2] = rows
+    (w / "ds" / "d1.demo").write_text("\n".join(lines) + "\n")
+    return _query("retrieve", w), f"d1.demo:{at + 2}: expected the cloud's 40 points as one base64 line"
+
+
+def _case_demo_line_after_voxels(w):
+    ingest_one(w)
+    lines, _ = _demo_lines(w)
+    (w / "ds" / "d1.demo").write_text("\n".join(lines + ["garbage line"]) + "\n")
+    return _query("retrieve", w), f"d1.demo:{len(lines) + 1}: unexpected line after the voxels block"
 
 
 def _case_demo_negative_embedding(w):
@@ -571,6 +609,8 @@ MALFORMED = {
     "manifest-not-json": _case_manifest_not_json,
     "manifest-without-grid": _case_manifest_without_grid,
     "demo-nonfinite-point": _case_demo_nonfinite_point,
+    "demo-cloud-rows": _case_demo_cloud_rows,
+    "demo-line-after-voxels": _case_demo_line_after_voxels,
     "demo-negative-embedding": _case_demo_negative_embedding,
     "demo-empty-description": _case_demo_line(0, "description "),
     "demo-description-without-skill-tokens": _case_demo_line(0, "description the"),

@@ -1,10 +1,12 @@
 """Demonstration store: parsing, resampling, ingestion, archive round-trip."""
 
+import base64
 import copy
 import dataclasses
 import hashlib
 import math
 import pickle
+import struct
 
 import numpy as np
 import pytest
@@ -398,9 +400,12 @@ class TestEmbeddingBlock:
     @example(values=[0.0] * 7 + [1.0])
     @example(values=[5e-324] + [0.0] * 7)
     @example(values=[0.5, 1e-300, 2.5e-310, 5e-324, 1.0, 3.0, 1e300, 0.1])
+    @example(values=[0.5, 1e-300, 2.5e-310, 5e-324, 1.0, 3.0, 1e150, 0.1])
     def test_round_trip_bit_exact(self, tmp_path_factory, values):
-        if max(values) * max(values) == 0.0:  # zero norm: cosine is undefined, so no demo holds it and no archive can
-            with pytest.raises(ValueError, match="the embedding is all zero"):
+        with np.errstate(over="ignore"):
+            norm = np.linalg.norm(values)
+        if not 0.0 < norm < math.inf:  # the cosine is undefined, so no demo holds it and no archive can
+            with pytest.raises(ValueError, match="the embedding is all zero" if norm == 0.0 else "norm overflows"):
                 demo_on_grid8(values)
             return
         ds = Dataset(GRID8)
@@ -436,10 +441,40 @@ class TestEmbeddingBlock:
         save_dataset(ds, tmp_path)
         digests = {f.name: hashlib.sha256(f.read_bytes()).hexdigest() for f in sorted(tmp_path.iterdir())}
         assert digests == ARCHIVE_SHA256
+        # the cloud line: little-endian float64, x y z per point, point-major
+        packed = struct.pack("<6d", 0.5, -0.0, 1e-05, 0.3333333333333333, 0.25, 0.125)
+        assert (tmp_path / "e.demo").read_text().splitlines()[6:8] == ["cloud 2", base64.b64encode(packed).decode()]
+
+
+# a float64 drawn by bit pattern, or an edge: -0.0, the least and the largest
+# subnormal, the least normal, the largest finite, each with both signs
+finite_floats = st.one_of(
+    st.integers(0, 2**64 - 1).map(lambda bits: struct.unpack("<d", bits.to_bytes(8, "little"))[0]).filter(math.isfinite),
+    st.sampled_from([0.0, 5e-324, 2.225073858507201e-308, 2.2250738585072014e-308, 1.7976931348623157e308]),
+    st.sampled_from([-0.0, -5e-324, -2.225073858507201e-308, -2.2250738585072014e-308, -1.7976931348623157e308]),
+)
+
+
+class TestCloudBlock:
+    """The archive stores a demo's cloud as one base64 line of its float64 bytes."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(points=st.lists(st.tuples(finite_floats, finite_floats, finite_floats), min_size=1, max_size=8))
+    @example(points=[(-0.0, 5e-324, -1.7976931348623157e308), (1.7976931348623157e308, -5e-324, 0.0)])
+    def test_round_trip_bit_exact(self, tmp_path_factory, points):
+        cloud = PointCloud(np.array(points, dtype=np.float64))
+        ds = Dataset(GRID8)
+        demo = ds.add(demo_on_grid8(DEMO_VALUES, cloud=cloud))
+        path = tmp_path_factory.mktemp("cloud")
+        save_dataset(ds, path)
+        assert f"cloud {len(points)}" in (path / "d.demo").read_text().splitlines()
+        back = load_dataset(path).demos["d"]
+        assert back == demo
+        assert np.array_equal(back.object_cloud.points.view(np.uint64), cloud.points.view(np.uint64))
 
 
 ARCHIVE_SHA256 = {
-    "d.demo": "d7d2bcecf9641023a1004ae96faad2582c2f0fd024fa7a7d895a97a63b275d80",
+    "d.demo": "06878f4b940f143b880d9c156839c40e91c58ba3dc36f1c220a33b74438617ca",
     "dataset.json": "3f004271487448001e6b325ed0ae67faafa1508cf85ceeb61b02c2195a65019f",
-    "e.demo": "74c3e41e51bb29fe7f7f0aac5b8d6801ff7c3d870e6307faa92753618aff9bd6",
+    "e.demo": "7e69a11010216e781710ff2ba3bb15720aac5d44ef91967a2f22ab3e99f97fb2",
 }

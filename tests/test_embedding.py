@@ -224,11 +224,12 @@ class TestCosine:
 
     def test_negative_entries_rejected(self):
         """A negative or non-finite embedding, or one whose norm is 0.0 (all
-        zero, or so small that its norm underflows), cannot be built, so every
-        cosine of two embeddings on one grid is defined."""
+        zero, or so small that its norm underflows) or overflows, cannot be
+        built, so every cosine of two embeddings on one grid is defined."""
         g = GridSpec()
         for value, message in (
-            (-1.0, "non-negative"), (np.nan, "finite"), (np.inf, "finite"), (0.0, "all zero"), (1e-200, "norm underflows")
+            (-1.0, "non-negative"), (np.nan, "finite"), (np.inf, "finite"), (0.0, "all zero"), (1e-200, "norm underflows"),
+            (1e300, "norm overflows"), (1e200, "norm overflows"),
         ):
             v = np.zeros(g.size)
             v[0] = value
@@ -238,21 +239,21 @@ class TestCosine:
 
 class TestNorm:
     def test_computed_once(self, monkeypatch):
-        """The norm is np.linalg.norm of the values, computed at its first read
-        and kept; == and pickling see only the grid and the values."""
+        """The norm is np.linalg.norm of the values, computed once when the
+        embedding is built; == and pickling see only the grid and the values."""
         import pickle
 
-        a = GeometryEmbedding(3.0 * occupancy_embedding(blob((0.4, 0.2, 0.1))).values, GridSpec())
+        values = 3.0 * occupancy_embedding(blob((0.4, 0.2, 0.1))).values
         b = occupancy_embedding(blob((0.45, 0.2, 0.1)))
-        fresh = GeometryEmbedding(a.values, a.grid)
         calls = []
         real_norm = np.linalg.norm
         monkeypatch.setattr(np.linalg, "norm", lambda v: calls.append(1) or real_norm(v))
+        a = GeometryEmbedding(values, GridSpec())
+        assert len(calls) == 1
         sims = [cosine_similarity(a, b) for _ in range(3)]
-        assert len(calls) == 2 and sims[0] == sims[1] == sims[2]
+        assert len(calls) == 1 and sims[0] == sims[1] == sims[2]
         monkeypatch.undo()
         assert a.norm == real_norm(a.values) and b.norm == real_norm(b.values)
-        assert a == fresh and fresh == a  # one norm kept, one not yet read
+        assert a == GeometryEmbedding(values, GridSpec()) and "norm" not in repr(a)
         back = pickle.loads(pickle.dumps(a))
         assert back == a and back.norm == a.norm
-        assert pickle.loads(pickle.dumps(fresh)) == a

@@ -5,7 +5,9 @@ Cloud and trajectory files belong to ``demos``; configs and traces to
 TrajTransferError, never another exception.
 """
 
+import base64
 import json
+import math
 import struct
 
 import numpy as np
@@ -19,6 +21,8 @@ from trajtransfer.demos import (
     EndEffectorState,
     _point,
     _points,
+    _voxel,
+    _voxels,
     load_dataset,
     parse_micro_skill,
     read_cloud_file,
@@ -134,6 +138,36 @@ class TestCloudRows:
         assert np.array_equal(_points(rows).view(np.uint64), expected.view(np.uint64))
 
 
+# a voxels row: a valid one, or an index and a value each near the edge of
+# what int() and float() read or of the rules, or any line
+voxel_rows = st.one_of(
+    st.tuples(st.integers(0, 7), st.floats(min_value=5e-324, allow_infinity=False)).map(lambda r: f"{r[0]} {r[1]!r}"),
+    st.tuples(
+        st.one_of(st.integers(-2, 9).map(str), st.sampled_from(["1_0", "\u0663", "+3", "07", "1.0", "x", str(2**70)])),
+        st.one_of(coordinates, st.floats(min_value=5e-324).map(repr)),
+    ).map(" ".join),
+    lines,
+)
+
+
+class TestVoxelRows:
+    """A voxels block's rows are converted in one call; it must accept exactly
+    the rows the per-row parse accepts, with the same indices and floats."""
+
+    @FUZZ
+    @given(rows=st.lists(voxel_rows, max_size=6))
+    def test_one_conversion_is_the_row_parse(self, rows):
+        try:
+            expected = [_voxel(row, 8) for row in rows]
+        except ValueError:
+            with pytest.raises(ValueError):
+                _voxels(rows, 8)
+            return
+        index, values = _voxels(rows, 8)
+        assert index.dtype == np.int64 and index.tolist() == [k for k, _ in expected]
+        assert np.array_equal(values.view(np.uint64), np.array([v for _, v in expected], dtype=np.float64).view(np.uint64))
+
+
 class TestTrajectoryFile:
     @FUZZ
     @given(text=texts)
@@ -207,6 +241,14 @@ grid_values = st.one_of(
 )
 
 
+TWO_POINTS = [[0.4, 0.2, 0.05], [0.41, 0.21, 0.06]]
+
+
+def pack(points):
+    """A cloud line: the base64 of the points as little-endian float64."""
+    return base64.b64encode(np.asarray(points, dtype="<f8").tobytes()).decode()
+
+
 class TestArchive:
     """Any text as dataset.json or as a .demo file: a Dataset or a TrajTransferError."""
 
@@ -238,9 +280,12 @@ class TestArchive:
     @staticmethod
     def cut(text, block, n):
         """(index of the ``block N`` header, the rows of ``text`` with that
-        block cut to its first n rows)."""
+        block cut to its first n rows, or the cloud to its first n points)."""
         rows = text.splitlines()
         at = next(i for i, row in enumerate(rows) if row.startswith(block + " "))
+        if block == "cloud":  # one line of 24 bytes per point
+            packed = base64.b64encode(base64.b64decode(rows[at + 1])[: 24 * n]).decode()
+            return at, rows[:at] + [f"cloud {n}"] + [packed] * (n > 0) + rows[at + 2 :]
         count = int(rows[at].split()[1])
         return at, rows[:at] + [f"{block} {n}"] + rows[at + 1 : at + 1 + n] + rows[at + 1 + count :]
 
@@ -366,12 +411,14 @@ class TestArchive:
             (["1 x"], 1, "could not convert string to float"),
             ([], 0, "the embedding is all zero"),
             (["0 1e-200"], 0, "the embedding is all zero, or its norm underflows to 0"),
+            (["0 1e300"], 0, "embedding entries must be finite, and their norm overflows"),
+            (["0 1e154", "1 1e154"], 0, "embedding entries must be finite, and their norm overflows"),
         ],
         ids=[
             "one-column", "three-columns", "float-index", "word-index", "negative-index",
             "index-past-grid", "repeated-index", "decreasing-index", "infinite-value",
             "nan-value", "zero-value", "negative-zero-value", "negative-value", "word-value",
-            "no-rows", "norm-underflows",
+            "no-rows", "norm-underflows", "norm-overflows", "sum-overflows",
         ],
     )
     def test_malformed_voxels(self, archive, rows, row, message):
@@ -384,6 +431,51 @@ class TestArchive:
         (path / "dataset.json").write_text(json.dumps(manifest))
         (path / "d.demo").write_text("\n".join(lines) + "\n")
         with pytest.raises(MalformedFile, match=rf"d\.demo:{at + 1 + row}: {message}"):
+            load_dataset(path)
+
+    @pytest.mark.parametrize(
+        "block,row,message",
+        [
+            (["cloud 2", pack(TWO_POINTS)[:-2] + "!="], 1, "as one base64 line: Only base64 data is allowed"),
+            (["cloud 2", "\u00e9" + pack(TWO_POINTS)[1:]], 1, "as one base64 line: .* only ASCII characters"),
+            (["cloud 2", pack(TWO_POINTS) + " "], 1, "as one base64 line: Only base64 data is allowed"),
+            (["cloud 2", pack(TWO_POINTS)[:-1]], 1, "as one base64 line: Incorrect padding"),
+            (["cloud 3", pack(TWO_POINTS)], 1, "the cloud line holds 48 bytes, not 24 x 3"),
+            (["cloud 1", pack(TWO_POINTS)], 1, "the cloud line holds 48 bytes, not 24 x 1"),
+            (["cloud 2", pack([[0.4, 0.2, 0.05], [0.4, math.nan, 0.05]])], 1, "cloud point 1 is not finite: \\[0.4, nan, 0.05\\]"),
+            (["cloud 2", pack([[0.4, 0.2, -math.inf], [0.4, 0.2, 0.05]])], 1, "cloud point 0 is not finite: \\[0.4, 0.2, -inf\\]"),
+            (["cloud 0"], 0, "demonstration object cloud is empty"),
+            (["cloud -1", pack(TWO_POINTS)], 0, "demonstration object cloud is empty"),
+            (["cloud 2", "0.4 0.2 0.05", "0.41 0.2 0.05"], 1, "as one base64 line: Only base64 data is allowed"),
+            (["cloud", pack(TWO_POINTS)], 0, "expected 'cloud ...'"),
+        ],
+        ids=[
+            "off-alphabet", "non-ascii", "trailing-space", "bad-padding", "too-few-bytes", "too-many-bytes",
+            "nan-point", "inf-point", "no-points", "negative-count", "text-rows", "no-count",
+        ],
+    )
+    def test_malformed_cloud(self, archive, block, row, message):
+        """The ``cloud N`` block is one line, the base64 of N x 3 float64: a
+        line off the alphabet, of the wrong size, with a non-finite point, or
+        a cloud written as text rows (an archive saved before the cloud was
+        packed) names the line, N < 1 the header."""
+        path, manifest, demo = archive
+        lines = demo.splitlines()
+        at = next(i for i, line in enumerate(lines) if line.startswith("cloud "))
+        lines[at : at + 2] = block
+        (path / "dataset.json").write_text(json.dumps(manifest))
+        (path / "d.demo").write_text("\n".join(lines) + "\n")
+        with pytest.raises(MalformedFile, match=rf"d\.demo:{at + 1 + row}: .*{message}"):
+            load_dataset(path)
+
+    @pytest.mark.parametrize("extra", [["garbage line"], ["7 0.5"], ["", "voxels 0"]], ids=["text", "voxel-row", "blank"])
+    def test_nothing_after_the_voxels_block(self, archive, extra):
+        """The voxels block ends a .demo: a line after its K rows names itself."""
+        path, manifest, demo = archive
+        lines = demo.splitlines()
+        (path / "dataset.json").write_text(json.dumps(manifest))
+        (path / "d.demo").write_text("\n".join(lines + extra) + "\n")
+        with pytest.raises(MalformedFile, match=rf"d\.demo:{len(lines) + 1}: unexpected line after the voxels block"):
             load_dataset(path)
 
     @pytest.mark.parametrize("dropped", [["open bottle", "open box"], ["open box"]], ids=["empty", "one-missing"])
