@@ -65,11 +65,16 @@ def cmd_retrieve(args) -> int:
     return EXIT_OK
 
 
-def cmd_register(args) -> int:
+def _demo(args) -> demos_mod.Demonstration:
+    """Demo ``--demo-id`` of the archive at ``--dataset``."""
     dataset = demos_mod.load_dataset(args.dataset)
     if args.demo_id not in dataset.demos:
         raise MalformedFile(f"demo id {args.demo_id!r} not in dataset")
-    demo = dataset.demos[args.demo_id]
+    return dataset.demos[args.demo_id]
+
+
+def cmd_register(args) -> int:
+    demo = _demo(args)
     cloud = demos_mod.read_cloud_file(args.cloud)
     result = estimate_delta(demo, cloud)
     if args.dump_aligned:
@@ -143,10 +148,7 @@ def cmd_gen_scene(args) -> int:
 
 def cmd_gen_align_data(args) -> int:
     _at_least(args.count, 0, "--count")
-    dataset = demos_mod.load_dataset(args.dataset)
-    if args.demo_id not in dataset.demos:
-        raise MalformedFile(f"demo id {args.demo_id!r} not in dataset")
-    demo = dataset.demos[args.demo_id]
+    demo = _demo(args)
     paths = simulate_alignment_trajectories(demo, count=args.count, rng_seed=args.seed)
     demos_mod.write_trajectory_blocks(
         [[demos_mod.EndEffectorState(p, 0, i) for i, p in enumerate(path)] for path in paths],

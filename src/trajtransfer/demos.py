@@ -5,13 +5,13 @@ from the first frame, the interaction-phase end-effector trajectory (resampled
 to 1 cm spacing) and a precomputed geometry embedding; each type checks its
 own rules when built, so ingest and the archive reader apply the same ones.
 This module reads and writes the cloud file, the trajectory file and the
-archive.  The archive is a text directory format: floats are written with
-repr(), except each demo's cloud, which is one base64 line of its float64
-bytes; a save/load round trip is bit-exact.  Clouds are most of an archive's
-bytes (86% as repr() rows), and converting them to and from decimal text
-most of its load and save time, so the packed line trades per-point diffs of
-a .demo file for an archive a third smaller that loads about twice as fast
-(see the format comment below).
+archive.  The archive is a text directory format: trajectory floats are
+written with repr(), and each demo's two arrays, its cloud and its embedding's
+non-zero voxels, are one base64 line each of their little-endian bytes, read
+and written by one codec (:func:`_pack`, :func:`_unpack`); a save/load round
+trip is bit-exact.  The packed lines trade per-entry diffs of a .demo file
+for an archive a third smaller that loads about twice as fast (see the
+format comment below).
 """
 
 from __future__ import annotations
@@ -215,26 +215,29 @@ def _content_id(description, cloud, traj) -> str:
 # archive           <dir>/dataset.json (demo ids, skill index, grid) and per demo
 #                   <dir>/<id>.demo: description, micro_skill and instance lines,
 #                   then a "trajectory N" block of trajectory rows, a "cloud N"
-#                   block and a "voxels K" block, and nothing after it.  The
-#                   cloud block is one line, the standard padded base64 of the
-#                   N x 3 points as little-endian IEEE-754 float64, x y z per
-#                   point, point-major: 24 N bytes, N >= 1, every value finite.
-#                   The voxels block holds one row "index value" per non-zero
-#                   embedding entry, indices increasing, every other entry 0.
+#                   header and its packed line, a "voxels K" header and its
+#                   packed line, and nothing after it.  A packed line is the
+#                   standard padded base64 of little-endian arrays, one after
+#                   the other.  The cloud line holds the N x 3 points as
+#                   IEEE-754 float64, x y z per point, point-major: 24 N bytes,
+#                   N >= 1, every value finite.  The voxels line holds the
+#                   indices of the K non-zero embedding entries as uint32, then
+#                   their values as float64: 12 K bytes, K >= 1, indices
+#                   increasing and below the grid size, values finite and > 0.
 #
-# Text floats are written with repr() and read with float() (or NumPy's
-# conversion, which gives the same bits), so a round trip is bit-exact.  A
-# malformed file raises MalformedFile naming its path and line.  A .demo must
+# Text floats are written with repr() and read with float(), so a round trip
+# is bit-exact.  A malformed file raises MalformedFile naming its path and
+# line, and for a packed line the index of the entry at fault.  A .demo must
 # hold a Demonstration (an id that is_file_name, a one-line description with
 # skill tokens, >= 2 states with gripper 0 or 1, a non-empty cloud), its
-# micro_skill and an embedding with a value > 0 and a finite norm.
+# micro_skill and an embedding with a finite, non-zero norm.
 #
-# The packed cloud line is a format decision: at 1,002 one-demo tasks
-# (tools/archive_scale.py 1002, 2 cores) the archive went 40.1 -> 25.7 MB,
-# its save 2.9-4.0 -> 0.8 s and its load 2.9-3.0 -> 1.2 s, where text
-# parsing alone could not load it in 1 s.  The cost is that a .demo no
-# longer shows a cloud point by point; the cloud file, the user's
-# interchange format, stays text.
+# The packed lines are a format decision: at 1,002 one-demo tasks
+# (tools/archive_scale.py 1002, 2 cores) packing the clouds took the archive
+# 40.1 -> 25.7 MB, its save 2.9-4.0 -> 0.8 s and its load 2.9-3.0 -> 1.2 s,
+# where text parsing alone could not load it in 1 s.  The cost is that a
+# .demo no longer shows a point or a voxel row by row; the cloud file, the
+# user's interchange format, stays text.
 
 
 def _rows(array) -> list:
@@ -247,13 +250,15 @@ def _trajectory_block(states) -> list:
     return [f"trajectory {len(states)}"] + [f"{s.time_index} {row} {s.gripper}" for s, row in zip(states, rows)]
 
 
-def _cloud_block(cloud: PointCloud) -> list:
-    return [f"cloud {len(cloud)}", base64.b64encode(cloud.points.astype("<f8").tobytes()).decode("ascii")]
+# the dtypes of a packed line's arrays: one item of each per cloud point or voxel
+_CLOUD = (("<f8", 3),)
+_VOXELS = ("<u4", "<f8")
 
 
-def _voxels_block(values: np.ndarray) -> list:
-    index = np.flatnonzero(values)
-    return [f"voxels {len(index)}"] + [f"{k} {v!r}" for k, v in zip(index.tolist(), values[index].tolist())]
+def _pack(dtypes, *arrays) -> str:
+    """One standard padded base64 line of the arrays' bytes, each as its dtype's base, one after the other."""
+    raw = b"".join(np.asarray(a, np.dtype(d).base).tobytes() for d, a in zip(dtypes, arrays))
+    return base64.b64encode(raw).decode("ascii")
 
 
 def _write_lines(path, lines) -> None:
@@ -274,15 +279,6 @@ def _point(line: str) -> list:
     return [float(v) for v in parts]
 
 
-def _points(rows) -> np.ndarray:
-    """Every row through :func:`_point` at once: one conversion of all the
-    columns, which raises ValueError if any row would."""
-    columns = [row.split() for row in rows]
-    if any(len(c) != 3 for c in columns):
-        raise ValueError("a row without 3 columns")
-    return np.array(columns, dtype=np.float64).reshape(-1, 3)
-
-
 def _state(line: str) -> EndEffectorState:
     parts = line.split()
     if len(parts) != 9:
@@ -291,48 +287,43 @@ def _state(line: str) -> EndEffectorState:
     return EndEffectorState(Pose.from_row([float(v) for v in parts[1:8]]), gripper, int(parts[0]))
 
 
-def _unpack(line: str, n: int) -> np.ndarray:
-    """The n finite points of a packed cloud line, as an (n, 3) float64 array."""
+def _unpack(line: str, dtypes, count: int) -> list:
+    """The arrays :func:`_pack` wrote to line, count items of each of dtypes (read-only)."""
     try:
         raw = base64.b64decode(line, validate=True)
     except ValueError as e:  # binascii.Error is one
-        raise ValueError(f"expected the cloud's {n} points as one base64 line: {e}") from e
-    if len(raw) != 24 * n:
-        raise ValueError(f"the cloud line holds {len(raw)} bytes, not 24 x {n}")
-    pts = np.frombuffer(raw, "<f8").reshape(n, 3)
-    bad = np.flatnonzero(~np.isfinite(pts).all(axis=1))
-    if bad.size:
-        raise ValueError(f"cloud point {bad[0]} is not finite: {pts[bad[0]].tolist()}")
+        raise ValueError(f"expected {count} items as one base64 line: {e}") from e
+    dtypes = [np.dtype(d) for d in dtypes]
+    item = sum(d.itemsize for d in dtypes)
+    if len(raw) != item * count:
+        raise ValueError(f"the line holds {len(raw)} bytes, not {item} x {count}")
+    offsets = np.cumsum([0] + [d.itemsize * count for d in dtypes]).tolist()
+    return [np.frombuffer(raw, d, count, offset) for d, offset in zip(dtypes, offsets)]
+
+
+def _first(bad, message) -> None:
+    """ValueError(message(k)) for the first entry k where bad is true, if any."""
+    if bad.any():
+        raise ValueError(message(int(np.argmax(bad))))
+
+
+def _cloud_line(line: str, n: int) -> np.ndarray:
+    """The n finite points of a packed cloud line, as an (n, 3) float64 array."""
+    (pts,) = _unpack(line, _CLOUD, n)
+    _first(~np.isfinite(pts).all(axis=1), lambda k: f"cloud point {k} is not finite: {pts[k].tolist()}")
     return pts
 
 
-def _voxel(line: str, size: int) -> tuple:
-    parts = line.split()
-    if len(parts) != 2:
-        raise ValueError(f"expected 2 columns 'index value', got {len(parts)}")
-    index, value = int(parts[0]), float(parts[1])
-    if not 0 <= index < size:
-        raise ValueError(f"voxel index {index} is outside [0, {size})")
-    if not 0.0 < value < math.inf:
-        raise ValueError(f"voxel value {value!r} is not finite and > 0")
-    return index, value
-
-
-def _voxels(rows, size: int) -> tuple:
-    """Every row through :func:`_voxel` at once, as (indices, values): int()
-    over the index column and one NumPy conversion of the value column (the
-    bits of float()), then the range checks, which raise ValueError if any
-    row would."""
-    columns = [row.split() for row in rows]
-    if any(len(c) != 2 for c in columns):
-        raise ValueError("a row without 2 columns")
-    index = list(map(int, [c[0] for c in columns]))
-    values = np.array([c[1] for c in columns], dtype=np.float64)
-    if index and not 0 <= min(index) <= max(index) < size:
-        raise ValueError("a voxel index outside the grid")
-    if not np.all((values > 0.0) & (values < math.inf)):
-        raise ValueError("a voxel value not finite and > 0")
-    return np.array(index, dtype=np.int64), values
+def _voxels_line(line: str, k: int, size: int) -> tuple:
+    """(indices, values) of the k entries of a packed voxels line: indices
+    increasing and below size, values finite and > 0."""
+    index, values = _unpack(line, _VOXELS, k)
+    index = index.astype(np.int64)  # so a falling index does not wrap in diff
+    _first(index >= size, lambda j: f"voxel entry {j}: index {index[j]} is outside [0, {size})")
+    _first(np.diff(index, prepend=-1) <= 0, lambda j: f"voxel entry {j}: index {index[j]} does not follow {index[j - 1]}")
+    bad = ~((values > 0.0) & (values < math.inf))  # NaN too
+    _first(bad, lambda j: f"voxel entry {j}: value {float(values[j])!r} is not finite and > 0")
+    return index, values
 
 
 def _value(line: str, keyword: str) -> str:
@@ -356,59 +347,41 @@ def _count(line: str, keyword: str) -> int:
     return int(_value(line, keyword) if keyword else line)
 
 
-def _block(lines, i: int, keyword: str, parse, path, parse_rows=None):
-    """The header ``keyword N`` at index i and its N rows: a list of each
-    through parse, or ``parse_rows(rows)`` if given, which must raise
-    ValueError exactly when some row fails parse."""
+def _block(lines, i: int, keyword: str, parse, path) -> list:
+    """The header ``keyword N`` at index i and its N rows, each through parse."""
     n = _parse(_count, lines, i, path, keyword)
     if not 0 <= n <= len(lines) - i - 1:
         raise MalformedFile(f"{path}:{i + 1}: {n} rows announced, {len(lines) - i - 1} follow")
-    rows = lines[i + 1 : i + 1 + n]
-    try:
-        return parse_rows(rows) if parse_rows else [parse(line) for line in rows]
-    except ValueError as e:  # parse again line by line to name the line at fault
-        for j in range(i + 1, i + 1 + n):
-            _parse(parse, lines, j, path)
-        raise MalformedFile(f"{path}:{i + 1}: {e}") from e  # parse_rows refused rows that parse accepts
+    return [_parse(parse, lines, j, path) for j in range(i + 1, i + 1 + n)]
 
 
-def _cloud(lines, i: int, keyword: str, path) -> PointCloud:
-    pts = np.asarray(_block(lines, i, keyword, _point, path, _points), dtype=np.float64).reshape(-1, 3)
-    try:
-        return PointCloud(pts)
-    except ValueError as e:  # a non-finite coordinate: name its row
-        row = int(np.argmin(np.isfinite(pts).all(axis=1)))
-        raise MalformedFile(f"{path}:{i + 2 + row}: {e}") from e
-
-
-def _packed_cloud(lines, i: int, path) -> PointCloud:
-    """The ``cloud N`` header at index i and its packed line."""
-    n = _parse(_count, lines, i, path, "cloud")
+def _packed(lines, i: int, keyword: str, parse, path, empty: str, *args):
+    """The header ``keyword N`` at index i (N >= 1, else MalformedFile(empty)
+    naming it) and ``parse(line, N, *args)`` of its packed line."""
+    n = _parse(_count, lines, i, path, keyword)
     if n < 1:
-        raise MalformedFile(f"{path}:{i + 1}: demonstration object cloud is empty")
-    return PointCloud(_parse(_unpack, lines, i + 1, path, n))
+        raise MalformedFile(f"{path}:{i + 1}: {empty}")
+    return _parse(parse, lines, i + 1, path, n, *args)
 
 
 def _embedding(lines, i: int, grid: emb.GridSpec, path) -> emb.GeometryEmbedding:
-    """The ``voxels K`` block at index i as an embedding on ``grid``."""
-    index, values = _block(
-        lines, i, "voxels", lambda line: _voxel(line, grid.size), path, lambda rows: _voxels(rows, grid.size)
-    )
-    behind = np.flatnonzero(np.diff(index) <= 0)  # rows whose index does not follow the row before's
-    if behind.size:
-        row = 1 + int(behind[0])
-        raise MalformedFile(f"{path}:{i + 2 + row}: voxel index {index[row]} does not follow {index[row - 1]}")
+    """The ``voxels K`` header at index i and its packed line as an embedding on ``grid``."""
+    index, values = _packed(lines, i, "voxels", _voxels_line, path, "the embedding is all zero", grid.size)
     dense = np.zeros(grid.size)
     dense[index] = values
     try:
         return emb.GeometryEmbedding(dense, grid)
-    except ValueError as e:  # no rows, or a norm that underflows to 0 or overflows
+    except ValueError as e:  # a norm that underflows to 0 or overflows
         raise MalformedFile(f"{path}:{i + 1}: {e}") from e
 
 
 def read_cloud_file(path) -> PointCloud:
     """The cloud of a cloud file; rows after the N-th are ignored."""
-    return _cloud(_read_lines(path), 0, "", path)
+    pts = np.array(_block(_read_lines(path), 0, "", _point, path), dtype=np.float64).reshape(-1, 3)
+    try:
+        return PointCloud(pts)
+    except ValueError as e:  # a non-finite coordinate: name its row
+        raise MalformedFile(f"{path}:{2 + int(np.argmin(np.isfinite(pts).all(axis=1)))}: {e}") from e
 
 
 def write_cloud_file(cloud: PointCloud, path) -> None:
@@ -431,13 +404,16 @@ def save_dataset(dataset: Dataset, path) -> None:
     path.mkdir(parents=True, exist_ok=True)
     for demo_id in sorted(dataset.demos):
         demo = dataset.demos[demo_id]
+        index = np.flatnonzero(demo.embedding.values)
         lines = [
             f"description {demo.description}",
             f"micro_skill {demo.micro_skill}",
             f"instance {demo.object_instance_id if demo.object_instance_id else '-'}",
             *_trajectory_block(demo.trajectory),
-            *_cloud_block(demo.object_cloud),
-            *_voxels_block(demo.embedding.values),
+            f"cloud {len(demo.object_cloud)}",
+            _pack(_CLOUD, demo.object_cloud.points),
+            f"voxels {len(index)}",
+            _pack(_VOXELS, index, demo.embedding.values[index]),
         ]
         _write_lines(path / f"{demo_id}.demo", lines)
     manifest = {
@@ -456,11 +432,10 @@ def load_demo_file(path, grid: emb.GridSpec) -> Demonstration:
     instance = _parse(_value, lines, 2, path, "instance")
     traj = _block(lines, 3, "trajectory", _state, path)
     i = 4 + len(traj)
-    cloud = _packed_cloud(lines, i, path)
+    cloud = PointCloud(_packed(lines, i, "cloud", _cloud_line, path, "demonstration object cloud is empty"))
     embedding = _embedding(lines, i + 2, grid, path)
-    end = i + 3 + int(np.count_nonzero(embedding.values))  # one voxels row per non-zero entry
-    if end < len(lines):
-        raise MalformedFile(f"{path}:{end + 1}: unexpected line after the voxels block")
+    if i + 4 < len(lines):
+        raise MalformedFile(f"{path}:{i + 5}: unexpected line after the voxels block")
     try:
         demo = Demonstration(
             id=path.stem,

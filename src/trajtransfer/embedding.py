@@ -11,6 +11,7 @@ the order of eight per-corner ``np.add.at`` passes, so the bits are theirs.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -22,6 +23,8 @@ from .se3 import PointCloud
 DEFAULT_ORIGIN = (0.0, 0.0, 0.0)
 DEFAULT_EXTENT = (0.80, 0.45, 0.40)
 DEFAULT_RESOLUTION = (32, 24, 16)
+# the most voxels a grid may have: a dense embedding of 128 MiB, and every index fits a uint32
+MAX_VOXELS = 2**24
 
 
 @dataclass(frozen=True)
@@ -42,6 +45,8 @@ class GridSpec:
             raise ValueError("grid extent must be strictly positive")
         if any(r < 2 for r in resolution):
             raise ValueError("grid resolution must be >= 2 per axis")
+        if math.prod(resolution) > MAX_VOXELS:
+            raise ValueError(f"grid resolution {list(resolution)} has more than {MAX_VOXELS} voxels")
         object.__setattr__(self, "origin", origin)
         object.__setattr__(self, "extent", extent)
         object.__setattr__(self, "resolution", resolution)
@@ -130,4 +135,4 @@ def _corners(a: np.ndarray, op) -> np.ndarray:
 def cosine_similarity(a: GeometryEmbedding, b: GeometryEmbedding) -> float:
     if a.grid != b.grid:
         raise GridMismatch("embeddings computed on different grids")
-    return float(a.values @ b.values / (a.norm * b.norm))
+    return min(float(a.values @ b.values / (a.norm * b.norm)), 1.0)  # rounding can land above 1

@@ -120,7 +120,7 @@ def _sweep_angles(steps: int):
     return angles
 
 
-def coarse_align(demo_cloud: PointCloud, test_cloud: PointCloud, yaw_steps: int = 72) -> Pose:
+def coarse_align(demo_cloud: PointCloud, test_cloud: PointCloud, yaw_steps: int = GicpParams.yaw_steps) -> Pose:
     """Centroid shift plus best yaw from a discrete sweep about the vertical.
 
     Candidates are scored by nearest-neighbour RMSE of the transformed demo

@@ -99,7 +99,7 @@ class TestRetrieve:
         assert code == cli.EXIT_OK
         out = json.loads(capsys.readouterr().out)
         assert out["demo_id"] == "d1"
-        assert out["similarity"] == pytest.approx(1.0, abs=1e-12)
+        assert out["similarity"] == 1.0  # the unclamped cosine of this cloud with itself is 1.0000000000000002
 
     def test_unknown_skill(self, workdir):
         ingest_one(workdir)
@@ -505,7 +505,20 @@ def _case_demo_cloud_rows(w):
     rows = (w / "cloud.txt").read_text().splitlines()[1:]
     lines[at + 1 : at + 2] = rows
     (w / "ds" / "d1.demo").write_text("\n".join(lines) + "\n")
-    return _query("retrieve", w), f"d1.demo:{at + 2}: expected the cloud's 40 points as one base64 line"
+    return _query("retrieve", w), f"d1.demo:{at + 2}: expected 40 items as one base64 line"
+
+
+def _case_demo_voxel_rows(w):
+    """An archive saved before the voxels were packed: its voxels block holds
+    one text row ``index value`` per non-zero entry."""
+    ingest_one(w)
+    lines, at = _demo_lines(w)
+    k = int(lines[at + 2].split()[1])
+    raw = base64.b64decode(lines[at + 3])
+    index, values = np.frombuffer(raw, "<u4", k), np.frombuffer(raw, "<f8", k, 4 * k)
+    lines[at + 3 :] = [f"{i} {v!r}" for i, v in zip(index.tolist(), values.tolist())]
+    (w / "ds" / "d1.demo").write_text("\n".join(lines) + "\n")
+    return _query("retrieve", w), f"d1.demo:{at + 4}: expected {k} items as one base64 line"
 
 
 def _case_demo_line_after_voxels(w):
@@ -517,8 +530,10 @@ def _case_demo_line_after_voxels(w):
 
 def _case_demo_negative_embedding(w):
     ingest_one(w)
-    _replace_line(w / "ds" / "d1.demo", "voxels ", "0 -0.5")  # the first row of the voxels block
-    return _query("retrieve", w), "d1.demo:"
+    lines, at = _demo_lines(w)
+    lines[at + 2 :] = ["voxels 1", base64.b64encode(np.array([0], "<u4").tobytes() + np.array([-0.5]).tobytes()).decode()]
+    (w / "ds" / "d1.demo").write_text("\n".join(lines) + "\n")
+    return _query("retrieve", w), f"d1.demo:{at + 4}: voxel entry 0: value -0.5 is not finite and > 0"
 
 
 def _case_demo_line(index, text):
@@ -539,6 +554,15 @@ def _case_demo_one_state_trajectory(w):
     lines[3 : 4 + n] = ["trajectory 1", lines[4]]
     (w / "ds" / "d1.demo").write_text("\n".join(lines) + "\n")
     return _query("retrieve", w), "d1.demo:4:"
+
+
+def _case_manifest_huge_grid(w):
+    """A grid too large to embed on is refused when the manifest is read, before any array is built."""
+    ingest_one(w)
+    manifest = json.loads((w / "ds" / "dataset.json").read_text())
+    manifest["grid"]["resolution"] = [4096, 4096, 4096]
+    (w / "ds" / "dataset.json").write_text(json.dumps(manifest))
+    return _query("retrieve", w), "dataset.json: grid resolution [4096, 4096, 4096] has more than 16777216 voxels"
 
 
 def _case_manifest_partial_skill_index(w):
@@ -577,6 +601,15 @@ def _case_gen_align_data_negative_seed(w):
     return argv + ["--seed", "-1", "--output", str(w / "align.txt")], "got -1"
 
 
+def _case_unknown_demo(command):
+    def case(w):
+        ingest_one(w)
+        argv = [command, "--dataset", str(w / "ds"), "--demo-id", "nope"]
+        extra = ["--cloud", str(w / "cloud.txt")] if command == "register" else ["--output", str(w / "align.txt")]
+        return argv + extra, "demo id 'nope' not in dataset"
+    return case
+
+
 def _case_gen_align_data_negative_count(w):
     ingest_one(w)
     argv = ["gen-align-data", "--dataset", str(w / "ds"), "--demo-id", "d1", "--count", "-3"]
@@ -608,8 +641,10 @@ MALFORMED = {
     "register-nan-cloud": _case_query_nan_cloud("register"),
     "manifest-not-json": _case_manifest_not_json,
     "manifest-without-grid": _case_manifest_without_grid,
+    "manifest-huge-grid": _case_manifest_huge_grid,
     "demo-nonfinite-point": _case_demo_nonfinite_point,
     "demo-cloud-rows": _case_demo_cloud_rows,
+    "demo-voxel-rows": _case_demo_voxel_rows,
     "demo-line-after-voxels": _case_demo_line_after_voxels,
     "demo-negative-embedding": _case_demo_negative_embedding,
     "demo-empty-description": _case_demo_line(0, "description "),
@@ -645,6 +680,8 @@ MALFORMED = {
         "--count must be >= 0, got -1",
     ),
     "gen-align-data-negative-count": _case_gen_align_data_negative_count,
+    "gen-align-data-unknown-demo": _case_unknown_demo("gen-align-data"),
+    "register-unknown-demo": _case_unknown_demo("register"),
     "retrieve-top-below-one": _case_retrieve_top_below_one,
     "evaluate-without-families": _case_evaluate(
         {"mode": "diversity", "families": []}, [], "families must be a non-empty list"

@@ -391,8 +391,45 @@ embedding_entries = st.one_of(
 )
 
 
+# sparse non-negative vectors on the default grid (12,288 voxels) with a
+# finite non-zero norm: index -> value, with indices of one and two bytes
+sparse_entries = st.dictionaries(
+    st.one_of(st.integers(0, GridSpec().size - 1), st.sampled_from([0, 255, 256, GridSpec().size - 1])),
+    st.one_of(st.floats(min_value=5e-324, max_value=1e150), st.sampled_from([5e-324, 2.5e-310, 1.0])),
+    min_size=1,
+    max_size=40,
+).filter(lambda entries: np.linalg.norm(list(entries.values())) > 0.0)
+
+
 class TestEmbeddingBlock:
-    """The archive stores an embedding's non-zero entries as a ``voxels K`` block."""
+    """The archive stores an embedding's K non-zero entries as a ``voxels K``
+    header and one packed line: K uint32 indices, then K float64 values."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(entries=sparse_entries)
+    def test_sparse_round_trip_bit_exact(self, tmp_path_factory, entries):
+        dense = np.zeros(GridSpec().size)
+        dense[list(entries)] = list(entries.values())
+        demo = Demonstration(
+            id="d",
+            description="open the bottle",
+            object_cloud=CLOUD3,
+            trajectory=STATES,
+            embedding=GeometryEmbedding(dense, GridSpec()),
+        )
+        ds = Dataset()
+        ds.add(demo)
+        path = tmp_path_factory.mktemp("sparse")
+        save_dataset(ds, path)
+        lines = (path / "d.demo").read_text().splitlines()
+        assert lines[-2] == f"voxels {len(entries)}"
+        raw = base64.b64decode(lines[-1])
+        index = np.frombuffer(raw, "<u4", len(entries))
+        assert index.tolist() == sorted(entries)
+        assert np.array_equal(np.frombuffer(raw, "<f8", offset=4 * len(entries)), dense[index])
+        back = load_dataset(path).demos["d"]
+        assert back == demo
+        assert np.array_equal(back.embedding.values.view(np.uint64), dense.view(np.uint64))
 
     @settings(max_examples=60, deadline=None)
     @given(values=st.lists(embedding_entries, min_size=8, max_size=8))
@@ -441,9 +478,13 @@ class TestEmbeddingBlock:
         save_dataset(ds, tmp_path)
         digests = {f.name: hashlib.sha256(f.read_bytes()).hexdigest() for f in sorted(tmp_path.iterdir())}
         assert digests == ARCHIVE_SHA256
-        # the cloud line: little-endian float64, x y z per point, point-major
-        packed = struct.pack("<6d", 0.5, -0.0, 1e-05, 0.3333333333333333, 0.25, 0.125)
-        assert (tmp_path / "e.demo").read_text().splitlines()[6:8] == ["cloud 2", base64.b64encode(packed).decode()]
+        # the cloud line: little-endian float64, x y z per point, point-major;
+        # the voxels line: the uint32 indices of the non-zero entries, then their float64 values
+        cloud_line = struct.pack("<6d", 0.5, -0.0, 1e-05, 0.3333333333333333, 0.25, 0.125)
+        voxels_line = struct.pack("<2I2d", 1, 6, 5e-324, 1.0)
+        assert (tmp_path / "e.demo").read_text().splitlines()[6:] == [
+            "cloud 2", base64.b64encode(cloud_line).decode(), "voxels 2", base64.b64encode(voxels_line).decode()
+        ]
 
 
 # a float64 drawn by bit pattern, or an edge: -0.0, the least and the largest
@@ -474,7 +515,7 @@ class TestCloudBlock:
 
 
 ARCHIVE_SHA256 = {
-    "d.demo": "06878f4b940f143b880d9c156839c40e91c58ba3dc36f1c220a33b74438617ca",
+    "d.demo": "b30be0ea65fca16121b4d89261fd281f9c40e2f47ad17e2f7d986cf5f1adad0c",
     "dataset.json": "3f004271487448001e6b325ed0ae67faafa1508cf85ceeb61b02c2195a65019f",
-    "e.demo": "7e69a11010216e781710ff2ba3bb15720aac5d44ef91967a2f22ab3e99f97fb2",
+    "e.demo": "5aef2adece664127d9153fdbf72b29b744fe80881610de28a497514556f054ad",
 }

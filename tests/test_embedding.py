@@ -4,10 +4,11 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from trajtransfer.embedding import (
+    MAX_VOXELS,
     GeometryEmbedding,
     GridSpec,
     cosine_similarity,
@@ -43,6 +44,14 @@ class TestGridSpec:
             GridSpec(origin=(np.nan, 0.0, 0.0))
         with pytest.raises(ValueError):
             GridSpec(extent=(np.inf, 0.4, 0.4))
+
+    @pytest.mark.parametrize("resolution", [(4096, 4096, 4096), (2**40, 2, 2), (257, 256, 256)])
+    def test_voxel_bound(self, resolution):
+        """A grid of more than MAX_VOXELS voxels is refused when built, before
+        anything of its size is allocated; so every index fits a uint32."""
+        assert GridSpec(resolution=(256, 256, 256)).size == MAX_VOXELS < 2**32
+        with pytest.raises(ValueError, match=f"has more than {MAX_VOXELS} voxels"):
+            GridSpec(resolution=resolution)
 
 
 class TestOccupancyEmbedding:
@@ -214,6 +223,16 @@ class TestCosine:
         a[0] = 1.0
         b[1] = 1.0
         assert cosine_similarity(GeometryEmbedding(a, g), GeometryEmbedding(b, g)) == 0.0
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), other=st.integers(0, 2**32 - 1), shift=st.floats(-0.05, 0.05))
+    @example(seed=0, other=1, shift=0.0)  # the unclamped cosine of this cloud with itself is 1.0000000000000002
+    def test_in_unit_interval(self, seed, other, shift):
+        """A cosine lies in [0, 1], and an embedding's with itself is exactly 1.0."""
+        a = occupancy_embedding(blob((0.4, 0.2, 0.05), n=40, scale=0.02, seed=seed))
+        b = occupancy_embedding(blob((0.4 + shift, 0.2, 0.05), n=40, scale=0.02, seed=other))
+        assert cosine_similarity(a, a) == 1.0
+        assert 0.0 <= cosine_similarity(a, b) <= 1.0
 
     def test_grid_mismatch(self):
         a = occupancy_embedding(blob((0.4, 0.2, 0.1)))
