@@ -8,6 +8,7 @@ stderr.  The default dataset path can be set via TRAJTRANSFER_DATASET.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -109,7 +110,7 @@ def cmd_evaluate(args) -> int:
     _at_least(args.jobs, 1, "--jobs")
     config = stats_mod.read_config(args.config)
     if args.seed is not None:
-        config.seed = args.seed
+        config = dataclasses.replace(config, seed=args.seed)
     table, trace_path = stats_mod.run_experiment(config, args.output, jobs=args.jobs)
     stats_mod.emit_report(table, config, trace_path, args.output)
     for row in table.rows:

@@ -12,6 +12,7 @@ the order of eight per-corner ``np.add.at`` passes, so the bits are theirs.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -34,6 +35,11 @@ class GridSpec:
     resolution: tuple = DEFAULT_RESOLUTION
 
     def __post_init__(self):
+        # a value of another kind (a string, a bool, a fractional resolution) is refused, not converted
+        if not all(isinstance(v, numbers.Real) and not isinstance(v, bool) for v in (*self.origin, *self.extent)):
+            raise ValueError("grid origin and extent values must be real numbers")
+        if not all(isinstance(v, numbers.Integral) and not isinstance(v, bool) for v in self.resolution):
+            raise ValueError("grid resolution values must be integers")
         origin = tuple(float(v) for v in self.origin)
         extent = tuple(float(v) for v in self.extent)
         resolution = tuple(int(v) for v in self.resolution)

@@ -22,7 +22,7 @@ import numpy as np
 from scipy.spatial import ConvexHull, QhullError
 
 from .demos import Dataset, Demonstration, EndEffectorState
-from .errors import OutOfRange, OutOfWorkspace, UnknownCategory, UnknownSkill, NoCorrespondences
+from .errors import OutOfRange, OutOfWorkspace, UnknownCategory, UnknownSkill, NoCorrespondences, TooFewPoints
 from .policies import OCCLUSION_CLUSTERS, build_replay_plan, execute_replay, jitter_cloud, mask_augment, transfer_alignment_pose
 # run_rollout plans no approach path, as only its endpoint matters; perfbench's
 # tracer still wraps trajtransfer.simbench.plan_linear_path by name
@@ -514,7 +514,7 @@ def run_rollout(
     )
     try:
         registration = estimate_delta(demo, cloud)
-    except NoCorrespondences:
+    except (NoCorrespondences, TooFewPoints):  # no match at init, or too few points for a covariance
         return RolloutResult(scene, retrieval, None, gt_delta, None, False, FAILURE_REGISTRATION)
 
     executed, success = _replay(task, demo, registration.delta, scene, demo_scene)

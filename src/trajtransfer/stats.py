@@ -32,20 +32,16 @@ from .simbench import (
     run_rollout,
 )
 
-def normal_quantile(p: float) -> float:
-    """Inverse standard normal CDF."""
-    if not 0.0 < p < 1.0:
-        raise ValueError("p must be in (0, 1)")
-    return float(ndtri(p))
+Z95 = float(ndtri(0.975))  # the two-sided 95% standard normal quantile
 
 
-def wilson_interval(k: int, n: int, confidence: float = 0.95) -> tuple[float, float]:
-    """Wilson score interval for k successes in n trials."""
+def wilson_interval(k: int, n: int) -> tuple[float, float]:
+    """95% Wilson score interval for k successes in n trials."""
     if n < 1:
         raise InvalidTrials("wilson_interval requires n >= 1")
     if not 0 <= k <= n:
         raise ValueError("k must be in [0, n]")
-    z = normal_quantile(1 - (1 - confidence) / 2)
+    z = Z95
     phat = k / n
     denom = 1 + z * z / n
     centre = (phat + z * z / (2 * n)) / denom
@@ -103,12 +99,11 @@ class SuccessTable:
 # --- experiment configuration and runner -------------------------------------
 
 
-# keys older configs and summary.json echoes may name; read and ignored
-_RETIRED_KEYS = frozenset({"thousand_rollouts_per_task"})
-
-
-@dataclass
+@dataclass(frozen=True)
 class ExperimentConfig:
+    """One experiment protocol, checked when built, whether read from a file,
+    built in code or given another seed: a config that breaks a rule raises."""
+
     mode: str  # dataset_size | diversity | thousand
     seed: int = 0
     repeats: int = 3
@@ -123,7 +118,10 @@ class ExperimentConfig:
     noise_sigma: float = 0.0
     occlusion_fraction: float = 0.0
 
-    def validate(self) -> None:
+    def __post_init__(self):
+        object.__setattr__(self, "families", tuple(self.families))
+        object.__setattr__(self, "demos_per_task", tuple(self.demos_per_task))
+        object.__setattr__(self, "diversity_splits", tuple(tuple(s) for s in self.diversity_splits))
         if self.mode not in ("dataset_size", "diversity", "thousand"):
             raise ConfigError(f"unknown experiment mode {self.mode!r}")
         counts = [getattr(self, f.name) for f in fields(self) if f.type == "int"]
@@ -155,28 +153,12 @@ class ExperimentConfig:
                         f"budget of {self.total_budget} demonstrations"
                     )
 
-    def to_dict(self) -> dict:
-        d = asdict(self)
-        d["families"] = list(self.families)
-        d["demos_per_task"] = list(self.demos_per_task)
-        d["diversity_splits"] = [list(s) for s in self.diversity_splits]
-        return d
-
     @staticmethod
     def from_dict(d: dict) -> "ExperimentConfig":
-        known = {f.name for f in ExperimentConfig.__dataclass_fields__.values()}
-        unknown = set(d) - known - _RETIRED_KEYS
+        unknown = set(d) - {f.name for f in fields(ExperimentConfig)}
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-        kwargs = {k: v for k, v in dict(d).items() if k in known}
-        for key in ("families", "demos_per_task"):
-            if key in kwargs:
-                kwargs[key] = tuple(kwargs[key])
-        if "diversity_splits" in kwargs:
-            kwargs["diversity_splits"] = tuple(tuple(s) for s in kwargs["diversity_splits"])
-        cfg = ExperimentConfig(**kwargs)
-        cfg.validate()
-        return cfg
+        return ExperimentConfig(**d)
 
 
 def read_config(path) -> ExperimentConfig:
@@ -279,7 +261,6 @@ def run_experiment(config: ExperimentConfig, outdir, jobs: int = 1):
     trace dicts.  The traces, in item order, and so the table are the same
     at any job count.
     """
-    config.validate()
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     conditions = _conditions(config)
@@ -439,7 +420,7 @@ def emit_report(table: SuccessTable, config: ExperimentConfig | None, trace_path
     write_csv(table, outdir / "report.csv")
     digest = hashlib.sha256(Path(trace_path).read_bytes()).hexdigest()
     summary = {
-        "config": config.to_dict() if config is not None else None,
+        "config": asdict(config) if config is not None else None,
         "trace_sha256": digest,
         "rows": [
             {"label": r.label, "k": r.k, "n": r.n, "phat": r.phat, "lo": r.ci[0], "hi": r.ci[1]}

@@ -317,6 +317,20 @@ class TestEvaluate:
         rows = [json.loads(line) for line in (workdir / "out" / "traces.jsonl").read_text().splitlines()]
         assert rows and all(r["failure_class"] == "retrieval" and r["retrieval"] is None for r in rows)
 
+    def test_two_point_cloud(self, workdir, capsys):
+        """A rollout whose occluded cloud keeps 2 points is a recorded
+        registration failure; the run goes on."""
+        cfg = {"mode": "thousand", "families": ["bottle"], "occlusion_fraction": 0.9, "seed": 3, "repeats": 9}
+        Path(workdir / "cfg.json").write_text(json.dumps(cfg))
+        code = cli.main(
+            ["evaluate", "--config", str(workdir / "cfg.json"), "--output", str(workdir / "out"), "--jobs", "1"]
+        )
+        assert code == cli.EXIT_OK
+        rows = [json.loads(line) for line in (workdir / "out" / "traces.jsonl").read_text().splitlines()]
+        [row] = [r for r in rows if r["scene_seed"] == 4140703941]
+        assert row["failure_class"] == "registration" and row["registration"] is None
+        assert len(rows) == 18
+
     def test_bad_diversity_config(self, workdir):
         Path(workdir / "cfg.json").write_text(
             json.dumps({"mode": "diversity", "diversity_splits": [[10, 14]]})
@@ -388,31 +402,6 @@ class TestReportConfig:
         assert code == cli.EXIT_OK
         for name in ("summary.json", "report.csv", "chart.svg", "failures.svg"):
             assert (workdir / "rep" / name).read_bytes() == (workdir / "out" / name).read_bytes()
-
-    def test_summary_json_with_retired_key(self, workdir, capsys):
-        """A summary.json that still echoes a retired config key reports as before."""
-        eval_config(workdir / "cfg.json")
-        cli.main(
-            [
-                "evaluate",
-                "--config", str(workdir / "cfg.json"),
-                "--output", str(workdir / "out"),
-                "--jobs", "1",
-            ]
-        )
-        summary = json.loads((workdir / "out" / "summary.json").read_text())
-        summary["config"]["thousand_rollouts_per_task"] = 3
-        (workdir / "old.json").write_text(json.dumps(summary))
-        code = cli.main(
-            [
-                "report",
-                "--traces", str(workdir / "out" / "traces.jsonl"),
-                "--output", str(workdir / "rep"),
-                "--config", str(workdir / "old.json"),
-            ]
-        )
-        assert code == cli.EXIT_OK
-        assert (workdir / "rep" / "summary.json").read_bytes() == (workdir / "out" / "summary.json").read_bytes()
 
 
 # --- malformed input: every case exits 2 with an error line, no traceback ----
@@ -704,6 +693,7 @@ MALFORMED = {
     ),
     "evaluate-jobs-zero": _case_evaluate({"mode": "thousand"}, ["--jobs", "0"], "--jobs must be >= 1, got 0"),
     "evaluate-negative-jobs": _case_evaluate({"mode": "thousand"}, ["--jobs", "-3"], "--jobs must be >= 1, got -3"),
+    "evaluate-negative-seed": _case_evaluate({"mode": "thousand"}, ["--seed", "-1"], "must be non-negative integers"),
 }
 
 
@@ -716,6 +706,8 @@ def test_malformed_input_exits_2(workdir, capsys, case):
     assert "Traceback" not in err
     error = [line for line in err.splitlines() if line.startswith("error:")]
     assert len(error) == 1 and where in error[0], err
+    if argv[0] == "evaluate":  # refused before anything is written
+        assert not (workdir / "out").exists()
 
 
 @pytest.mark.parametrize("demo_id", ["../escape", "sub/x", ""])

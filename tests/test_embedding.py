@@ -44,6 +44,18 @@ class TestGridSpec:
             GridSpec(origin=(np.nan, 0.0, 0.0))
         with pytest.raises(ValueError):
             GridSpec(extent=(np.inf, 0.4, 0.4))
+        # a value of another kind is refused, not converted
+        for bad in (
+            {"resolution": (32.9, 24, 16)},
+            {"resolution": (32, "24", 16)},
+            {"resolution": (32, 24, 16.0)},
+            {"origin": ("0", 0, 0)},
+            {"origin": "123"},
+            {"extent": (True, 0.4, 0.4)},
+        ):
+            with pytest.raises(ValueError):
+                GridSpec(**bad)
+        assert GridSpec(origin=(0, 0, 0), extent=(1, 1, 1), resolution=np.array([2, 2, 2])).resolution == (2, 2, 2)
 
     @pytest.mark.parametrize("resolution", [(4096, 4096, 4096), (2**40, 2, 2), (257, 256, 256)])
     def test_voxel_bound(self, resolution):

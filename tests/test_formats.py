@@ -8,6 +8,7 @@ TrajTransferError, never another exception.
 import base64
 import json
 import math
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -306,10 +307,20 @@ class TestArchive:
             {"grid": {"origin": [0, 0, 0], "extent": [float("nan"), 1, 1], "resolution": [2, 2, 2]}},
             {"grid": {"origin": [0, 0, 0], "extent": [1, 1, 1], "resolution": [4096, 4096, 4096]}},
             {"grid": {"origin": [0, 0, 0], "extent": [1, 1, 1], "resolution": [2**40, 2, 2]}},
+            {"grid": {"origin": [0, 0, 0], "extent": [1, 1, 1], "resolution": [2.9, 2, 2]}},
+            {"grid": {"origin": [0, 0, 0], "extent": [1, 1, 1], "resolution": [2, "3", 2]}},
+            {"grid": {"origin": [0, 0, 0], "extent": [1, 1, 1], "resolution": [2, 2.0, 2]}},
+            {"grid": {"origin": ["0", 0, 0], "extent": [1, 1, 1], "resolution": [2, 2, 2]}},
+            {"grid": {"origin": "123", "extent": [1, 1, 1], "resolution": [2, 2, 2]}},
+            {"grid": {"origin": [0, 0, 0], "extent": [True, 1, 1], "resolution": [2, 2, 2]}},
         ],
-        ids=["no-such-file", "outside-the-archive", "nul-in-name", "infinite-resolution", "nan-extent", "huge-grid", "huge-axis"],
+        ids=[
+            "no-such-file", "outside-the-archive", "nul-in-name", "infinite-resolution", "nan-extent", "huge-grid", "huge-axis",
+            "fractional-resolution", "string-resolution", "float-resolution", "string-origin", "origin-string", "bool-extent",
+        ],
     )
     def test_malformed_manifest(self, archive, change):
+        """A manifest grid value of another kind is refused, not converted."""
         path, manifest, demo = archive
         (path / "d.demo").write_text(demo)
         (path / "dataset.json").write_text(json.dumps({**manifest, **change}))
@@ -498,7 +509,7 @@ class TestTraceFile:
 class TestConfigFile:
     def test_summary_echo_unwrapped(self, tmp_path):
         cfg = ExperimentConfig(mode="thousand", seed=4, repeats=2)
-        (tmp_path / "summary.json").write_text(json.dumps({"config": cfg.to_dict(), "rows": []}))
+        (tmp_path / "summary.json").write_text(json.dumps({"config": asdict(cfg), "rows": []}))
         assert read_config(tmp_path / "summary.json") == cfg
 
     @pytest.mark.parametrize(
@@ -533,20 +544,19 @@ class TestConfigFile:
         ],
     )
     def test_malformed_config(self, tmp_path, text):
+        """A bad config file names itself; a bad JSON object is refused
+        when the config is built from it in code too."""
         (tmp_path / "cfg.json").write_text(text)
         with pytest.raises(ConfigError, match=r"cfg\.json"):
             read_config(tmp_path / "cfg.json")
+        try:
+            raw = json.loads(text)
+        except ValueError:
+            return
+        if isinstance(raw, dict):
+            with pytest.raises((ConfigError, TypeError, ValueError)):
+                ExperimentConfig(**raw)
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(ConfigError):
             read_config(tmp_path / "nowhere.json")
-
-    def test_retired_key_ignored(self, tmp_path):
-        """Configs and summary.json echoes written before a key was retired still read."""
-        cfg = ExperimentConfig(mode="thousand", seed=4, repeats=2)
-        old = {**cfg.to_dict(), "thousand_rollouts_per_task": 3}
-        assert "thousand_rollouts_per_task" not in cfg.to_dict()
-        (tmp_path / "cfg.json").write_text(json.dumps(old))
-        (tmp_path / "summary.json").write_text(json.dumps({"config": old, "rows": []}))
-        assert read_config(tmp_path / "cfg.json") == cfg
-        assert read_config(tmp_path / "summary.json") == cfg

@@ -16,6 +16,7 @@ from trajtransfer.simbench import (
     CAMERA_HEIGHT,
     CATEGORIES,
     FAILURE_NONE,
+    FAILURE_REGISTRATION,
     FAILURE_RETRIEVAL,
     MAX_RENDER_POINTS,
     Benchmark,
@@ -341,6 +342,16 @@ class TestRollout:
         scene = randomize_scene(task, inst, "thousand", 919, occlusion_fraction=0.94)
         res = run_rollout(bench, task, scene)
         assert res.registration is not None and res.executed is not None
+
+    def test_two_point_cloud_is_registration_failure(self):
+        """Occlusion that leaves a 2-point cloud, too few for a covariance, is
+        recorded as a registration failure without a registration, not raised."""
+        bench, task, _, _ = make_bench("bottle")
+        scene = randomize_scene(task, generate_object("bottle", 1000), "thousand", 813, occlusion_fraction=0.9)
+        assert len(_observed_cloud(scene)) == 2
+        res = run_rollout(bench, task, scene)
+        assert res.failure_class == FAILURE_REGISTRATION and not res.success
+        assert res.retrieval is not None and res.registration is None and res.executed is None
 
     @pytest.mark.parametrize("sigma", [3.0, 30.0, 1e3, 1e6, 1e7])
     def test_cloud_off_the_grid_is_retrieval_failure(self, sigma):

@@ -3,6 +3,7 @@
 import json
 import math
 import re
+from dataclasses import FrozenInstanceError, asdict
 
 import pytest
 
@@ -13,7 +14,6 @@ from trajtransfer.stats import (
     SuccessTable,
     emit_report,
     failure_histogram,
-    normal_quantile,
     run_experiment,
     table_from_traces,
     two_proportion_z_test,
@@ -32,29 +32,10 @@ def wilson_oracle(k, n, z=Z95):
     return max(0.0, centre - margin), min(1.0, centre + margin)
 
 
-class TestNormalQuantile:
-    def test_median(self):
-        assert normal_quantile(0.5) == pytest.approx(0.0, abs=1e-8)
-
-    def test_z95(self):
-        assert normal_quantile(0.975) == pytest.approx(Z95, abs=1e-8)
-
-    def test_symmetry(self):
-        for p in (0.01, 0.1, 0.3):
-            assert normal_quantile(p) == pytest.approx(-normal_quantile(1 - p), abs=1e-8)
-
-    def test_tails(self):
-        # erfc-based oracle: Phi(q) == p
-        for p in (0.001, 0.02, 0.6, 0.999):
-            q = normal_quantile(p)
-            assert 0.5 * math.erfc(-q / math.sqrt(2)) == pytest.approx(p, abs=1e-7)
-
-    def test_domain(self):
-        with pytest.raises(ValueError):
-            normal_quantile(0.0)
-
-
 class TestWilson:
+    def test_z95(self):
+        assert stats.Z95 == Z95
+
     def test_all_successes_high_is_one(self):
         lo, hi = wilson_interval(10, 10)
         assert hi == 1.0
@@ -125,22 +106,26 @@ class TestZTest:
 
 class TestConfig:
     def test_diversity_budget_violation(self):
-        cfg = ExperimentConfig(mode="diversity", diversity_splits=((10, 14),))
         with pytest.raises(ConfigError):
-            cfg.validate()
+            ExperimentConfig(mode="diversity", diversity_splits=((10, 14),))
 
     def test_unknown_mode(self):
         with pytest.raises(ConfigError):
-            ExperimentConfig(mode="ablation").validate()
+            ExperimentConfig(mode="ablation")
 
     def test_unknown_family(self):
         with pytest.raises(ConfigError):
-            ExperimentConfig(mode="thousand", families=("mug", "teapot")).validate()
+            ExperimentConfig(mode="thousand", families=("mug", "teapot"))
 
     def test_dict_round_trip(self):
         cfg = ExperimentConfig(mode="dataset_size", seed=7, families=("mug", "tray"))
-        back = ExperimentConfig.from_dict(cfg.to_dict())
+        back = ExperimentConfig.from_dict(json.loads(json.dumps(asdict(cfg))))
         assert back == cfg
+
+    def test_frozen(self):
+        cfg = ExperimentConfig(mode="thousand")
+        with pytest.raises(FrozenInstanceError):
+            cfg.seed = -1
 
     def test_unknown_key_rejected(self):
         with pytest.raises(ConfigError):
