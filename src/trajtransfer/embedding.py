@@ -67,11 +67,7 @@ class GridSpec:
         return nx * ny * nz
 
     def to_dict(self) -> dict:
-        return {
-            "origin": list(self.origin),
-            "extent": list(self.extent),
-            "resolution": list(self.resolution),
-        }
+        return {name: list(value) for name, value in vars(self).items()}
 
     @staticmethod
     def from_dict(d: dict) -> "GridSpec":

@@ -10,8 +10,8 @@ are accepted, so the reported final cost never exceeds the cost at init.
 GICP stops (converged) when 8 damped trials in a row fail to lower the cost,
 when an accepted step changes the cost by less than ``rel_tolerance`` of it,
 or, before a trial's KD query, when the trial's step would move no matched
-demo point by more than ``rel_tolerance * inlier_radius`` (25 nm with the
-defaults).  The step ``[w, t]`` moves a point ``p`` by at most
+demo point by more than ``rel_tolerance * inlier_radius`` (25 nm with
+``GicpParams``).  The step ``[w, t]`` moves a point ``p`` by at most
 ``|w| |p| + |t|``, since ``|(R - I) p| <= angle |p|``.  Where a test cloud
 holds the demo's own surface samples the cost tends to 0, the relative rule
 never fires, and without the step rule the loop polished the pose to float
@@ -62,17 +62,19 @@ SWEEP_SLICES = 8  # ~75 of the sweep's 600 points each: enough to prune yaws, fe
 _TIE = 1e-12  # a yaw must beat the incumbent by more than this
 
 
-@dataclass(frozen=True)
 class GicpParams:
-    max_iterations: int = 50
-    inlier_radius: float = 0.025  # metres
+    """GICP's fixed settings, read as class attributes; ``GicpParams()`` takes no arguments.
+    Module constants would be simpler, once perfbench no longer imports this class."""
+
+    max_iterations = 50
+    inlier_radius = 0.025  # metres
     # stop once an accepted step changes the cost by less than this fraction
     # of it, or before a trial whose step would move no matched demo point by
     # more than rel_tolerance * inlier_radius (25 nm)
-    rel_tolerance: float = 1e-6
-    damping: float = 1e-4  # initial Levenberg lambda
-    k_neighbors: int = 20
-    yaw_steps: int = 72  # coarse sweep resolution (5 degree steps)
+    rel_tolerance = 1e-6
+    damping = 1e-4  # initial Levenberg lambda
+    k_neighbors = 20
+    yaw_steps = 72  # coarse sweep resolution (5 degree steps)
 
 
 @dataclass(frozen=True)
@@ -94,13 +96,7 @@ class RegistrationResult:
     converged: bool
 
     def to_dict(self) -> dict:
-        return {
-            "delta": self.delta.as_row(),
-            "inlier_rmse": self.inlier_rmse,
-            "fitness": self.fitness,
-            "iterations": self.iterations,
-            "converged": self.converged,
-        }
+        return {**vars(self), "delta": self.delta.as_row()}
 
 
 def _check_extent(*clouds: PointCloud) -> None:
@@ -120,7 +116,7 @@ def _sweep_angles(steps: int):
     return angles
 
 
-def coarse_align(demo_cloud: PointCloud, test_cloud: PointCloud, yaw_steps: int = GicpParams.yaw_steps) -> Pose:
+def coarse_align(demo_cloud: PointCloud, test_cloud: PointCloud) -> Pose:
     """Centroid shift plus best yaw from a discrete sweep about the vertical.
 
     Candidates are scored by nearest-neighbour RMSE of the transformed demo
@@ -168,7 +164,7 @@ def coarse_align(demo_cloud: PointCloud, test_cloud: PointCloud, yaw_steps: int 
     # views bound the penalty without drowning out small discriminative
     # features (handles, spouts)
     cap = 0.01
-    angles = _sweep_angles(yaw_steps)
+    angles = _sweep_angles(GicpParams.yaw_steps)
     ca = np.cos(angles)
     sa = np.sin(angles)
 
@@ -275,7 +271,7 @@ def _eigh3x3(A: np.ndarray):
     return w, v
 
 
-def estimate_covariances(cloud: PointCloud, k: int = 20) -> np.ndarray:
+def estimate_covariances(cloud: PointCloud, k: int = GicpParams.k_neighbors) -> np.ndarray:
     """(N, 3, 3) per-point covariances of the k nearest neighbours, planar-regularized.
 
     Eigenvalues are clamped below at EPS_PLANE times the largest so plane
@@ -421,13 +417,14 @@ def _rotate_covariances(R: np.ndarray, cov: np.ndarray) -> np.ndarray:
     return ((R @ cov).reshape(-1, 3) @ R.T).reshape(-1, 3, 3)
 
 
-def _corresponding_cost(pose, demo_pts, cov_demo, tree, test_pts, cov_test, radius):
+def _corresponding_cost(pose, demo_pts, cov_demo, tree, test_pts, cov_test):
     """Correspondences + mean Mahalanobis cost at a pose; None if no matches.
 
     ``tree`` is the test cloud's ``cKDTree`` or a :class:`_Matches` over it.
     """
     R = pose.rotation_matrix()
     moved = demo_pts @ R.T + pose.translation
+    radius = GicpParams.inlier_radius
     dist, idx = _query_within(tree, moved, radius)
     mask = dist <= radius
     if not np.any(mask):
@@ -446,7 +443,6 @@ def generalized_icp(
     demo_cloud: PointCloud,
     test_cloud: PointCloud,
     init: Pose,
-    params: GicpParams = GicpParams(),
     *,
     demo_covariances: np.ndarray | None = None,
     test_covariances: np.ndarray | None = None,
@@ -457,7 +453,7 @@ def generalized_icp(
 
     ``demo_covariances``/``test_covariances`` accept precomputed
     :func:`estimate_covariances` results with
-    ``k = min(params.k_neighbors, len(demo_cloud), len(test_cloud))``, so
+    ``k = min(GicpParams.k_neighbors, len(demo_cloud), len(test_cloud))``, so
     repeated registrations against the same cloud skip the (comparatively
     expensive) re-estimation; :func:`estimate_delta` passes the demo's memo.
     Correspondence and fitness queries are bounded just above
@@ -466,26 +462,25 @@ def generalized_icp(
     if len(demo_cloud) == 0 or len(test_cloud) == 0:
         raise EmptyCloud("registration requires non-empty clouds")
     _check_extent(demo_cloud, test_cloud)
-    k = min(params.k_neighbors, len(demo_cloud), len(test_cloud))
+    k = min(GicpParams.k_neighbors, len(demo_cloud), len(test_cloud))
     if demo_covariances is None:
         demo_covariances = estimate_covariances(demo_cloud, k)
     if test_covariances is None:
         test_covariances = estimate_covariances(test_cloud, k)
     demo_pts = demo_cloud.points
     test_pts = test_cloud.points
-    tree = _Matches(cKDTree(test_pts), params.inlier_radius)
+    radius = GicpParams.inlier_radius
+    tree = _Matches(cKDTree(test_pts), radius)
 
-    state = _corresponding_cost(
-        init, demo_pts, demo_covariances, tree, test_pts, test_covariances, params.inlier_radius
-    )
+    state = _corresponding_cost(init, demo_pts, demo_covariances, tree, test_pts, test_covariances)
     if state is None:
         raise NoCorrespondences("no correspondences within the inlier radius at init")
     pose = init
-    lam = params.damping
-    min_move = params.rel_tolerance * params.inlier_radius
+    lam = GicpParams.damping
+    min_move = GicpParams.rel_tolerance * radius
     converged = False
     iterations = 0
-    for iterations in range(1, params.max_iterations + 1):
+    for iterations in range(1, GicpParams.max_iterations + 1):
         mask, src, tgt, W, d, cost = state
         # residual model r(delta) = d + [src]x dw - dt, so J = [[src]x, -I]
         J = np.zeros((d.shape[0], 3, 6))
@@ -512,9 +507,7 @@ def generalized_icp(
             if np.linalg.norm(step[:3]) * reach + np.linalg.norm(step[3:]) <= min_move:
                 break
             cand = compose(_exp_step(step), pose)
-            cand_state = _corresponding_cost(
-                cand, demo_pts, demo_covariances, tree, test_pts, test_covariances, params.inlier_radius
-            )
+            cand_state = _corresponding_cost(cand, demo_pts, demo_covariances, tree, test_pts, test_covariances)
             if cand_state is not None and cand_state[5] < cost:
                 accepted = True
                 new_pose, new_state = cand, cand_state
@@ -526,7 +519,7 @@ def generalized_icp(
             break
         rel_change = abs(cost - new_state[5]) / max(cost, 1e-30)
         pose, state = new_pose, new_state
-        if rel_change < params.rel_tolerance:
+        if rel_change < GicpParams.rel_tolerance:
             converged = True
             break
 
@@ -534,8 +527,8 @@ def generalized_icp(
     R = pose.rotation_matrix()
     moved = demo_pts @ R.T + pose.translation
     back_tree = cKDTree(moved)
-    dist, _ = _query_within(back_tree, test_pts, params.inlier_radius)
-    inliers = dist <= params.inlier_radius
+    dist, _ = _query_within(back_tree, test_pts, radius)
+    inliers = dist <= radius
     fitness = float(np.count_nonzero(inliers) / len(test_pts))
     inlier_rmse = float(np.sqrt(np.mean(dist[inliers] ** 2))) if np.any(inliers) else 0.0
     return RegistrationResult(
@@ -547,17 +540,15 @@ def generalized_icp(
     )
 
 
-def estimate_delta(demo, test_cloud: PointCloud, params: GicpParams = GicpParams()) -> RegistrationResult:
+def estimate_delta(demo, test_cloud: PointCloud) -> RegistrationResult:
     """Full pipeline: coarse yaw-sweep init, then GICP refinement.
 
     The demo's covariances are computed at its first registration with a
     given ``k`` and kept in ``demo.covariances``; the result equals
     ``generalized_icp`` without precomputed covariances bit for bit.
     """
-    init = coarse_align(demo.object_cloud, test_cloud, params.yaw_steps)
-    k = min(params.k_neighbors, len(demo.object_cloud), len(test_cloud))
+    init = coarse_align(demo.object_cloud, test_cloud)
+    k = min(GicpParams.k_neighbors, len(demo.object_cloud), len(test_cloud))
     if k not in demo.covariances:
         demo.covariances[k] = estimate_covariances(demo.object_cloud, k)
-    return generalized_icp(
-        demo.object_cloud, test_cloud, init, params, demo_covariances=demo.covariances[k]
-    )
+    return generalized_icp(demo.object_cloud, test_cloud, init, demo_covariances=demo.covariances[k])

@@ -24,12 +24,7 @@ class RetrievalResult:
     runner_up_margin: float  # best minus second-best similarity; 0 for a single candidate
 
     def to_dict(self) -> dict:
-        return {
-            "demo_id": self.demo_id,
-            "similarity": self.similarity,
-            "candidate_count": self.candidate_count,
-            "runner_up_margin": self.runner_up_margin,
-        }
+        return dict(vars(self))
 
 
 def language_filter(dataset: Dataset, description: str) -> set:

@@ -22,7 +22,7 @@ import numpy as np
 from scipy.spatial import ConvexHull, QhullError
 
 from .demos import Dataset, Demonstration, EndEffectorState
-from .errors import OutOfRange, OutOfWorkspace, UnknownCategory, UnknownSkill, NoCorrespondences, TooFewPoints
+from .errors import EmptyCloud, OutOfRange, OutOfWorkspace, UnknownCategory, UnknownSkill, NoCorrespondences, TooFewPoints
 from .policies import OCCLUSION_CLUSTERS, build_replay_plan, execute_replay, jitter_cloud, mask_augment, transfer_alignment_pose
 # run_rollout plans no approach path, as only its endpoint matters; perfbench's
 # tracer still wraps trajtransfer.simbench.plan_linear_path by name
@@ -110,6 +110,7 @@ class RolloutResult:
     executed: tuple | None  # EndEffectorState sequence
     success: bool
     failure_class: str
+    registration_error: str | None = None  # class name of the error registration raised
 
     def to_trace_dict(self) -> dict:
         d = {
@@ -122,7 +123,10 @@ class RolloutResult:
             "success": self.success,
             "failure_class": self.failure_class,
             "retrieval": self.retrieval.to_dict() if self.retrieval else None,
-            "registration": self.registration.to_dict() if self.registration else None,
+            "registration": (
+                self.registration.to_dict() if self.registration
+                else {"error": self.registration_error} if self.registration_error else None
+            ),
             "gt_delta": self.gt_delta.as_row() if self.gt_delta else None,
             "final_pose": self.executed[-1].pose.as_row() if self.executed else None,
         }
@@ -376,8 +380,11 @@ def hidden_point_removal(points: np.ndarray) -> np.ndarray:
     surface of an instance in every scene.  In floating point a rotated input
     could flip a point that lies on the hull up to rounding; the object-frame
     and camera-frame masks of the benchmark's scenes agree bit for bit
-    (tests/test_simbench.py checks it).
+    (tests/test_simbench.py checks it).  No points raise EmptyCloud, and points
+    with no hull even when joggled (one or two) raise TooFewPoints.
     """
+    if len(points) == 0:
+        raise EmptyCloud("hidden-point removal needs at least one point")
     norms = np.linalg.norm(points, axis=1)
     norms = np.maximum(norms, 1e-12)
     radius = HPR_GAMMA * norms.max()
@@ -386,7 +393,10 @@ def hidden_point_removal(points: np.ndarray) -> np.ndarray:
     try:
         hull = ConvexHull(all_pts)
     except QhullError:
-        hull = ConvexHull(all_pts, qhull_options="QJ")
+        try:
+            hull = ConvexHull(all_pts, qhull_options="QJ")
+        except QhullError as e:
+            raise TooFewPoints(f"a cloud of {len(points)} point(s) has no visibility hull") from e
     mask = np.zeros(len(points), dtype=bool)
     visible = hull.vertices[hull.vertices < len(points)]
     mask[visible] = True
@@ -514,8 +524,8 @@ def run_rollout(
     )
     try:
         registration = estimate_delta(demo, cloud)
-    except (NoCorrespondences, TooFewPoints):  # no match at init, or too few points for a covariance
-        return RolloutResult(scene, retrieval, None, gt_delta, None, False, FAILURE_REGISTRATION)
+    except (NoCorrespondences, TooFewPoints) as e:  # no match at init, or too few points for a covariance
+        return RolloutResult(scene, retrieval, None, gt_delta, None, False, FAILURE_REGISTRATION, type(e).__name__)
 
     executed, success = _replay(task, demo, registration.delta, scene, demo_scene)
     failure = classify_failure(task, demo, registration, gt_delta, success)

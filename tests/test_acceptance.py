@@ -140,7 +140,6 @@ def test_criterion_02_transfer_exactness():
 
 def test_criterion_03_registration_recovery():
     t0 = time.perf_counter()
-    params = GicpParams()
     per_family = 100
     noiseless_ok = noisy_ok = cost_ok = total = 0
     for family in CATEGORIES:
@@ -150,7 +149,7 @@ def test_criterion_03_registration_recovery():
             len(pts), size=2000, replace=False
         )
         demo_cloud = PointCloud(pts[np.sort(pick)])
-        lc_demo = estimate_covariances(demo_cloud, params.k_neighbors)
+        lc_demo = estimate_covariances(demo_cloud, GicpParams.k_neighbors)
         cov_demo = lc_demo
         rng = np.random.default_rng(zlib.crc32(family.encode()) + 1)
         for trial in range(per_family):
@@ -164,11 +163,10 @@ def test_criterion_03_registration_recovery():
                 ("clean", moved, 0.002, math.radians(1.0)),
                 ("noisy", noisy, 0.005, math.radians(2.0)),
             ):
-                lc_test = estimate_covariances(test_cloud, params.k_neighbors)
-                init = coarse_align(demo_cloud, test_cloud, params.yaw_steps)
+                lc_test = estimate_covariances(test_cloud, GicpParams.k_neighbors)
+                init = coarse_align(demo_cloud, test_cloud)
                 res = generalized_icp(
-                    demo_cloud, test_cloud, init, params,
-                    demo_covariances=lc_demo, test_covariances=lc_test,
+                    demo_cloud, test_cloud, init, demo_covariances=lc_demo, test_covariances=lc_test
                 )
                 dt, dr = pose_distance(res.delta, g)
                 if family == "bottle":
@@ -187,12 +185,10 @@ def test_criterion_03_registration_recovery():
                 cov_test = lc_test
                 tree = cKDTree(test_cloud.points)
                 c_init = _corresponding_cost(
-                    init, demo_cloud.points, cov_demo, tree,
-                    test_cloud.points, cov_test, params.inlier_radius,
+                    init, demo_cloud.points, cov_demo, tree, test_cloud.points, cov_test
                 )
                 c_final = _corresponding_cost(
-                    res.delta, demo_cloud.points, cov_demo, tree,
-                    test_cloud.points, cov_test, params.inlier_radius,
+                    res.delta, demo_cloud.points, cov_demo, tree, test_cloud.points, cov_test
                 )
                 cost_ok += (
                     c_init is not None

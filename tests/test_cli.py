@@ -2,6 +2,7 @@
 
 import argparse
 import base64
+import csv
 import hashlib
 import json
 import os
@@ -288,6 +289,25 @@ def eval_config(path, seed=3, demos_per_task=(1,)):
     Path(path).write_text(json.dumps(cfg))
 
 
+class TestRollout:
+    def test_rollouts_appended_and_reported(self, workdir, capsys):
+        """rollout appends one trace row per trial, and report reads them."""
+        traces = workdir / "t.jsonl"
+        traces.write_text(json.dumps({"condition": "earlier", "success": False, "failure_class": "retrieval"}) + "\n")
+        code = cli.main(["rollout", "--family", "mug", "--count", "3", "--output", str(traces)])
+        assert code == cli.EXIT_OK
+        printed = json.loads(capsys.readouterr().out.splitlines()[-1])
+        assert printed["family"] == "mug" and printed["trials"] == 3
+        rows = [json.loads(line) for line in traces.read_text().splitlines()]
+        assert len(rows) == 4 and all(r["condition"] == "rollout/mug" for r in rows[1:])
+        code = cli.main(["report", "--traces", str(traces), "--output", str(workdir / "rep")])
+        assert code == cli.EXIT_OK
+        with open(workdir / "rep" / "report.csv") as f:
+            table = {r["label"]: r for r in csv.DictReader(f)}
+        assert list(table) == ["earlier", "rollout/mug"]
+        assert (table["rollout/mug"]["k"], table["rollout/mug"]["n"]) == (str(printed["successes"]), "3")
+
+
 class TestEvaluate:
     def test_minimal_run(self, workdir, capsys):
         eval_config(workdir / "cfg.json")
@@ -328,7 +348,7 @@ class TestEvaluate:
         assert code == cli.EXIT_OK
         rows = [json.loads(line) for line in (workdir / "out" / "traces.jsonl").read_text().splitlines()]
         [row] = [r for r in rows if r["scene_seed"] == 4140703941]
-        assert row["failure_class"] == "registration" and row["registration"] is None
+        assert row["failure_class"] == "registration" and row["registration"] == {"error": "TooFewPoints"}
         assert len(rows) == 18
 
     def test_bad_diversity_config(self, workdir):

@@ -34,6 +34,10 @@ class TestGridSpec:
     def test_dict_round_trip(self):
         g = GridSpec((0.1, 0.1, 0.0), (0.5, 0.5, 0.3), (8, 8, 4))
         assert GridSpec.from_dict(g.to_dict()) == g
+        # dataset.json keeps this key order and lists
+        assert list(g.to_dict().items()) == [
+            ("origin", [0.1, 0.1, 0.0]), ("extent", [0.5, 0.5, 0.3]), ("resolution", [8, 8, 4])
+        ]
 
     def test_validation(self):
         with pytest.raises(ValueError):

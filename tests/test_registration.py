@@ -60,6 +60,22 @@ def cylinder_cloud(n=600, seed=1):
     return PointCloud(np.stack([0.04 * np.cos(th), 0.04 * np.sin(th), z], axis=1))
 
 
+class TestGicpParams:
+    def test_fixed_values(self):
+        assert (
+            GicpParams.max_iterations, GicpParams.inlier_radius, GicpParams.rel_tolerance,
+            GicpParams.damping, GicpParams.k_neighbors, GicpParams.yaw_steps,
+        ) == (50, 0.025, 1e-6, 1e-4, 20, 72)
+        assert GicpParams().yaw_steps == 72
+
+    @pytest.mark.parametrize("kwargs", [{"max_iterations": 0}, {"yaw_steps": 36}, {"radius": 0.01}])
+    def test_takes_no_arguments(self, kwargs):
+        with pytest.raises(TypeError):
+            GicpParams(**kwargs)
+        with pytest.raises(TypeError):
+            GicpParams(*kwargs.values())
+
+
 class TestCoarseAlign:
     def test_identity(self):
         c = mug_cloud()
@@ -210,7 +226,7 @@ class TestGeneralizedIcp:
         assert dt < 1e-9 and dr < 1e-9
         assert res.inlier_rmse < 1e-9
         assert res.fitness == 1.0
-        assert res.iterations <= GicpParams().max_iterations
+        assert res.iterations <= GicpParams.max_iterations
 
     def test_known_transform_from_coarse(self):
         c = mug_cloud(n=1600)
@@ -271,8 +287,9 @@ class TestGeneralizedIcp:
         c = mug_cloud()
         res = generalized_icp(c, c, Pose.identity())
         d = res.to_dict()
-        assert set(d) == {"delta", "inlier_rmse", "fitness", "iterations", "converged"}
-        assert len(d["delta"]) == 7
+        # the CLI prints these keys unsorted, so their order is part of the output
+        assert list(d) == ["delta", "inlier_rmse", "fitness", "iterations", "converged"]
+        assert d["delta"] == res.delta.as_row() and d["iterations"] == res.iterations
 
 
 def family_demo(family):
@@ -283,10 +300,10 @@ def family_demo(family):
     return demo, task, instance
 
 
-def plain_estimate(demo, cloud, params=GicpParams()):
+def plain_estimate(demo, cloud):
     """estimate_delta without the demo's memo: both covariances computed afresh."""
-    init = coarse_align(demo.object_cloud, cloud, params.yaw_steps)
-    return generalized_icp(demo.object_cloud, cloud, init, params)
+    init = coarse_align(demo.object_cloud, cloud)
+    return generalized_icp(demo.object_cloud, cloud, init)
 
 
 class TestEstimateDelta:
@@ -305,7 +322,7 @@ class TestEstimateDelta:
         # on another cloud
         for cloud in (seen, seen, unseen):
             assert estimate_delta(demo, cloud).to_dict() == plain_estimate(demo, cloud).to_dict()
-        assert list(demo.covariances) == [GicpParams().k_neighbors]
+        assert list(demo.covariances) == [GicpParams.k_neighbors]
 
     def test_memo_per_neighbour_count(self):
         demo, task, instance = family_demo("mug")
@@ -354,7 +371,7 @@ class TestEstimateDelta:
         assert (tmp_path / "after" / name).read_bytes() == (tmp_path / "before" / name).read_bytes()
 
 
-def polish_to_noise(demo_cloud, test_cloud, init, params, cov_demo, cov_test):
+def polish_to_noise(demo_cloud, test_cloud, init, cov_demo, cov_test):
     """GICP's loop without the step stop, as it ran before the stop: it ends
     only when 8 trials in a row fail or the cost changes by less than
     ``rel_tolerance``.  Returns the final pose and its cost evaluations."""
@@ -364,12 +381,10 @@ def polish_to_noise(demo_cloud, test_cloud, init, params, cov_demo, cov_test):
     def cost_at(pose):
         nonlocal calls
         calls += 1
-        return _corresponding_cost(
-            pose, demo_cloud.points, cov_demo, tree, test_cloud.points, cov_test, params.inlier_radius
-        )
+        return _corresponding_cost(pose, demo_cloud.points, cov_demo, tree, test_cloud.points, cov_test)
 
-    pose, state, lam = init, cost_at(init), params.damping
-    for _ in range(params.max_iterations):
+    pose, state, lam = init, cost_at(init), GicpParams.damping
+    for _ in range(GicpParams.max_iterations):
         _, src, _, W, d, cost = state
         J = np.zeros((d.shape[0], 3, 6))
         J[:, 0, 1], J[:, 0, 2] = -src[:, 2], src[:, 1]
@@ -390,7 +405,7 @@ def polish_to_noise(demo_cloud, test_cloud, init, params, cov_demo, cov_test):
         else:
             return pose, calls
         pose, state = cand, cand_state
-        if abs(cost - state[5]) / max(cost, 1e-30) < params.rel_tolerance:
+        if abs(cost - state[5]) / max(cost, 1e-30) < GicpParams.rel_tolerance:
             return pose, calls
     return pose, calls
 
@@ -455,28 +470,22 @@ def step_stop_runs(family, kind):
     """Per scene: GICP from the coarse init under a TrialLog, the last pose
     it accepted, the oracle's pose and call count, and the cost at the init
     and at the result."""
-    params = GicpParams()
     runs = []
     for demo_cloud, test_cloud in step_stop_scenes(family, kind):
-        k = min(params.k_neighbors, len(demo_cloud), len(test_cloud))
+        k = min(GicpParams.k_neighbors, len(demo_cloud), len(test_cloud))
         cov_demo = estimate_covariances(demo_cloud, k)
         cov_test = estimate_covariances(test_cloud, k)
-        init = coarse_align(demo_cloud, test_cloud, params.yaw_steps)
+        init = coarse_align(demo_cloud, test_cloud)
         log = TrialLog()
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(registration, "_corresponding_cost", log)
             res = generalized_icp(
-                demo_cloud, test_cloud, init, params, demo_covariances=cov_demo, test_covariances=cov_test
+                demo_cloud, test_cloud, init, demo_covariances=cov_demo, test_covariances=cov_test
             )
-        want, oracle_calls = polish_to_noise(
-            demo_cloud, test_cloud, init, params, cov_demo, cov_test
-        )
+        want, oracle_calls = polish_to_noise(demo_cloud, test_cloud, init, cov_demo, cov_test)
         tree = cKDTree(test_cloud.points)
         cost_init, cost_final = (
-            _corresponding_cost(
-                pose, demo_cloud.points, cov_demo, tree, test_cloud.points,
-                cov_test, params.inlier_radius,
-            )[5]
+            _corresponding_cost(pose, demo_cloud.points, cov_demo, tree, test_cloud.points, cov_test)[5]
             for pose in (init, res.delta)
         )
         runs.append(SimpleNamespace(
@@ -494,7 +503,7 @@ class TestStepStop:
     ``rel_tolerance * inlier_radius``, checked against the loop without the
     stop (``polish_to_noise``)."""
 
-    min_move = GicpParams().rel_tolerance * GicpParams().inlier_radius
+    min_move = GicpParams.rel_tolerance * GicpParams.inlier_radius
 
     @pytest.mark.parametrize("family,kind", STEP_STOP_CASES)
     def test_pose_close_to_polish_to_noise(self, family, kind):
@@ -541,28 +550,27 @@ def facing_grids(gap):
 class TestInlierRadiusBoundary:
     """A match at exactly ``inlier_radius`` counts, one just beyond does not."""
 
-    radius = GicpParams().inlier_radius
+    radius = GicpParams.inlier_radius
 
     def cost(self, gap):
         demo, test = facing_grids(gap)
         cov = np.broadcast_to(np.eye(3) * 1e-4, (25, 3, 3))
-        return _corresponding_cost(
-            Pose.identity(), demo.points, cov, cKDTree(test.points), test.points, cov, self.radius
-        )
+        return _corresponding_cost(Pose.identity(), demo.points, cov, cKDTree(test.points), test.points, cov)
 
     def test_corresponding_cost(self):
         state = self.cost(self.radius)
         assert state is not None and state[0].all()
         assert self.cost(np.nextafter(self.radius, np.inf)) is None
 
-    def test_fitness(self):
+    def test_fitness(self, monkeypatch):
+        monkeypatch.setattr(GicpParams, "max_iterations", 0)
         demo, test = facing_grids(self.radius)
-        res = generalized_icp(demo, test, Pose.identity(), GicpParams(max_iterations=0))
+        res = generalized_icp(demo, test, Pose.identity())
         assert res.fitness == 1.0
         assert res.inlier_rmse == pytest.approx(self.radius, rel=1e-12)
         demo, test = facing_grids(np.nextafter(self.radius, np.inf))
         with pytest.raises(NoCorrespondences):
-            generalized_icp(demo, test, Pose.identity(), GicpParams(max_iterations=0))
+            generalized_icp(demo, test, Pose.identity())
 
 
 @st.composite
@@ -571,7 +579,7 @@ def match_walks(draw):
     clouds with exact ties (duplicated test points, grids), demo points at
     exactly the radius or one ulp beyond, at scales from 1e-300 m to offsets
     of MAX_COORDINATE."""
-    radius = draw(st.sampled_from([GicpParams().inlier_radius, 0.004]))
+    radius = draw(st.sampled_from([GicpParams.inlier_radius, 0.004]))
     kind = draw(st.sampled_from(["general", "duplicates", "grid", "at_radius"]))
     n = draw(st.integers(1, 40))
     offset = draw(st.sampled_from([0.0, 1.0, 1e3, MAX_COORDINATE - 1.0]))

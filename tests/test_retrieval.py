@@ -49,6 +49,10 @@ class TestHierarchicalRetrieve:
         assert res.demo_id == "box-a"
         assert res.candidate_count == 1
         assert res.runner_up_margin == 0.0
+        # the CLI prints these keys unsorted, so their order is part of the output
+        assert list(res.to_dict().items()) == [
+            ("demo_id", "box-a"), ("similarity", res.similarity), ("candidate_count", 1), ("runner_up_margin", 0.0)
+        ]
 
     def test_exact_demo_cloud(self, dataset):
         res = hierarchical_retrieve(dataset, "open bottle", dataset.demos["bottle-a"].object_cloud)

@@ -3,26 +3,30 @@
 import itertools
 import math
 import pickle
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from trajtransfer import simbench
 from trajtransfer.demos import Dataset
-from trajtransfer.errors import OutOfRange, UnknownCategory
+from trajtransfer.errors import EmptyCloud, OutOfRange, TooFewPoints, UnknownCategory
 from trajtransfer.se3 import Pose, PointCloud, compose, invert, pose_distance, transform_cloud
 from trajtransfer.simbench import (
     CAMERA_CENTRE,
     CAMERA_HEIGHT,
     CATEGORIES,
+    FAILURE_EXECUTION,
     FAILURE_NONE,
     FAILURE_REGISTRATION,
     FAILURE_RETRIEVAL,
     MAX_RENDER_POINTS,
     Benchmark,
+    ObjectInstance,
     _anchor_world,
     _final_pose_success,
     _observed_cloud,
+    classify_failure,
     default_task,
     generate_object,
     randomize_scene,
@@ -86,8 +90,6 @@ class TestRender:
         rng = np.random.default_rng(8)
         v = rng.normal(size=(4000, 3))
         v /= np.linalg.norm(v, axis=1, keepdims=True)
-        from trajtransfer.simbench import ObjectInstance
-
         inst = ObjectInstance(
             category="mug",
             instance_id="sphere",
@@ -112,6 +114,30 @@ class TestRender:
             seen = {tuple(p) for p in transform_cloud(pose, inst.canonical_cloud).points[visible]}
             assert all(tuple(p) in seen for p in cloud.points)
         assert sizes[0] < MAX_RENDER_POINTS < sizes[1]  # the cap binds on the kettle only
+
+    @pytest.mark.parametrize("n,error", [(0, EmptyCloud), (1, TooFewPoints), (2, TooFewPoints)])
+    def test_degenerate_cloud_raises_package_error(self, n, error):
+        """No point, or one or two, whose hull fails even joggled: a
+        TrajTransferError, never numpy's or scipy's."""
+        points = np.random.default_rng(n).normal(0.0, 0.05, (n, 3))
+        inst = ObjectInstance("mug", "tiny", 0, (), PointCloud(points), Pose.identity())
+        with pytest.raises(error):
+            render_partial_cloud(inst, Pose(translation=np.array([0.40, 0.22, 0.0])))
+
+    def test_joggled_retry(self, monkeypatch):
+        """Five points on the camera axis are collinear with the centre, so the
+        first hull fails; the joggled retry marks all five visible."""
+        options = []
+        hull = simbench.ConvexHull
+
+        def logged(points, qhull_options=None):
+            options.append(qhull_options)
+            return hull(points, qhull_options=qhull_options)
+
+        monkeypatch.setattr(simbench, "ConvexHull", logged)
+        axis = np.column_stack([np.zeros(5), np.zeros(5), np.linspace(0.0, 0.1, 5)]) - CAMERA_CENTRE
+        assert simbench.hidden_point_removal(axis).tolist() == [True] * 5
+        assert options == [None, "QJ"]
 
     def test_deterministic(self):
         inst = generate_object("box", 1)
@@ -352,6 +378,17 @@ class TestRollout:
         res = run_rollout(bench, task, scene)
         assert res.failure_class == FAILURE_REGISTRATION and not res.success
         assert res.retrieval is not None and res.registration is None and res.executed is None
+        assert res.to_trace_dict()["registration"] == {"error": "TooFewPoints"}
+
+    def test_no_correspondences_is_registration_failure(self):
+        """Noise that leaves no observed point within the inlier radius of the
+        coarsely aligned demo is a registration failure that names its error."""
+        bench, task, inst, _ = make_bench()
+        scene = randomize_scene(task, inst, "thousand", 900, occlusion_fraction=0.5, noise_sigma=0.3)
+        res = run_rollout(bench, task, scene)
+        assert res.failure_class == FAILURE_REGISTRATION and res.retrieval is not None
+        assert res.registration is None and res.executed is None
+        assert res.to_trace_dict()["registration"] == {"error": "NoCorrespondences"}
 
     @pytest.mark.parametrize("sigma", [3.0, 30.0, 1e3, 1e6, 1e7])
     def test_cloud_off_the_grid_is_retrieval_failure(self, sigma):
@@ -361,6 +398,20 @@ class TestRollout:
         for s in range(4):
             res = run_rollout(bench, task, randomize_scene(task, inst, "thousand", s, noise_sigma=sigma))
             assert res.failure_class == FAILURE_RETRIEVAL and res.retrieval is None and not res.success
+            assert res.to_trace_dict()["registration"] is None
+
+    def test_classify_failure(self):
+        """A delta equal to the true one fails only in execution; one beyond
+        the task's thresholds fails in registration."""
+        bench, task, inst, _ = make_bench()
+        res = run_rollout(bench, task, randomize_scene(task, inst, "controlled", 917))
+        demo = bench.dataset.demos[res.retrieval.demo_id]
+        exact = replace(res.registration, delta=res.gt_delta)
+        assert classify_failure(task, demo, exact, res.gt_delta, True) == FAILURE_NONE
+        assert classify_failure(task, demo, exact, res.gt_delta, False) == FAILURE_EXECUTION
+        shift = Pose(translation=np.array([2.0 * task.delta_t, 0.0, 0.0]))
+        off = replace(res.registration, delta=compose(shift, res.gt_delta))
+        assert classify_failure(task, demo, off, res.gt_delta, False) == FAILURE_REGISTRATION
 
     def test_trace_dict_fields(self):
         bench, task, inst, _ = make_bench()

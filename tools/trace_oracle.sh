@@ -1,11 +1,13 @@
 #!/bin/sh
 # Behaviour oracle: run `evaluate` on {"mode": M, "seed": 7, "repeats": 2} for
-# each experiment mode M, and on the `occluded` run {"mode": "thousand",
-# "seed": 7, "repeats": 2, "occlusion_fraction": 0.5, "noise_sigma": 0.002},
-# which alone takes the observed cloud's occlusion and noise path, each at
-# --jobs 1 and --jobs 2, and print one line
-# "run jobs trace_sha256 report_sha256 seconds" per run: the trace hash from
-# summary.json, the sha256 of report.csv, and the wall time of the `evaluate`.
+# each experiment mode M, on the `occluded` run {"mode": "thousand", "seed": 7,
+# "repeats": 2, "occlusion_fraction": 0.5, "noise_sigma": 0.002}, which takes
+# the observed cloud's occlusion and noise path, and on the `edges` run, the
+# same with occlusion 0.9 and noise 0.6, whose rollouts end in retrieval
+# failures and in registration's NoCorrespondences, each at --jobs 1 and
+# --jobs 2, and print one line "run jobs trace_sha256 report_sha256 seconds"
+# per run: the trace hash from summary.json, the sha256 of report.csv, and the
+# wall time of the `evaluate`.
 # Both hashes are checked against tools/trace_oracle.expected, one
 # "run trace_sha256 report_sha256" line per run.  Exits 1 if a hash differs
 # from the expected one or depends on the job count (exit 2 if a run fails).
@@ -27,7 +29,9 @@ for mode in dataset_size diversity thousand; do
 done
 printf '{"mode": "thousand", "seed": 7, "repeats": 2, "occlusion_fraction": 0.5, "noise_sigma": 0.002}\n' \
     > "$work/occluded.json"
-for run in dataset_size diversity thousand occluded; do
+printf '{"mode": "thousand", "seed": 7, "repeats": 2, "occlusion_fraction": 0.9, "noise_sigma": 0.6}\n' \
+    > "$work/edges.json"
+for run in dataset_size diversity thousand occluded edges; do
     first=""
     for jobs in 1 2; do
         start=$(python3 -c 'import time; print(time.time())')
