@@ -5,12 +5,14 @@ from the first frame, the interaction-phase end-effector trajectory (resampled
 to 1 cm spacing) and a precomputed geometry embedding; each type checks its
 own rules when built, so ingest and the archive reader apply the same ones.
 This module reads and writes the cloud file, the trajectory file and the
-archive.  The archive is a text directory format: trajectory floats are
-written with repr(), and each demo's two arrays, its cloud and its embedding's
-non-zero voxels, are one base64 line each of their little-endian bytes, read
-and written by one codec (:func:`_pack`, :func:`_unpack`); a save/load round
-trip is bit-exact.  The packed lines trade per-entry diffs of a .demo file
-for an archive a third smaller that loads about twice as fast (see the
+archive.  The archive is a text directory format: each demo's three arrays,
+its trajectory, its cloud and its embedding's non-zero voxels, are one base64
+line each of their little-endian bytes, read and written by one codec
+(:func:`_pack`, :func:`_unpack`); a save/load round trip keeps every bit but
+a rotation's, which loads as ``Pose`` of the saved one.  Both trajectory
+readers build all their poses in one vectorised pass
+(:func:`se3.poses_from_rows`).  The packed lines trade per-entry diffs of a
+.demo file for an archive that loads in a fraction of the time (see the
 format comment below).
 """
 
@@ -22,6 +24,7 @@ import json
 import math
 from dataclasses import dataclass, field
 from importlib import resources
+from itertools import accumulate
 from pathlib import Path
 
 import numpy as np
@@ -37,7 +40,7 @@ from .errors import (
     MalformedFile,
     TrajectoryTooShort,
 )
-from .se3 import Pose, PointCloud, interpolate, pose_distance
+from .se3 import Pose, PointCloud, RowError, interpolate, pose_distance, poses_from_rows
 
 DEFAULT_SPACING = 0.01  # metres between consecutive waypoints
 
@@ -86,9 +89,9 @@ class Demonstration:
 
 
 def is_file_name(demo_id: str) -> bool:
-    """The archive's rule for a demo id: ``<dir>/<demo_id>.demo`` is a file in ``<dir>`` with that stem."""
-    path = Path(f"{demo_id}.demo")
-    return path.parent == Path() and path.stem == demo_id
+    """The archive's rule for a demo id: ``<dir>/<demo_id>.demo`` is a file in
+    ``<dir>`` with that stem, so a non-empty string without a ``/``."""
+    return isinstance(demo_id, str) and demo_id != "" and "/" not in demo_id
 
 
 def _load_stopwords() -> frozenset:
@@ -214,30 +217,38 @@ def _content_id(description, cloud, traj) -> str:
 # trajectory file   trajectory rows "t_index tx ty tz qw qx qy qz g", g = 0 or 1
 # archive           <dir>/dataset.json (demo ids, skill index, grid) and per demo
 #                   <dir>/<id>.demo: description, micro_skill and instance lines,
-#                   then a "trajectory N" block of trajectory rows, a "cloud N"
-#                   header and its packed line, a "voxels K" header and its
-#                   packed line, and nothing after it.  A packed line is the
-#                   standard padded base64 of little-endian arrays, one after
-#                   the other.  The cloud line holds the N x 3 points as
-#                   IEEE-754 float64, x y z per point, point-major: 24 N bytes,
-#                   N >= 1, every value finite.  The voxels line holds the
-#                   indices of the K non-zero embedding entries as uint32, then
-#                   their values as float64: 12 K bytes, K >= 1, indices
-#                   increasing and below the grid size, values finite and > 0.
+#                   then a "trajectory N", a "cloud N" and a "voxels K" header,
+#                   each followed by its packed line, and nothing after them.
+#                   A packed line is the standard padded base64 of
+#                   little-endian arrays, one after the other.  The trajectory
+#                   line holds the N states' time indices as int64, their rows
+#                   tx ty tz qw qx qy qz as IEEE-754 float64, then their
+#                   grippers as uint8: 65 N bytes, N >= 2, grippers 0 or 1,
+#                   translations finite, quaternions with a finite, non-zero
+#                   squared norm.  The cloud line holds the N x 3 points as
+#                   float64, x y z per point, point-major: 24 N bytes, N >= 1,
+#                   every value finite.  The voxels line holds the indices of
+#                   the K non-zero embedding entries as uint32, then their
+#                   values as float64: 12 K bytes, K >= 1, indices increasing
+#                   and below the grid size, values finite and > 0.
 #
 # Text floats are written with repr() and read with float(), so a round trip
 # is bit-exact.  A malformed file raises MalformedFile naming its path and
-# line, and for a packed line the index of the entry at fault.  A .demo must
-# hold a Demonstration (an id that is_file_name, a one-line description with
-# skill tokens, >= 2 states with gripper 0 or 1, a non-empty cloud), its
-# micro_skill and an embedding with a finite, non-zero norm.
+# line, and for a packed line the index of the state, point or entry at
+# fault.  A .demo must hold a Demonstration (an id that is_file_name, a
+# one-line description with skill tokens, >= 2 states, a non-empty cloud),
+# its micro_skill and an embedding with a finite, non-zero norm.
 #
 # The packed lines are a format decision: at 1,002 one-demo tasks
 # (tools/archive_scale.py 1002, 2 cores) packing the clouds took the archive
 # 40.1 -> 25.7 MB, its save 2.9-4.0 -> 0.8 s and its load 2.9-3.0 -> 1.2 s,
-# where text parsing alone could not load it in 1 s.  The cost is that a
-# .demo no longer shows a point or a voxel row by row; the cloud file, the
-# user's interchange format, stays text.
+# where text parsing alone could not load it in 1 s.  Packing the
+# trajectories, with their poses built in one pass instead of one Pose per
+# row, took that load 0.71-0.85 -> 0.48-0.68 s (three runs each) and
+# perfbench's archive_load_s on archive-retrieve 0.049 -> 0.028 s (medians of
+# 10 pairs).  The cost is that a .demo no longer shows a state, a point or a
+# voxel row by row; the cloud and trajectory files, the user's interchange
+# formats, stay text.
 
 
 def _rows(array) -> list:
@@ -250,7 +261,8 @@ def _trajectory_block(states) -> list:
     return [f"trajectory {len(states)}"] + [f"{s.time_index} {row} {s.gripper}" for s, row in zip(states, rows)]
 
 
-# the dtypes of a packed line's arrays: one item of each per cloud point or voxel
+# the dtypes of a packed line's arrays: one item of each per state, cloud point or voxel
+_TRAJECTORY = ("<i8", ("<f8", 7), "u1")  # time index, row tx ty tz qw qx qy qz, gripper
 _CLOUD = (("<f8", 3),)
 _VOXELS = ("<u4", "<f8")
 
@@ -279,12 +291,14 @@ def _point(line: str) -> list:
     return [float(v) for v in parts]
 
 
-def _state(line: str) -> EndEffectorState:
+def _columns(line: str) -> tuple:
+    """(time index, row, gripper) of a trajectory file row."""
     parts = line.split()
     if len(parts) != 9:
         raise ValueError(f"expected 9 columns 't_index tx ty tz qw qx qy qz g', got {len(parts)}")
-    gripper = int(parts[8]) if parts[8] in ("0", "1") else parts[8]  # so "01" and "1.0" stay errors
-    return EndEffectorState(Pose.from_row([float(v) for v in parts[1:8]]), gripper, int(parts[0]))
+    if parts[8] not in ("0", "1"):  # so "01" and "1.0" stay errors
+        raise ValueError(f"gripper must be 0 (open) or 1 (closed), got {parts[8]}")
+    return int(parts[0]), [float(v) for v in parts[1:8]], int(parts[8])
 
 
 def _unpack(line: str, dtypes, count: int) -> list:
@@ -297,7 +311,7 @@ def _unpack(line: str, dtypes, count: int) -> list:
     item = sum(d.itemsize for d in dtypes)
     if len(raw) != item * count:
         raise ValueError(f"the line holds {len(raw)} bytes, not {item} x {count}")
-    offsets = np.cumsum([0] + [d.itemsize * count for d in dtypes]).tolist()
+    offsets = accumulate((d.itemsize * count for d in dtypes), initial=0)
     return [np.frombuffer(raw, d, count, offset) for d, offset in zip(dtypes, offsets)]
 
 
@@ -305,6 +319,17 @@ def _first(bad, message) -> None:
     """ValueError(message(k)) for the first entry k where bad is true, if any."""
     if bad.any():
         raise ValueError(message(int(np.argmax(bad))))
+
+
+def _trajectory_line(line: str, n: int) -> list:
+    """The n EndEffectorStates of a packed trajectory line."""
+    time_index, rows, gripper = _unpack(line, _TRAJECTORY, n)
+    _first(gripper > 1, lambda k: f"state {k}: gripper must be 0 (open) or 1 (closed), got {gripper[k]}")
+    try:
+        poses = poses_from_rows(rows)
+    except RowError as e:
+        raise ValueError(f"state {e.row}: {e}") from e
+    return [EndEffectorState(*s) for s in zip(poses, gripper.tolist(), time_index.tolist())]
 
 
 def _cloud_line(line: str, n: int) -> np.ndarray:
@@ -318,9 +343,8 @@ def _voxels_line(line: str, k: int, size: int) -> tuple:
     """(indices, values) of the k entries of a packed voxels line: indices
     increasing and below size, values finite and > 0."""
     index, values = _unpack(line, _VOXELS, k)
-    index = index.astype(np.int64)  # so a falling index does not wrap in diff
     _first(index >= size, lambda j: f"voxel entry {j}: index {index[j]} is outside [0, {size})")
-    _first(np.diff(index, prepend=-1) <= 0, lambda j: f"voxel entry {j}: index {index[j]} does not follow {index[j - 1]}")
+    _first(index[1:] <= index[:-1], lambda j: f"voxel entry {j + 1}: index {index[j + 1]} does not follow {index[j]}")
     bad = ~((values > 0.0) & (values < math.inf))  # NaN too
     _first(bad, lambda j: f"voxel entry {j}: value {float(values[j])!r} is not finite and > 0")
     return index, values
@@ -369,6 +393,7 @@ def _embedding(lines, i: int, grid: emb.GridSpec, path) -> emb.GeometryEmbedding
     index, values = _packed(lines, i, "voxels", _voxels_line, path, "the embedding is all zero", grid.size)
     dense = np.zeros(grid.size)
     dense[index] = values
+    dense.setflags(write=False)  # GeometryEmbedding keeps it as it is
     try:
         return emb.GeometryEmbedding(dense, grid)
     except ValueError as e:  # a norm that underflows to 0 or overflows
@@ -391,7 +416,13 @@ def write_cloud_file(cloud: PointCloud, path) -> None:
 def read_trajectory_file(path) -> list:
     """The EndEffectorState of each non-blank row of a trajectory file."""
     lines = _read_lines(path)
-    return [_parse(_state, lines, i, path) for i, line in enumerate(lines) if line.strip()]
+    at = [i for i, line in enumerate(lines) if line.strip()]
+    columns = [_parse(_columns, lines, i, path) for i in at]
+    try:
+        poses = poses_from_rows([row for _, row, _ in columns])
+    except RowError as e:
+        raise MalformedFile(f"{path}:{at[e.row] + 1}: {e}") from e
+    return [EndEffectorState(pose, gripper, t) for pose, (t, _, gripper) in zip(poses, columns)]
 
 
 def write_trajectory_blocks(trajectories, path) -> None:
@@ -409,7 +440,13 @@ def save_dataset(dataset: Dataset, path) -> None:
             f"description {demo.description}",
             f"micro_skill {demo.micro_skill}",
             f"instance {demo.object_instance_id if demo.object_instance_id else '-'}",
-            *_trajectory_block(demo.trajectory),
+            f"trajectory {len(demo.trajectory)}",
+            _pack(
+                _TRAJECTORY,
+                [s.time_index for s in demo.trajectory],
+                [s.pose.as_row() for s in demo.trajectory],
+                [s.gripper for s in demo.trajectory],
+            ),
             f"cloud {len(demo.object_cloud)}",
             _pack(_CLOUD, demo.object_cloud.points),
             f"voxels {len(index)}",
@@ -430,12 +467,11 @@ def load_demo_file(path, grid: emb.GridSpec) -> Demonstration:
     description = _parse(_value, lines, 0, path, "description")
     stored = _parse(_value, lines, 1, path, "micro_skill")
     instance = _parse(_value, lines, 2, path, "instance")
-    traj = _block(lines, 3, "trajectory", _state, path)
-    i = 4 + len(traj)
-    cloud = PointCloud(_packed(lines, i, "cloud", _cloud_line, path, "demonstration object cloud is empty"))
-    embedding = _embedding(lines, i + 2, grid, path)
-    if i + 4 < len(lines):
-        raise MalformedFile(f"{path}:{i + 5}: unexpected line after the voxels block")
+    traj = _packed(lines, 3, "trajectory", _trajectory_line, path, "demonstration trajectory needs >= 2 states")
+    cloud = PointCloud(_packed(lines, 5, "cloud", _cloud_line, path, "demonstration object cloud is empty"))
+    embedding = _embedding(lines, 7, grid, path)
+    if len(lines) > 9:
+        raise MalformedFile(f"{path}:10: unexpected line after the voxels block")
     try:
         demo = Demonstration(
             id=path.stem,

@@ -82,7 +82,10 @@ class GeometryEmbedding:
     norm: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        v = np.asarray(self.values, dtype=np.float64).reshape(-1).copy()
+        v = self.values
+        owned = isinstance(v, np.ndarray) and v.dtype == np.float64 and v.ndim == 1 and v.flags.owndata
+        if not owned or v.flags.writeable:  # kept only if handed over read-only, as the builders do
+            v = np.array(v, dtype=np.float64).reshape(-1)
         if v.shape[0] != self.grid.size:
             raise ValueError("embedding length does not match grid size")
         if not float(v.min()) >= 0.0:  # NaN if any value is NaN
@@ -126,7 +129,9 @@ def occupancy_embedding(cloud: PointCloud, grid: GridSpec = GridSpec()) -> Geome
     n = np.linalg.norm(acc)
     if n == 0.0:
         raise OutOfWorkspace("cloud lies entirely outside the embedding grid")
-    return GeometryEmbedding(acc / n, grid)
+    values = acc / n
+    values.setflags(write=False)  # GeometryEmbedding keeps it as it is
+    return GeometryEmbedding(values, grid)
 
 
 def _corners(a: np.ndarray, op) -> np.ndarray:

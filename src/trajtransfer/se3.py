@@ -125,11 +125,6 @@ class Pose:
         t, q = self.translation, self.rotation
         return [t[0], t[1], t[2], q[0], q[1], q[2], q[3]]
 
-    @staticmethod
-    def from_row(row) -> "Pose":
-        row = list(row)
-        return Pose(np.array(row[3:7]), np.array(row[0:3]))
-
 
 @dataclass(frozen=True)
 class PointCloud:
@@ -151,6 +146,52 @@ class PointCloud:
         if not isinstance(other, PointCloud):
             return NotImplemented
         return np.array_equal(self.points, other.points)
+
+
+class RowError(ValueError):
+    """A row that gives no Pose: ``row`` is its index, the message Pose's reason."""
+
+    def __init__(self, row: int, reason: str):
+        super().__init__(reason)
+        self.row = row
+
+
+def _squared_norms(q: np.ndarray) -> np.ndarray:
+    """``q[k] @ q[k]`` for each row of an (N, 4) array, bit for bit.
+
+    The stacked product multiplies row by column as ``q @ q`` does, where
+    ``(q * q).sum(1)`` and ``einsum`` round differently (a test pins this).
+    """
+    return np.matmul(q[:, None, :], q[:, :, None]).reshape(-1)
+
+
+def poses_from_rows(rows) -> list:
+    """The Pose of each ``[tx, ty, tz, qw, qx, qy, qz]`` row of an (N, 7)
+    array, built in one vectorised pass: bit for bit ``Pose(row[3:7], row[:3])``.
+
+    Each Pose holds a read-only row of one (N, 4) rotation and one (N, 3)
+    translation array.  The first row that gives no Pose raises RowError.
+    """
+    rows = np.asarray(rows, dtype=np.float64).reshape(-1, 7)
+    t, q = rows[:, :3].copy(), rows[:, 3:]
+    with np.errstate(over="ignore", invalid="ignore"):
+        n = np.sqrt(_squared_norms(q))[:, None]
+    unit = (n > 0.0) & (n < math.inf)  # NaN too
+    if not (unit.all() and np.isfinite(t).all()):
+        k = int(np.argmax(~(unit[:, 0] & np.isfinite(t).all(axis=1))))
+        raise RowError(k, "non-finite translation" if unit[k, 0] else "zero or non-finite quaternion")
+    q = q / n
+    # _canonicalize's sign rule, which makes the first non-zero entry positive
+    first = q[np.arange(len(q)), np.argmax(q != 0.0, axis=1)]
+    np.negative(q, out=q, where=(first < 0.0)[:, None])
+    q.setflags(write=False)
+    t.setflags(write=False)
+    poses = []
+    for rotation, translation in zip(q, t):
+        pose = object.__new__(Pose)  # the values are Pose's already: skip __post_init__
+        vars(pose).update(rotation=rotation, translation=translation)
+        poses.append(pose)
+    return poses
 
 
 def compose(a: Pose, b: Pose) -> Pose:

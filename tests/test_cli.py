@@ -556,13 +556,44 @@ def _case_demo_line(index, text):
     return case
 
 
-def _case_demo_one_state_trajectory(w):
+def _trajectory(w):
+    """(lines of the ingested d1.demo; the time indices, rows and grippers of
+    its ``trajectory N`` header and packed line, as arrays)."""
     ingest_one(w)
     lines = (w / "ds" / "d1.demo").read_text().splitlines()
-    n = int(lines[3].split()[1])  # "trajectory N", then N rows
-    lines[3 : 4 + n] = ["trajectory 1", lines[4]]
+    n = int(lines[3].split()[1])
+    raw = base64.b64decode(lines[4])
+    return lines, np.frombuffer(raw, "<i8", n), np.frombuffer(raw, "<f8", 7 * n, 8 * n).reshape(n, 7), np.frombuffer(raw, "u1", n, 64 * n)
+
+
+def _write_trajectory(w, lines, index, rows, gripper):
+    """d1.demo with ``lines`` and a trajectory line packed from the arrays."""
+    raw = index.astype("<i8").tobytes() + rows.astype("<f8").tobytes() + gripper.astype("u1").tobytes()
+    lines[3:5] = [f"trajectory {len(index)}", base64.b64encode(raw).decode()]
     (w / "ds" / "d1.demo").write_text("\n".join(lines) + "\n")
-    return _query("retrieve", w), "d1.demo:4:"
+
+
+def _case_demo_one_state_trajectory(w):
+    lines, index, rows, gripper = _trajectory(w)
+    _write_trajectory(w, lines, index[:1], rows[:1], gripper[:1])
+    return _query("retrieve", w), "d1.demo:4: demonstration trajectory needs >= 2 states"
+
+
+def _case_demo_trajectory_rows(w):
+    """An archive saved before the trajectory was packed: its trajectory block
+    holds one text row ``t_index tx ty tz qw qx qy qz g`` per state."""
+    lines, index, rows, gripper = _trajectory(w)
+    lines[4:5] = [" ".join(map(repr, [i, *row, g])) for i, row, g in zip(index.tolist(), rows.tolist(), gripper.tolist())]
+    (w / "ds" / "d1.demo").write_text("\n".join(lines) + "\n")
+    return _query("retrieve", w), f"d1.demo:5: expected {len(index)} items as one base64 line"
+
+
+def _case_demo_zero_quaternion(w):
+    lines, index, rows, gripper = _trajectory(w)
+    rows = rows.copy()
+    rows[2, 3:] = 0.0
+    _write_trajectory(w, lines, index, rows, gripper)
+    return _query("retrieve", w), "d1.demo:5: state 2: zero or non-finite quaternion"
 
 
 def _case_manifest_huge_grid(w):
@@ -660,6 +691,8 @@ MALFORMED = {
     "demo-description-without-skill-tokens": _case_demo_line(0, "description the"),
     "demo-micro-skill-mismatch": _case_demo_line(1, "micro_skill close bottle"),
     "demo-one-state-trajectory": _case_demo_one_state_trajectory,
+    "demo-trajectory-rows": _case_demo_trajectory_rows,
+    "demo-zero-quaternion": _case_demo_zero_quaternion,
     "manifest-partial-skill-index": _case_manifest_partial_skill_index,
     "report-config-not-json": lambda w: (_report(w, GOOD_TRACE, "{not json"), "cfg.json"),
     "report-trace-not-json": lambda w: (_report(w, GOOD_TRACE + "not json\n"), "traces.jsonl:2"),

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from trajtransfer import cli, demos
+from trajtransfer import cli, demos, se3
 from trajtransfer.demos import (
     Dataset,
     Demonstration,
@@ -364,19 +364,19 @@ class TestArchive:
 
 GRID8 = GridSpec(resolution=(2, 2, 2))
 STATES = (
-    EndEffectorState(Pose.from_row([0.4, 0.2, 0.2, 1.0, 0.0, 0.0, 0.0]), 0, 0),
-    EndEffectorState(Pose.from_row([0.4, 0.2, 0.12, 0.9238795325112867, 0.0, 0.0, 0.3826834323650898]), 1, 1),
+    EndEffectorState(Pose([1.0, 0.0, 0.0, 0.0], [0.4, 0.2, 0.2]), 0, 0),
+    EndEffectorState(Pose([0.9238795325112867, 0.0, 0.0, 0.3826834323650898], [0.4, 0.2, 0.12]), 1, 1),
 )
 CLOUD3 = PointCloud(np.array([[0.41, 0.2, 0.05], [0.38, 0.21, 0.06], [0.4, 0.19, 0.04]]))
 
 
-def demo_on_grid8(values, demo_id="d", description="open the bottle", cloud=CLOUD3, instance="bottle-3"):
+def demo_on_grid8(values, demo_id="d", description="open the bottle", cloud=CLOUD3, instance="bottle-3", trajectory=STATES):
     """A Demonstration on the 2 x 2 x 2 grid with the given embedding values."""
     return Demonstration(
         id=demo_id,
         description=description,
         object_cloud=cloud,
-        trajectory=STATES,
+        trajectory=trajectory,
         embedding=GeometryEmbedding(np.array(values, dtype=np.float64), GRID8),
         object_instance_id=instance,
     )
@@ -478,12 +478,18 @@ class TestEmbeddingBlock:
         save_dataset(ds, tmp_path)
         digests = {f.name: hashlib.sha256(f.read_bytes()).hexdigest() for f in sorted(tmp_path.iterdir())}
         assert digests == ARCHIVE_SHA256
+        # the trajectory line: the int64 time indices, the float64 rows tx ty tz qw qx qy qz, the uint8 grippers;
         # the cloud line: little-endian float64, x y z per point, point-major;
         # the voxels line: the uint32 indices of the non-zero entries, then their float64 values
+        trajectory_line = struct.pack(
+            "<2q14d2B", 0, 1, 0.4, 0.2, 0.2, 1.0, 0.0, 0.0, 0.0, 0.4, 0.2, 0.12, 0.9238795325112867, 0.0, 0.0, 0.3826834323650898, 0, 1
+        )
         cloud_line = struct.pack("<6d", 0.5, -0.0, 1e-05, 0.3333333333333333, 0.25, 0.125)
         voxels_line = struct.pack("<2I2d", 1, 6, 5e-324, 1.0)
-        assert (tmp_path / "e.demo").read_text().splitlines()[6:] == [
-            "cloud 2", base64.b64encode(cloud_line).decode(), "voxels 2", base64.b64encode(voxels_line).decode()
+        assert (tmp_path / "e.demo").read_text().splitlines()[3:] == [
+            "trajectory 2", base64.b64encode(trajectory_line).decode(),
+            "cloud 2", base64.b64encode(cloud_line).decode(),
+            "voxels 2", base64.b64encode(voxels_line).decode(),
         ]
 
 
@@ -514,8 +520,121 @@ class TestCloudBlock:
         assert np.array_equal(back.object_cloud.points.view(np.uint64), cloud.points.view(np.uint64))
 
 
+# quaternions that are not unit or not canonical: a negative w; w == 0 (or
+# -0.0) with a negative first non-zero entry; subnormal entries, one that
+# normalising flushes to -0.0 ahead of a positive entry; large and small scales
+quaternions = st.one_of(
+    st.tuples(*[st.floats(-1.0, 1.0)] * 4).filter(lambda q: np.dot(q, q) > 0.0),
+    st.sampled_from(
+        [
+            (-0.5, 0.5, -0.5, 0.5),
+            (0.0, -0.6, 0.8, 0.0),
+            (-0.0, 0.0, -1.0, 0.0),
+            (0.0, -0.0, 5e-324, -1.0),
+            (0.0, -5e-324, 1e150, 0.0),
+            (-1e150, 3.0, -5e-324, 2.5e-310),
+            (-2.5e-310, 0.0, 1.0, -0.0),
+            (1e-160, -1e-160, 0.0, 0.0),
+        ]
+    ),
+)
+states = st.tuples(
+    st.one_of(st.integers(0, 2**63 - 1), st.sampled_from([0, 2**63 - 1])),
+    quaternions,
+    st.tuples(finite_floats, finite_floats, finite_floats),
+    st.sampled_from([0, 1]),
+)
+
+
+def trajectory_line(states) -> str:
+    """A packed trajectory line of (time index, quaternion, translation, gripper) states."""
+    n = len(states)
+    rows = [v for _, q, t, _ in states for v in (*t, *q)]
+    raw = struct.pack(f"<{n}q{7 * n}d{n}B", *[s[0] for s in states], *rows, *[s[3] for s in states])
+    return base64.b64encode(raw).decode()
+
+
+def bits(pose):
+    return pose.rotation.tobytes(), pose.translation.tobytes()
+
+
+class TestTrajectoryBlock:
+    """The archive stores a demo's trajectory as a ``trajectory N`` header and
+    one packed line: N int64 time indices, N float64 rows ``tx ty tz qw qx qy
+    qz``, then N uint8 grippers.  Loading builds all N poses in one pass, each
+    ``Pose`` of its row byte for byte."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(drawn=st.lists(states, min_size=2, max_size=6))
+    @example(
+        drawn=[(2**63 - 1, (-0.5, 0.5, -0.5, 0.5), (-0.0, 5e-324, -2.5e-310), 1), (0, (0.0, -0.6, 0.8, 0.0), (0.0, 0.0, 0.0), 0)]
+    )
+    def test_round_trip_bit_exact(self, tmp_path_factory, drawn):
+        traj = tuple(EndEffectorState(Pose(q, t), g, i) for i, q, t, g in drawn)
+        ds = Dataset(GRID8)
+        ds.add(demo_on_grid8(DEMO_VALUES, trajectory=traj))
+        path = tmp_path_factory.mktemp("trajectory")
+        save_dataset(ds, path)
+        lines = (path / "d.demo").read_text().splitlines()
+        # the line holds the saved states' bits; each loads as Pose of its row
+        saved = [(s.time_index, s.pose.rotation, s.pose.translation, s.gripper) for s in traj]
+        assert lines[3:5] == [f"trajectory {len(traj)}", trajectory_line(saved)]
+        back = load_dataset(path).demos["d"].trajectory
+        assert [(s.time_index, s.gripper) for s in back] == [(i, g) for i, _, _, g in drawn]
+        assert [bits(s.pose) for s in back] == [bits(Pose(s.pose.rotation, s.pose.translation)) for s in traj]
+        # rows as drawn, not unit and not canonical, load as Pose of the row too
+        lines[4] = trajectory_line(drawn)
+        (path / "d.demo").write_text("\n".join(lines) + "\n")
+        back = load_dataset(path).demos["d"].trajectory
+        assert [bits(s.pose) for s in back] == [bits(Pose(q, t)) for _, q, t, _ in drawn]
+        assert [(s.time_index, s.gripper) for s in back] == [(i, g) for i, _, _, g in drawn]
+
+    def test_squared_norm_is_q_at_q(self):
+        """The stacked squared norm gives ``q @ q``'s bits, and the poses
+        built in one pass Pose's, at every scale: a numpy for which they do
+        not fails here."""
+        rng = np.random.default_rng(7)
+        for scale in (1e-150, 1.0, 1e150):
+            q = rng.normal(size=(50_000, 4)) * scale
+            assert se3._squared_norms(q).tobytes() == np.array([float(x @ x) for x in q]).tobytes()
+            rows = np.hstack([rng.normal(size=(2_000, 3)), q[:2_000]])
+            assert [bits(p) for p in se3.poses_from_rows(rows)] == [bits(Pose(r[3:], r[:3])) for r in rows]
+
+    @pytest.mark.parametrize(
+        "state,message",
+        [
+            ((1, (1.0, 0.0, 0.0, 0.0), (0.4, 0.2, 0.1), 2), "state 1: gripper must be 0 .open. or 1 .closed., got 2"),
+            ((1, (1.0, 0.0, 0.0, 0.0), (0.4, math.nan, 0.1), 0), "state 1: non-finite translation"),
+            ((1, (0.0, 0.0, -0.0, 0.0), (0.4, 0.2, 0.1), 0), "state 1: zero or non-finite quaternion"),
+            ((1, (1.0, 0.0, math.inf, 0.0), (0.4, 0.2, 0.1), 0), "state 1: zero or non-finite quaternion"),
+            ((1, (1e200, 0.0, 0.0, 0.0), (0.4, 0.2, 0.1), 0), "state 1: zero or non-finite quaternion"),
+        ],
+        ids=["gripper-2", "nan-translation", "zero-quaternion", "infinite-quaternion", "norm-overflows"],
+    )
+    def test_bad_state_names_line_and_state(self, tmp_path, state, message):
+        ds = Dataset(GRID8)
+        ds.add(demo_on_grid8(DEMO_VALUES))
+        save_dataset(ds, tmp_path)
+        lines = (tmp_path / "d.demo").read_text().splitlines()
+        lines[4] = trajectory_line([(0, (1.0, 0.0, 0.0, 0.0), (0.4, 0.2, 0.2), 0), state])
+        (tmp_path / "d.demo").write_text("\n".join(lines) + "\n")
+        with pytest.raises(MalformedFile, match=rf"d\.demo:5: {message}$"):
+            load_dataset(tmp_path)
+
+    @pytest.mark.parametrize("count", [1, 3])
+    def test_wrong_byte_count_names_the_line(self, tmp_path, count):
+        ds = Dataset(GRID8)
+        ds.add(demo_on_grid8(DEMO_VALUES))
+        save_dataset(ds, tmp_path)
+        lines = (tmp_path / "d.demo").read_text().splitlines()
+        lines[3] = f"trajectory {count}"
+        (tmp_path / "d.demo").write_text("\n".join(lines) + "\n")
+        with pytest.raises(MalformedFile, match=rf"d\.demo:5: the line holds 130 bytes, not 65 x {count}$"):
+            load_dataset(tmp_path)
+
+
 ARCHIVE_SHA256 = {
-    "d.demo": "b30be0ea65fca16121b4d89261fd281f9c40e2f47ad17e2f7d986cf5f1adad0c",
+    "d.demo": "bbad712c9075444b78d79e20daf81f1a73bb6cebe51705cfb3e8205ad2072f1e",
     "dataset.json": "3f004271487448001e6b325ed0ae67faafa1508cf85ceeb61b02c2195a65019f",
-    "e.demo": "5aef2adece664127d9153fdbf72b29b744fe80881610de28a497514556f054ad",
+    "e.demo": "527df41e01348d94cdf57b6a0a394596117d986f23195fe66b5b90e3ac639b60",
 }

@@ -272,6 +272,33 @@ class TestCosine:
                 GeometryEmbedding(v, g)
 
 
+class TestValues:
+    """An embedding holds read-only values that no caller can write."""
+
+    def test_writable_array_is_copied(self):
+        v = occupancy_embedding(blob((0.4, 0.2, 0.1))).values.copy()
+        want = v.tobytes()
+        e = GeometryEmbedding(v, GridSpec())
+        assert e.values is not v and e.values.tobytes() == want
+        v[:] = 1.0  # a later write by the caller does not reach the embedding
+        assert e.values.tobytes() == want and not e.values.flags.writeable
+
+    def test_read_only_array_it_owns_is_kept(self):
+        """A read-only array that owns its data, as occupancy_embedding and the
+        archive reader hand over, is kept as it is; a read-only view is copied."""
+        e = occupancy_embedding(blob((0.4, 0.2, 0.1)))
+        assert e.values.flags.owndata and not e.values.flags.writeable
+        assert GeometryEmbedding(e.values, GridSpec()).values is e.values
+        base = np.zeros(GridSpec().size + 1)
+        base[1:] = e.values
+        view = base[1:]
+        view.setflags(write=False)
+        kept = GeometryEmbedding(view, GridSpec())
+        assert kept.values is not view and kept.values.tobytes() == e.values.tobytes()
+        base[1:] = 0.0
+        assert kept.values.tobytes() == e.values.tobytes()
+
+
 class TestNorm:
     def test_computed_once(self, monkeypatch):
         """The norm is np.linalg.norm of the values, computed once when the

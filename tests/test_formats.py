@@ -61,7 +61,7 @@ def scratch(tmp_path_factory):
 
 
 def states(rows):
-    return [EndEffectorState(Pose.from_row(r), g, i) for i, (r, g) in enumerate(rows)]
+    return [EndEffectorState(Pose(r[3:], r[:3]), g, i) for i, (r, g) in enumerate(rows)]
 
 
 TRAJ = states(
@@ -133,26 +133,34 @@ class TestTrajectoryFile:
         assert [s.gripper for s in traj] == [0, 1]
 
     def test_blocks_match_the_archive(self, tmp_path):
-        """gen-align-data's blocks and the archive's trajectory block share one writer."""
+        """The rows of gen-align-data's block read back as the archive's
+        states, bit for bit: both readers build poses in one pass."""
         ds = Dataset()
         cloud = PointCloud(np.random.default_rng(0).normal(0.0, 0.02, (10, 3)) + [0.4, 0.2, 0.05])
         demo = ds.ingest("open bottle", cloud, TRAJ, demo_id="d")
         save_dataset(ds, tmp_path / "ds")
         write_trajectory_blocks([demo.trajectory], tmp_path / "blocks.txt")
-        archive = (tmp_path / "ds" / "d.demo").read_text().splitlines()
         block = (tmp_path / "blocks.txt").read_text().splitlines()
-        assert archive[3 : 3 + len(block)] == block
+        assert block[0] == f"trajectory {len(demo.trajectory)}"
+        (tmp_path / "t.txt").write_text("\n".join(block[1:]) + "\n")
+
+        def bits(traj):
+            return [(s.time_index, s.gripper, s.pose.rotation.tobytes(), s.pose.translation.tobytes()) for s in traj]
+
+        assert bits(read_trajectory_file(tmp_path / "t.txt")) == bits(load_dataset(tmp_path / "ds").demos["d"].trajectory)
 
     def test_archive_rejects_gripper_out_of_range(self, tmp_path):
         ds = Dataset()
         cloud = PointCloud(np.random.default_rng(0).normal(0.0, 0.02, (10, 3)) + [0.4, 0.2, 0.05])
-        ds.ingest("open bottle", cloud, TRAJ, demo_id="d")
+        demo = ds.ingest("open bottle", cloud, TRAJ, demo_id="d")
         save_dataset(ds, tmp_path / "ds")
         demo_file = tmp_path / "ds" / "d.demo"
         lines = demo_file.read_text().splitlines()
-        lines[4] = lines[4][:-1] + "3"
+        raw = bytearray(base64.b64decode(lines[4]))
+        raw[64 * len(demo.trajectory) + 1] = 3  # the gripper of state 1, after the time indices and rows
+        lines[4] = base64.b64encode(raw).decode()
         demo_file.write_text("\n".join(lines) + "\n")
-        with pytest.raises(MalformedFile, match=r"d\.demo:5: gripper must be 0"):
+        with pytest.raises(MalformedFile, match=r"d\.demo:5: state 1: gripper must be 0"):
             load_dataset(tmp_path / "ds")
 
 
@@ -223,21 +231,20 @@ class TestArchive:
             assert len(demo.trajectory) >= 2 and len(demo.object_cloud) > 0
             assert demo.micro_skill == parse_micro_skill(demo.description)
 
+    # the bytes per item of each array of a block's packed line, one array after the other
+    ITEM_BYTES = {"trajectory": (8, 56, 1), "cloud": (24,), "voxels": (4, 8)}
+
     @staticmethod
     def cut(text, block, n):
         """(index of the ``block N`` header, the rows of ``text`` with that
-        block cut to its first n rows, points or voxels)."""
+        block cut to its first n states, points or voxels)."""
         rows = text.splitlines()
         at = next(i for i, row in enumerate(rows) if row.startswith(block + " "))
         count = int(rows[at].split()[1])
-        if block == "trajectory":
-            return at, rows[:at] + [f"{block} {n}"] + rows[at + 1 : at + 1 + n] + rows[at + 1 + count :]
         raw = base64.b64decode(rows[at + 1])
-        if block == "cloud":  # 24 bytes per point
-            packed = base64.b64encode(raw[: 24 * n]).decode()
-        else:  # 4 bytes per index, then 8 per value
-            packed = base64.b64encode(raw[: 4 * n] + raw[4 * count : 4 * count + 8 * n]).decode()
-        return at, rows[:at] + [f"{block} {n}"] + [packed] * (n > 0) + rows[at + 2 :]
+        starts = np.cumsum([0, *TestArchive.ITEM_BYTES[block]]) * count
+        kept = b"".join(raw[start : start + size * n] for start, size in zip(starts, TestArchive.ITEM_BYTES[block]))
+        return at, rows[:at] + [f"{block} {n}"] + [base64.b64encode(kept).decode()] * (n > 0) + rows[at + 2 :]
 
     @staticmethod
     @st.composite

@@ -18,6 +18,7 @@ from trajtransfer.se3 import (
     interpolate,
     invert,
     pose_distance,
+    poses_from_rows,
     rotation_angle,
     transform_cloud,
 )
@@ -215,10 +216,10 @@ class TestSerialization:
         assert abs(row[3] - math.cos(math.pi / 4)) < TOL
 
     def test_round_trip(self, rng):
-        # from_row renormalizes, so rotations may differ in the last ulp
+        # poses_from_rows renormalizes, so rotations may differ in the last ulp
         for _ in range(20):
             p = random_pose(rng)
-            q = Pose.from_row(p.as_row())
+            (q,) = poses_from_rows([p.as_row()])
             np.testing.assert_allclose(q.rotation, p.rotation, atol=1e-15)
             assert np.array_equal(p.translation, q.translation)
 

@@ -75,6 +75,26 @@ def test_fails(tmp_path, edit):
     assert run(tmp_path, [ROW], [changed(edit)])[0] == 1
 
 
+def test_null_to_error_counts_under_registration(tmp_path):
+    """A rollout whose registration gave no result moves from ``null`` to
+    ``{"error": ...}``, as in the oracle's ``edges`` run: the change counts
+    under ``registration``, not only under ``registration.error``."""
+    failed = {
+        "category": "mug",
+        "condition": "unseen",
+        "success": False,
+        "failure_class": "registration",
+        "retrieval": {"demo_id": "d1", "similarity": 0.5},
+        "registration": None,
+        "final_pose": None,
+    }
+    error = {**failed, "registration": {"error": "NoCorrespondences"}}
+    code, out = run(tmp_path, [ROW, failed, failed], [ROW, error, failed])
+    assert code == 0
+    assert "registration 1/3 1\n" in out and "registration.error 1/3 1\n" in out
+    assert "registration.delta 0/3 0 m 0 rad\n" in out
+
+
 def test_row_count(tmp_path):
     assert run(tmp_path, [ROW, ROW], [ROW]) == (1, "rows: 2 old, 1 new\n")
 

@@ -3,8 +3,10 @@
     python3 tools/trace_diff.py OLD/traces.jsonl NEW/traces.jsonl
 
 Prints one line per key, "key rows_moved/rows largest_move", where
-registration is split into its fields and a pose's move is "<metres> m
-<radians> rad" (translation distance and rotation angle).  Exits 1 if the row
+registration is split into its fields, "registration" itself standing for
+their names (so a change between null, an error and a result moves it), and a
+pose's move is "<metres> m <radians> rad" (translation distance and rotation
+angle).  Exits 1 if the row
 counts differ, if a key other than "registration" and "final_pose" differs in
 any row (so any change of success or failure_class), or if
 "registration.delta" or "final_pose" moved by more than 1e-6 m or 1e-6 rad;
@@ -40,13 +42,14 @@ def pose_move(a, b) -> tuple[float, float]:
 
 
 def fields(row: dict) -> dict:
-    """Top-level keys, with registration split into registration.<field>."""
+    """Top-level keys, with registration split into registration.<field> and
+    "registration" its field names (or its value if it is not an object)."""
     out = {k: v for k, v in row.items() if k != "registration"}
     reg = row.get("registration")
     if isinstance(reg, dict):
         out.update({f"registration.{k}": v for k, v in reg.items()})
-    else:
-        out["registration"] = reg
+        reg = sorted(reg)
+    out["registration"] = reg
     return out
 
 
