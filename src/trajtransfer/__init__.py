@@ -2,7 +2,7 @@
 
 from .se3 import Pose, PointCloud, compose, invert, transform_cloud, pose_distance, interpolate
 from .demos import Dataset, Demonstration, EndEffectorState, parse_micro_skill, resample_trajectory, alignment_target, save_dataset, load_dataset
-from .embedding import GridSpec, GeometryEmbedding, occupancy_embedding, cosine_similarity
+from .embedding import GeometryEmbedding, occupancy_embedding, cosine_similarity
 from .retrieval import RetrievalResult, language_filter, hierarchical_retrieve
 from .registration import GicpParams, RegistrationResult, coarse_align, estimate_covariances, generalized_icp, estimate_delta
 from .policies import (

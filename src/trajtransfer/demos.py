@@ -34,7 +34,6 @@ from .errors import (
     DuplicateId,
     EmptyCloud,
     EmptyDescription,
-    GridMismatch,
     InvalidDescription,
     InvalidId,
     MalformedFile,
@@ -47,7 +46,7 @@ DEFAULT_SPACING = 0.01  # metres between consecutive waypoints
 
 @dataclass(frozen=True)
 class EndEffectorState:
-    """One waypoint; ValueError unless ``gripper`` equals 0 or 1 (kept as an int)."""
+    """One waypoint; ValueError unless ``gripper`` is 0 or 1 (kept as an int) and ``time_index`` fits an int64."""
 
     pose: Pose  # end-effector in the robot base frame
     gripper: int  # 0 = open, 1 = closed
@@ -56,6 +55,8 @@ class EndEffectorState:
     def __post_init__(self):
         if self.gripper not in (0, 1):
             raise ValueError(f"gripper must be 0 (open) or 1 (closed), got {self.gripper}")
+        if not -(2**63) <= self.time_index < 2**63:
+            raise ValueError(f"time index must fit an int64, got {self.time_index}")
         object.__setattr__(self, "gripper", int(self.gripper))
 
 
@@ -146,8 +147,9 @@ class Dataset:
     :meth:`ingest` and :func:`load_dataset` both insert through it.
     """
 
-    def __init__(self, grid: emb.GridSpec | None = None):
-        self.grid = grid if grid is not None else emb.GridSpec()
+    grid = emb.GRID  # the one grid every demo is embedded on
+
+    def __init__(self):
         self.demos: dict[str, Demonstration] = {}
         self.skill_index: dict[str, list[str]] = {}
 
@@ -164,7 +166,7 @@ class Dataset:
     ) -> Demonstration:
         """Build a Demonstration and add it to the dataset; returns the stored demo."""
         traj = tuple(resample_trajectory(trajectory))
-        embedding = emb.occupancy_embedding(object_cloud, self.grid)
+        embedding = emb.occupancy_embedding(object_cloud)
         if demo_id is None:
             demo_id = _content_id(description, object_cloud, traj)
         return self.add(
@@ -182,10 +184,8 @@ class Dataset:
         """Store ``demo`` and return the stored demo.
 
         Idempotent for an identical demo under the same id; a differing demo
-        under an existing id raises DuplicateId, one on another grid GridMismatch.
+        under an existing id raises DuplicateId.
         """
-        if demo.embedding.grid != self.grid:
-            raise GridMismatch(f"demo {demo.id!r} is embedded on another grid than the dataset's")
         if demo.id in self.demos:
             if self.demos[demo.id] == demo:
                 return self.demos[demo.id]
@@ -215,7 +215,8 @@ def _content_id(description, cloud, traj) -> str:
 #
 # cloud file        "N", then N cloud rows "x y z" (metres)
 # trajectory file   trajectory rows "t_index tx ty tz qw qx qy qz g", g = 0 or 1
-# archive           <dir>/dataset.json (demo ids, skill index, grid) and per demo
+# archive           <dir>/dataset.json (demo ids, skill index and the grid,
+#                   which must be embedding.GRID, each value of its kind) and per demo
 #                   <dir>/<id>.demo: description, micro_skill and instance lines,
 #                   then a "trajectory N", a "cloud N" and a "voxels K" header,
 #                   each followed by its packed line, and nothing after them.
@@ -230,7 +231,7 @@ def _content_id(description, cloud, traj) -> str:
 #                   every value finite.  The voxels line holds the indices of
 #                   the K non-zero embedding entries as uint32, then their
 #                   values as float64: 12 K bytes, K >= 1, indices increasing
-#                   and below the grid size, values finite and > 0.
+#                   and below embedding.SIZE, values finite and > 0.
 #
 # Text floats are written with repr() and read with float(), so a round trip
 # is bit-exact.  A malformed file raises MalformedFile naming its path and
@@ -339,11 +340,11 @@ def _cloud_line(line: str, n: int) -> np.ndarray:
     return pts
 
 
-def _voxels_line(line: str, k: int, size: int) -> tuple:
+def _voxels_line(line: str, k: int) -> tuple:
     """(indices, values) of the k entries of a packed voxels line: indices
-    increasing and below size, values finite and > 0."""
+    increasing and below the grid's size, values finite and > 0."""
     index, values = _unpack(line, _VOXELS, k)
-    _first(index >= size, lambda j: f"voxel entry {j}: index {index[j]} is outside [0, {size})")
+    _first(index >= emb.SIZE, lambda j: f"voxel entry {j}: index {index[j]} is outside [0, {emb.SIZE})")
     _first(index[1:] <= index[:-1], lambda j: f"voxel entry {j + 1}: index {index[j + 1]} does not follow {index[j]}")
     bad = ~((values > 0.0) & (values < math.inf))  # NaN too
     _first(bad, lambda j: f"voxel entry {j}: value {float(values[j])!r} is not finite and > 0")
@@ -388,14 +389,14 @@ def _packed(lines, i: int, keyword: str, parse, path, empty: str, *args):
     return _parse(parse, lines, i + 1, path, n, *args)
 
 
-def _embedding(lines, i: int, grid: emb.GridSpec, path) -> emb.GeometryEmbedding:
-    """The ``voxels K`` header at index i and its packed line as an embedding on ``grid``."""
-    index, values = _packed(lines, i, "voxels", _voxels_line, path, "the embedding is all zero", grid.size)
-    dense = np.zeros(grid.size)
+def _embedding(lines, i: int, path) -> emb.GeometryEmbedding:
+    """The ``voxels K`` header at index i and its packed line as an embedding."""
+    index, values = _packed(lines, i, "voxels", _voxels_line, path, "the embedding is all zero")
+    dense = np.zeros(emb.SIZE)
     dense[index] = values
     dense.setflags(write=False)  # GeometryEmbedding keeps it as it is
     try:
-        return emb.GeometryEmbedding(dense, grid)
+        return emb.GeometryEmbedding(dense)
     except ValueError as e:  # a norm that underflows to 0 or overflows
         raise MalformedFile(f"{path}:{i + 1}: {e}") from e
 
@@ -422,7 +423,13 @@ def read_trajectory_file(path) -> list:
         poses = poses_from_rows([row for _, row, _ in columns])
     except RowError as e:
         raise MalformedFile(f"{path}:{at[e.row] + 1}: {e}") from e
-    return [EndEffectorState(pose, gripper, t) for pose, (t, _, gripper) in zip(poses, columns)]
+    states = []
+    for i, pose, (t, _, gripper) in zip(at, poses, columns):
+        try:
+            states.append(EndEffectorState(pose, gripper, t))
+        except ValueError as e:  # a time index outside int64
+            raise MalformedFile(f"{path}:{i + 1}: {e}") from e
+    return states
 
 
 def write_trajectory_blocks(trajectories, path) -> None:
@@ -456,12 +463,12 @@ def save_dataset(dataset: Dataset, path) -> None:
     manifest = {
         "demo_ids": sorted(dataset.demos),
         "skill_index": {k: sorted(v) for k, v in sorted(dataset.skill_index.items())},
-        "grid": dataset.grid.to_dict(),
+        "grid": emb.GRID,
     }
     (path / "dataset.json").write_text(json.dumps(manifest, indent=2, sort_keys=True))  # last: it lists the demos
 
 
-def load_demo_file(path, grid: emb.GridSpec) -> Demonstration:
+def load_demo_file(path) -> Demonstration:
     path = Path(path)
     lines = _read_lines(path)
     description = _parse(_value, lines, 0, path, "description")
@@ -469,7 +476,7 @@ def load_demo_file(path, grid: emb.GridSpec) -> Demonstration:
     instance = _parse(_value, lines, 2, path, "instance")
     traj = _packed(lines, 3, "trajectory", _trajectory_line, path, "demonstration trajectory needs >= 2 states")
     cloud = PointCloud(_packed(lines, 5, "cloud", _cloud_line, path, "demonstration object cloud is empty"))
-    embedding = _embedding(lines, 7, grid, path)
+    embedding = _embedding(lines, 7, path)
     if len(lines) > 9:
         raise MalformedFile(f"{path}:10: unexpected line after the voxels block")
     try:
@@ -495,19 +502,21 @@ def load_dataset(path) -> Dataset:
         raise MalformedFile(f"{manifest_path}: missing dataset manifest")
     try:
         manifest = json.loads(manifest_path.read_text())
-        grid = emb.GridSpec.from_dict(manifest["grid"])
+        grid = json.dumps(manifest["grid"], sort_keys=True)  # as text, in which 24 and 24.0 differ
+        if grid != json.dumps(emb.GRID, sort_keys=True):
+            raise MalformedFile(f"{manifest_path}: grid {grid} is not the program's {emb.GRID}")
         demo_ids = list(manifest["demo_ids"])
         skill_index = {k: sorted(ids) for k, ids in dict(manifest["skill_index"]).items()}
     except KeyError as e:
         raise MalformedFile(f"{manifest_path}: missing key {e}") from e
     except (TypeError, ValueError, OverflowError) as e:  # invalid JSON, a value of the wrong type or size
         raise MalformedFile(f"{manifest_path}: {e}") from e
-    dataset = Dataset(grid)
+    dataset = Dataset()
     for demo_id in demo_ids:
         if not is_file_name(demo_id):
             raise MalformedFile(f"{manifest_path}: demo id {demo_id!r} is not a file name")
         try:
-            demo = load_demo_file(path / f"{demo_id}.demo", grid)
+            demo = load_demo_file(path / f"{demo_id}.demo")
         except (OSError, ValueError) as e:  # no such file, or a name the file system rejects
             raise MalformedFile(f"{manifest_path}: demo {demo_id!r}: {e}") from e
         dataset.add(demo)

@@ -37,10 +37,6 @@ class OutOfWorkspace(TrajTransferError):
     pass
 
 
-class GridMismatch(TrajTransferError):
-    pass
-
-
 class UnknownSkill(TrajTransferError):
     pass
 

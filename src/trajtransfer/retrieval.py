@@ -43,7 +43,7 @@ def rank_candidates(dataset: Dataset, description: str, test_cloud: PointCloud):
     backs the CLI --top listing.
     """
     ids = sorted(language_filter(dataset, description))
-    query = emb.occupancy_embedding(test_cloud, dataset.grid)
+    query = emb.occupancy_embedding(test_cloud)
     scored = [(i, emb.cosine_similarity(query, dataset.demos[i].embedding)) for i in ids]
     return sorted(scored, key=lambda x: (-x[1], x[0]))
 

@@ -247,7 +247,7 @@ def test_criterion_04_retrieval_oracle():
             + np.array([rng.uniform(0.1, 0.7), rng.uniform(0.1, 0.35), rng.uniform(0.03, 0.2)])
         )
         got = hierarchical_retrieve(ds, skill, query)
-        emb = occupancy_embedding(query, ds.grid)
+        emb = occupancy_embedding(query)
         best_id, best_sim = None, -1.0
         for i in sorted(ds.demos):
             d = ds.demos[i]

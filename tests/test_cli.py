@@ -602,7 +602,16 @@ def _case_manifest_huge_grid(w):
     manifest = json.loads((w / "ds" / "dataset.json").read_text())
     manifest["grid"]["resolution"] = [4096, 4096, 4096]
     (w / "ds" / "dataset.json").write_text(json.dumps(manifest))
-    return _query("retrieve", w), "dataset.json: grid resolution [4096, 4096, 4096] has more than 16777216 voxels"
+    return _query("retrieve", w), '"resolution": [4096, 4096, 4096]} is not the program\'s'
+
+
+def _case_manifest_other_grid(w):
+    """An archive saved on another grid is refused, not embedded against."""
+    ingest_one(w)
+    manifest = json.loads((w / "ds" / "dataset.json").read_text())
+    manifest["grid"]["resolution"] = [16, 12, 8]
+    (w / "ds" / "dataset.json").write_text(json.dumps(manifest))
+    return _query("retrieve", w), 'dataset.json: grid {"extent": [0.8, 0.45, 0.4], "origin": [0.0, 0.0, 0.0], "resolution": [16, 12, 8]}'
 
 
 def _case_manifest_partial_skill_index(w):
@@ -618,6 +627,13 @@ def _case_gripper_out_of_range(w):
     lines[1] = lines[1][: -len(" 0")] + " 7"
     (w / "traj.txt").write_text("\n".join(lines) + "\n")
     return _ingest(w), "traj.txt:2"
+
+
+def _case_time_index_outside_int64(w):
+    lines = (w / "traj.txt").read_text().splitlines()
+    lines[1] = f"{2**70} " + lines[1].split(" ", 1)[1]
+    (w / "traj.txt").write_text("\n".join(lines) + "\n")
+    return _ingest(w), f"traj.txt:2: time index must fit an int64, got {2**70}"
 
 
 def _case_ingest_line_break(w):
@@ -682,6 +698,7 @@ MALFORMED = {
     "manifest-not-json": _case_manifest_not_json,
     "manifest-without-grid": _case_manifest_without_grid,
     "manifest-huge-grid": _case_manifest_huge_grid,
+    "manifest-other-grid": _case_manifest_other_grid,
     "demo-nonfinite-point": _case_demo_nonfinite_point,
     "demo-cloud-rows": _case_demo_cloud_rows,
     "demo-voxel-rows": _case_demo_voxel_rows,
@@ -701,6 +718,7 @@ MALFORMED = {
         "traces.jsonl:1",
     ),
     "gripper-out-of-range": _case_gripper_out_of_range,
+    "time-index-outside-int64": _case_time_index_outside_int64,
     "ingest-line-break-description": _case_ingest_line_break,
     "ingest-id-outside-archive": _case_ingest_id("../escape", existing=False),
     "ingest-id-in-subdirectory": _case_ingest_id("sub/x", existing=True),

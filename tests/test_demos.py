@@ -28,13 +28,12 @@ from trajtransfer.errors import (
     DuplicateId,
     EmptyCloud,
     EmptyDescription,
-    GridMismatch,
     InvalidDescription,
     InvalidId,
     MalformedFile,
     TrajectoryTooShort,
 )
-from trajtransfer.embedding import GeometryEmbedding, GridSpec, occupancy_embedding
+from trajtransfer.embedding import SIZE, GeometryEmbedding, occupancy_embedding
 from trajtransfer.se3 import Pose, PointCloud, pose_distance
 
 
@@ -152,27 +151,11 @@ class TestIngest:
         assert ds.add(twin) is demo
         values = demo.embedding.values.copy()
         values[np.argmax(values)] *= 0.5
-        changed = dataclasses.replace(demo, embedding=GeometryEmbedding(values, demo.embedding.grid))
+        changed = dataclasses.replace(demo, embedding=GeometryEmbedding(values))
         assert changed != demo and changed.embedding != demo.embedding
         with pytest.raises(DuplicateId):
             ds.add(changed)
-        other_grid = GridSpec(resolution=(24, 32, 16))
-        assert GeometryEmbedding(demo.embedding.values, other_grid) != demo.embedding
         assert demo.embedding != demo.embedding.values.tolist()
-
-    def test_other_grid_rejected(self, tmp_path):
-        """A demo embedded on another grid is refused and the dataset is left
-        as it was, so retrieval never meets it and no archive holds it."""
-        coarse = Dataset(GridSpec(resolution=(16, 12, 8)))
-        foreign = coarse.ingest("open bottle", small_cloud(), straight_traj(0.05), demo_id="d2")
-        ds = Dataset()
-        kept = ds.ingest("open bottle", small_cloud((0.5, 0.3, 0.05)), straight_traj(0.05), demo_id="d1")
-        for demo in (foreign, dataclasses.replace(foreign, id="d1")):
-            with pytest.raises(GridMismatch):
-                ds.add(demo)
-            assert ds.demos == {"d1": kept} and ds.skill_index == {"open bottle": ["d1"]}
-        save_dataset(ds, tmp_path)
-        assert load_dataset(tmp_path).demos == {"d1": kept}
 
     def test_empty_cloud(self):
         with pytest.raises(EmptyCloud):
@@ -198,7 +181,7 @@ class TestIngest:
 
         ds = Dataset()
         demo = ds.ingest("open bottle", small_cloud(), straight_traj(0.05))
-        recomputed = occupancy_embedding(demo.object_cloud, ds.grid)
+        recomputed = occupancy_embedding(demo.object_cloud)
         assert np.array_equal(demo.embedding.values, recomputed.values)
 
 
@@ -231,7 +214,7 @@ class TestOwnRules:
                 description=description,
                 object_cloud=cloud,
                 trajectory=tuple(traj),
-                embedding=occupancy_embedding(small_cloud(), GridSpec()),
+                embedding=occupancy_embedding(small_cloud()),
             )
         with pytest.raises(error):
             Dataset().ingest(description, cloud, traj)
@@ -260,13 +243,21 @@ class TestOwnRules:
                 micro_skill="close bottle",
                 object_cloud=small_cloud(),
                 trajectory=tuple(straight_traj(0.05)),
-                embedding=occupancy_embedding(small_cloud(), GridSpec()),
+                embedding=occupancy_embedding(small_cloud()),
             )
 
     @pytest.mark.parametrize("gripper", [2, -1, 0.5, "1", None])
     def test_gripper_is_zero_or_one(self, gripper):
         with pytest.raises(ValueError, match="gripper must be 0 .open. or 1 .closed."):
             EndEffectorState(Pose(), gripper, 0)
+
+    @pytest.mark.parametrize("time_index", [2**63, 2**70, -(2**63) - 1])
+    def test_time_index_fits_int64(self, time_index):
+        """The archive stores a time index as an int64, so no state holds one
+        that saving could not pack."""
+        with pytest.raises(ValueError, match=f"time index must fit an int64, got {time_index}$"):
+            EndEffectorState(Pose(), 0, time_index)
+        assert [EndEffectorState(Pose(), 0, t).time_index for t in (-(2**63), 2**63 - 1)] == [-(2**63), 2**63 - 1]
 
     @pytest.mark.parametrize("gripper", [0, 1, True, 1.0, np.int64(1)])
     def test_gripper_stored_as_int(self, gripper):
@@ -362,7 +353,6 @@ class TestArchive:
             load_dataset(tmp_path / "arch")
 
 
-GRID8 = GridSpec(resolution=(2, 2, 2))
 STATES = (
     EndEffectorState(Pose([1.0, 0.0, 0.0, 0.0], [0.4, 0.2, 0.2]), 0, 0),
     EndEffectorState(Pose([0.9238795325112867, 0.0, 0.0, 0.3826834323650898], [0.4, 0.2, 0.12]), 1, 1),
@@ -370,14 +360,16 @@ STATES = (
 CLOUD3 = PointCloud(np.array([[0.41, 0.2, 0.05], [0.38, 0.21, 0.06], [0.4, 0.19, 0.04]]))
 
 
-def demo_on_grid8(values, demo_id="d", description="open the bottle", cloud=CLOUD3, instance="bottle-3", trajectory=STATES):
-    """A Demonstration on the 2 x 2 x 2 grid with the given embedding values."""
+def demo_with(values, demo_id="d", description="open the bottle", cloud=CLOUD3, instance="bottle-3", trajectory=STATES):
+    """A Demonstration whose embedding starts with the given values, the rest 0."""
+    dense = np.zeros(SIZE)
+    dense[: len(values)] = values
     return Demonstration(
         id=demo_id,
         description=description,
         object_cloud=cloud,
         trajectory=trajectory,
-        embedding=GeometryEmbedding(np.array(values, dtype=np.float64), GRID8),
+        embedding=GeometryEmbedding(dense),
         object_instance_id=instance,
     )
 
@@ -391,10 +383,10 @@ embedding_entries = st.one_of(
 )
 
 
-# sparse non-negative vectors on the default grid (12,288 voxels) with a
+# sparse non-negative vectors on the grid (12,288 voxels) with a
 # finite non-zero norm: index -> value, with indices of one and two bytes
 sparse_entries = st.dictionaries(
-    st.one_of(st.integers(0, GridSpec().size - 1), st.sampled_from([0, 255, 256, GridSpec().size - 1])),
+    st.one_of(st.integers(0, SIZE - 1), st.sampled_from([0, 255, 256, SIZE - 1])),
     st.one_of(st.floats(min_value=5e-324, max_value=1e150), st.sampled_from([5e-324, 2.5e-310, 1.0])),
     min_size=1,
     max_size=40,
@@ -408,14 +400,14 @@ class TestEmbeddingBlock:
     @settings(max_examples=60, deadline=None)
     @given(entries=sparse_entries)
     def test_sparse_round_trip_bit_exact(self, tmp_path_factory, entries):
-        dense = np.zeros(GridSpec().size)
+        dense = np.zeros(SIZE)
         dense[list(entries)] = list(entries.values())
         demo = Demonstration(
             id="d",
             description="open the bottle",
             object_cloud=CLOUD3,
             trajectory=STATES,
-            embedding=GeometryEmbedding(dense, GridSpec()),
+            embedding=GeometryEmbedding(dense),
         )
         ds = Dataset()
         ds.add(demo)
@@ -443,10 +435,10 @@ class TestEmbeddingBlock:
             norm = np.linalg.norm(values)
         if not 0.0 < norm < math.inf:  # the cosine is undefined, so no demo holds it and no archive can
             with pytest.raises(ValueError, match="the embedding is all zero" if norm == 0.0 else "norm overflows"):
-                demo_on_grid8(values)
+                demo_with(values)
             return
-        ds = Dataset(GRID8)
-        demo = ds.add(demo_on_grid8(values))
+        ds = Dataset()
+        demo = ds.add(demo_with(values))
         path = tmp_path_factory.mktemp("voxels")
         save_dataset(ds, path)
         assert f"voxels {np.count_nonzero(values)}" in (path / "d.demo").read_text().splitlines()
@@ -457,8 +449,8 @@ class TestEmbeddingBlock:
     def test_dense_header_names_its_line(self, tmp_path, capsys):
         """The dense ``embedding N`` block that the voxels block replaced is a
         malformed header: the CLI exits 2 naming its line."""
-        ds = Dataset(GRID8)
-        ds.add(demo_on_grid8(DEMO_VALUES))
+        ds = Dataset()
+        ds.add(demo_with(DEMO_VALUES))
         save_dataset(ds, tmp_path)
         lines = (tmp_path / "d.demo").read_text().splitlines()
         at = lines.index("voxels 4")
@@ -471,10 +463,10 @@ class TestEmbeddingBlock:
     def test_archive_bytes_pinned(self, tmp_path):
         """The writer's text, pinned: a change that moves any byte of the
         archive fails here first."""
-        ds = Dataset(GRID8)
-        ds.add(demo_on_grid8(DEMO_VALUES))
+        ds = Dataset()
+        ds.add(demo_with(DEMO_VALUES))
         cloud = PointCloud(np.array([[0.5, -0.0, 1e-05], [0.3333333333333333, 0.25, 0.125]]))
-        ds.add(demo_on_grid8([0.0, 5e-324, 0.0, 0.0, 0.0, 0.0, 1.0, 0.0], "e", "open box", cloud, None))
+        ds.add(demo_with([0.0, 5e-324, 0.0, 0.0, 0.0, 0.0, 1.0, 0.0], "e", "open box", cloud, None))
         save_dataset(ds, tmp_path)
         digests = {f.name: hashlib.sha256(f.read_bytes()).hexdigest() for f in sorted(tmp_path.iterdir())}
         assert digests == ARCHIVE_SHA256
@@ -510,8 +502,8 @@ class TestCloudBlock:
     @example(points=[(-0.0, 5e-324, -1.7976931348623157e308), (1.7976931348623157e308, -5e-324, 0.0)])
     def test_round_trip_bit_exact(self, tmp_path_factory, points):
         cloud = PointCloud(np.array(points, dtype=np.float64))
-        ds = Dataset(GRID8)
-        demo = ds.add(demo_on_grid8(DEMO_VALUES, cloud=cloud))
+        ds = Dataset()
+        demo = ds.add(demo_with(DEMO_VALUES, cloud=cloud))
         path = tmp_path_factory.mktemp("cloud")
         save_dataset(ds, path)
         assert f"cloud {len(points)}" in (path / "d.demo").read_text().splitlines()
@@ -571,8 +563,8 @@ class TestTrajectoryBlock:
     )
     def test_round_trip_bit_exact(self, tmp_path_factory, drawn):
         traj = tuple(EndEffectorState(Pose(q, t), g, i) for i, q, t, g in drawn)
-        ds = Dataset(GRID8)
-        ds.add(demo_on_grid8(DEMO_VALUES, trajectory=traj))
+        ds = Dataset()
+        ds.add(demo_with(DEMO_VALUES, trajectory=traj))
         path = tmp_path_factory.mktemp("trajectory")
         save_dataset(ds, path)
         lines = (path / "d.demo").read_text().splitlines()
@@ -612,8 +604,8 @@ class TestTrajectoryBlock:
         ids=["gripper-2", "nan-translation", "zero-quaternion", "infinite-quaternion", "norm-overflows"],
     )
     def test_bad_state_names_line_and_state(self, tmp_path, state, message):
-        ds = Dataset(GRID8)
-        ds.add(demo_on_grid8(DEMO_VALUES))
+        ds = Dataset()
+        ds.add(demo_with(DEMO_VALUES))
         save_dataset(ds, tmp_path)
         lines = (tmp_path / "d.demo").read_text().splitlines()
         lines[4] = trajectory_line([(0, (1.0, 0.0, 0.0, 0.0), (0.4, 0.2, 0.2), 0), state])
@@ -623,8 +615,8 @@ class TestTrajectoryBlock:
 
     @pytest.mark.parametrize("count", [1, 3])
     def test_wrong_byte_count_names_the_line(self, tmp_path, count):
-        ds = Dataset(GRID8)
-        ds.add(demo_on_grid8(DEMO_VALUES))
+        ds = Dataset()
+        ds.add(demo_with(DEMO_VALUES))
         save_dataset(ds, tmp_path)
         lines = (tmp_path / "d.demo").read_text().splitlines()
         lines[3] = f"trajectory {count}"
@@ -635,6 +627,6 @@ class TestTrajectoryBlock:
 
 ARCHIVE_SHA256 = {
     "d.demo": "bbad712c9075444b78d79e20daf81f1a73bb6cebe51705cfb3e8205ad2072f1e",
-    "dataset.json": "3f004271487448001e6b325ed0ae67faafa1508cf85ceeb61b02c2195a65019f",
+    "dataset.json": "99be618d73799728bb59283ae39085be591e9e2655733b5125d32932859d7dd6",
     "e.demo": "527df41e01348d94cdf57b6a0a394596117d986f23195fe66b5b90e3ac639b60",
 }

@@ -8,13 +8,17 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from trajtransfer.embedding import (
-    MAX_VOXELS,
+    EXTENT,
+    GRID,
+    ORIGIN,
+    RESOLUTION,
+    SIZE,
+    VOXEL_SIZE,
     GeometryEmbedding,
-    GridSpec,
     cosine_similarity,
     occupancy_embedding,
 )
-from trajtransfer.errors import EmptyCloud, GridMismatch, OutOfWorkspace
+from trajtransfer.errors import EmptyCloud, OutOfWorkspace
 from trajtransfer.se3 import PointCloud
 from trajtransfer.simbench import CATEGORIES, _observed_cloud, default_task, generate_object, randomize_scene
 
@@ -24,50 +28,12 @@ def blob(center, n=60, scale=0.015, seed=3):
     return PointCloud(rng.normal(scale=scale, size=(n, 3)) + np.array(center))
 
 
-class TestGridSpec:
-    def test_defaults(self):
-        g = GridSpec()
-        assert g.extent == (0.80, 0.45, 0.40)
-        assert g.resolution == (32, 24, 16)
-        np.testing.assert_allclose(g.voxel_size, [0.025, 0.01875, 0.025])
-
-    def test_dict_round_trip(self):
-        g = GridSpec((0.1, 0.1, 0.0), (0.5, 0.5, 0.3), (8, 8, 4))
-        assert GridSpec.from_dict(g.to_dict()) == g
-        # dataset.json keeps this key order and lists
-        assert list(g.to_dict().items()) == [
-            ("origin", [0.1, 0.1, 0.0]), ("extent", [0.5, 0.5, 0.3]), ("resolution", [8, 8, 4])
-        ]
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            GridSpec(extent=(0.0, 0.4, 0.4))
-        with pytest.raises(ValueError):
-            GridSpec(resolution=(1, 24, 16))
-        with pytest.raises(ValueError):
-            GridSpec(origin=(np.nan, 0.0, 0.0))
-        with pytest.raises(ValueError):
-            GridSpec(extent=(np.inf, 0.4, 0.4))
-        # a value of another kind is refused, not converted
-        for bad in (
-            {"resolution": (32.9, 24, 16)},
-            {"resolution": (32, "24", 16)},
-            {"resolution": (32, 24, 16.0)},
-            {"origin": ("0", 0, 0)},
-            {"origin": "123"},
-            {"extent": (True, 0.4, 0.4)},
-        ):
-            with pytest.raises(ValueError):
-                GridSpec(**bad)
-        assert GridSpec(origin=(0, 0, 0), extent=(1, 1, 1), resolution=np.array([2, 2, 2])).resolution == (2, 2, 2)
-
-    @pytest.mark.parametrize("resolution", [(4096, 4096, 4096), (2**40, 2, 2), (257, 256, 256)])
-    def test_voxel_bound(self, resolution):
-        """A grid of more than MAX_VOXELS voxels is refused when built, before
-        anything of its size is allocated; so every index fits a uint32."""
-        assert GridSpec(resolution=(256, 256, 256)).size == MAX_VOXELS < 2**32
-        with pytest.raises(ValueError, match=f"has more than {MAX_VOXELS} voxels"):
-            GridSpec(resolution=resolution)
+class TestGrid:
+    def test_constants(self):
+        assert (ORIGIN, EXTENT, RESOLUTION) == ((0.0, 0.0, 0.0), (0.80, 0.45, 0.40), (32, 24, 16))
+        assert SIZE == 12_288 and not VOXEL_SIZE.flags.writeable
+        np.testing.assert_allclose(VOXEL_SIZE, [0.025, 0.01875, 0.025])
+        assert GRID == {"origin": list(ORIGIN), "extent": list(EXTENT), "resolution": list(RESOLUTION)}
 
 
 class TestOccupancyEmbedding:
@@ -127,13 +93,13 @@ class TestOccupancyEmbedding:
         assert np.array_equal(a.values, b.values)
 
 
-def splat_per_corner(cloud, grid=GridSpec()):
+def splat_per_corner(cloud):
     """The splat as eight per-corner ``np.add.at`` passes: the reference the
     one-pass splat must match bit for bit."""
-    res = np.array(grid.resolution)
-    acc = np.zeros(grid.resolution, dtype=np.float64)
+    res = np.array(RESOLUTION)
+    acc = np.zeros(RESOLUTION, dtype=np.float64)
     with np.errstate(over="ignore", invalid="ignore"):  # far points: inf, nan and int casts
-        u = (cloud.points - np.array(grid.origin)) / grid.voxel_size - 0.5
+        u = (cloud.points - np.array(ORIGIN)) / VOXEL_SIZE - 0.5
         base = np.floor(u).astype(np.int64)
         frac = u - base
         for corner in range(8):
@@ -146,35 +112,26 @@ def splat_per_corner(cloud, grid=GridSpec()):
     n = np.linalg.norm(flat)
     if n == 0.0:
         raise OutOfWorkspace("cloud lies entirely outside the embedding grid")
-    return GeometryEmbedding(flat / n, grid)
+    return GeometryEmbedding(flat / n)
 
 
-def splat_bytes(splat, cloud, grid):
+def splat_bytes(splat, cloud):
     """The embedding's bytes, or "OutOfWorkspace"."""
     try:
-        return splat(cloud, grid).values.tobytes()
+        return splat(cloud).values.tobytes()
     except OutOfWorkspace:
         return "OutOfWorkspace"
-
-
-# exact voxel sizes (powers of two) on the small grids, so that voxel centres
-# (u integer, frac == 0) and voxel faces (u + 0.5 integer) are hit exactly
-SPLAT_GRIDS = (
-    GridSpec(),
-    GridSpec((0.0, 0.0, 0.0), (1.0, 1.0, 0.5), (2, 2, 2)),
-    GridSpec((-0.5, 0.25, -0.125), (1.25, 0.875, 0.375), (5, 7, 3)),
-)
 
 
 @st.composite
 def grid_clouds(draw):
     """1-30 points in voxel units u: anywhere from 3 voxels before the grid to
-    2 past it on each axis, on voxel centres, or on voxel faces; sometimes with
-    points 1e300 m away."""
-    grid = draw(st.sampled_from(SPLAT_GRIDS))
+    2 past it on each axis, on voxel centres (u integer, frac == 0), or on
+    voxel faces (u + 0.5 integer), which 86-93% per axis hit exactly after
+    the round trip through metres; sometimes with points 1e300 m away."""
     n = draw(st.integers(1, 30))
     axes = []
-    for r in grid.resolution:
+    for r in RESOLUTION:
         coord = st.one_of(
             st.floats(-3.0, r + 2.0),
             st.integers(-2, r + 1).map(float),
@@ -182,10 +139,10 @@ def grid_clouds(draw):
         )
         axes.append(draw(st.lists(coord, min_size=n, max_size=n)))
     u = np.array(axes).T
-    points = np.array(grid.origin) + (u + 0.5) * grid.voxel_size
+    points = np.array(ORIGIN) + (u + 0.5) * VOXEL_SIZE
     far = draw(st.lists(st.booleans(), min_size=n, max_size=n))
     points[np.array(far)] *= 1e300
-    return PointCloud(points), grid
+    return PointCloud(points)
 
 
 class TestOnePassSplat:
@@ -193,10 +150,9 @@ class TestOnePassSplat:
     and raises OutOfWorkspace on the same clouds."""
 
     @settings(max_examples=200, deadline=None)
-    @given(case=grid_clouds())
-    def test_small_clouds(self, case):
-        cloud, grid = case
-        assert splat_bytes(occupancy_embedding, cloud, grid) == splat_bytes(splat_per_corner, cloud, grid)
+    @given(cloud=grid_clouds())
+    def test_small_clouds(self, cloud):
+        assert splat_bytes(occupancy_embedding, cloud) == splat_bytes(splat_per_corner, cloud)
 
     @pytest.mark.parametrize("family", CATEGORIES)
     def test_benchmark_clouds(self, family):
@@ -209,9 +165,7 @@ class TestOnePassSplat:
                         task, instance, mode, seed, occlusion_fraction=occlusion, noise_sigma=noise
                     )
                     cloud = _observed_cloud(scene)
-                    for grid in SPLAT_GRIDS:
-                        want = splat_bytes(splat_per_corner, cloud, grid)
-                        assert splat_bytes(occupancy_embedding, cloud, grid) == want
+                    assert splat_bytes(occupancy_embedding, cloud) == splat_bytes(splat_per_corner, cloud)
 
     @pytest.mark.parametrize("far", [(1e300, 0.0, 0.0), (1.7e308, -1.7e308, 0.0), (-1e-300, 1e308, -1.7e308)])
     def test_far_points_raise_no_warning(self, far):
@@ -229,16 +183,15 @@ class TestOnePassSplat:
 class TestCosine:
     def test_scale_invariance(self):
         e = occupancy_embedding(blob((0.4, 0.2, 0.1)))
-        scaled = GeometryEmbedding(3.0 * e.values, e.grid)
+        scaled = GeometryEmbedding(3.0 * e.values)
         assert cosine_similarity(e, scaled) == pytest.approx(1.0, abs=1e-12)
 
     def test_one_hot_orthogonal(self):
-        g = GridSpec()
-        a = np.zeros(g.size)
-        b = np.zeros(g.size)
+        a = np.zeros(SIZE)
+        b = np.zeros(SIZE)
         a[0] = 1.0
         b[1] = 1.0
-        assert cosine_similarity(GeometryEmbedding(a, g), GeometryEmbedding(b, g)) == 0.0
+        assert cosine_similarity(GeometryEmbedding(a), GeometryEmbedding(b)) == 0.0
 
     @settings(max_examples=60, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), other=st.integers(0, 2**32 - 1), shift=st.floats(-0.05, 0.05))
@@ -250,26 +203,18 @@ class TestCosine:
         assert cosine_similarity(a, a) == 1.0
         assert 0.0 <= cosine_similarity(a, b) <= 1.0
 
-    def test_grid_mismatch(self):
-        a = occupancy_embedding(blob((0.4, 0.2, 0.1)))
-        g2 = GridSpec(resolution=(16, 12, 8))
-        b = occupancy_embedding(blob((0.4, 0.2, 0.1)), g2)
-        with pytest.raises(GridMismatch):
-            cosine_similarity(a, b)
-
     def test_negative_entries_rejected(self):
         """A negative or non-finite embedding, or one whose norm is 0.0 (all
         zero, or so small that its norm underflows) or overflows, cannot be
-        built, so every cosine of two embeddings on one grid is defined."""
-        g = GridSpec()
+        built, so every cosine of two embeddings is defined."""
         for value, message in (
             (-1.0, "non-negative"), (np.nan, "finite"), (np.inf, "finite"), (0.0, "all zero"), (1e-200, "norm underflows"),
             (1e300, "norm overflows"), (1e200, "norm overflows"),
         ):
-            v = np.zeros(g.size)
+            v = np.zeros(SIZE)
             v[0] = value
             with pytest.raises(ValueError, match=message):
-                GeometryEmbedding(v, g)
+                GeometryEmbedding(v)
 
 
 class TestValues:
@@ -278,7 +223,7 @@ class TestValues:
     def test_writable_array_is_copied(self):
         v = occupancy_embedding(blob((0.4, 0.2, 0.1))).values.copy()
         want = v.tobytes()
-        e = GeometryEmbedding(v, GridSpec())
+        e = GeometryEmbedding(v)
         assert e.values is not v and e.values.tobytes() == want
         v[:] = 1.0  # a later write by the caller does not reach the embedding
         assert e.values.tobytes() == want and not e.values.flags.writeable
@@ -288,12 +233,12 @@ class TestValues:
         archive reader hand over, is kept as it is; a read-only view is copied."""
         e = occupancy_embedding(blob((0.4, 0.2, 0.1)))
         assert e.values.flags.owndata and not e.values.flags.writeable
-        assert GeometryEmbedding(e.values, GridSpec()).values is e.values
-        base = np.zeros(GridSpec().size + 1)
+        assert GeometryEmbedding(e.values).values is e.values
+        base = np.zeros(SIZE + 1)
         base[1:] = e.values
         view = base[1:]
         view.setflags(write=False)
-        kept = GeometryEmbedding(view, GridSpec())
+        kept = GeometryEmbedding(view)
         assert kept.values is not view and kept.values.tobytes() == e.values.tobytes()
         base[1:] = 0.0
         assert kept.values.tobytes() == e.values.tobytes()
@@ -302,7 +247,7 @@ class TestValues:
 class TestNorm:
     def test_computed_once(self, monkeypatch):
         """The norm is np.linalg.norm of the values, computed once when the
-        embedding is built; == and pickling see only the grid and the values."""
+        embedding is built; == and pickling see only the values."""
         import pickle
 
         values = 3.0 * occupancy_embedding(blob((0.4, 0.2, 0.1))).values
@@ -310,12 +255,12 @@ class TestNorm:
         calls = []
         real_norm = np.linalg.norm
         monkeypatch.setattr(np.linalg, "norm", lambda v: calls.append(1) or real_norm(v))
-        a = GeometryEmbedding(values, GridSpec())
+        a = GeometryEmbedding(values)
         assert len(calls) == 1
         sims = [cosine_similarity(a, b) for _ in range(3)]
         assert len(calls) == 1 and sims[0] == sims[1] == sims[2]
         monkeypatch.undo()
         assert a.norm == real_norm(a.values) and b.norm == real_norm(b.values)
-        assert a == GeometryEmbedding(values, GridSpec()) and "norm" not in repr(a)
+        assert a == GeometryEmbedding(values) and "norm" not in repr(a)
         back = pickle.loads(pickle.dumps(a))
         assert back == a and back.norm == a.norm

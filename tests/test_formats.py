@@ -27,7 +27,6 @@ from trajtransfer.demos import (
     write_cloud_file,
     write_trajectory_blocks,
 )
-from trajtransfer.embedding import GridSpec
 from trajtransfer.errors import ConfigError, MalformedFile, TrajTransferError
 from trajtransfer.se3 import Pose, PointCloud
 from trajtransfer.simbench import FAILURE_CLASSES
@@ -127,6 +126,17 @@ class TestTrajectoryFile:
         with pytest.raises(MalformedFile, match=r"t\.txt:2: gripper must be 0"):
             read_trajectory_file(tmp_path / "t.txt")
 
+    @pytest.mark.parametrize("t", [2**63, 2**70, -(2**63) - 1])
+    def test_time_index_fits_int64(self, tmp_path, t):
+        """A time index the archive could not store names its row; int64's own extremes read."""
+        rows = [f"{-(2**63)} 0.4 0.2 0.2 1.0 0.0 0.0 0.0 0", "", f"{2**63 - 1} 0.4 0.2 0.1 1.0 0.0 0.0 0.0 1"]
+        (tmp_path / "t.txt").write_text("\n".join(rows) + "\n")
+        assert [s.time_index for s in read_trajectory_file(tmp_path / "t.txt")] == [-(2**63), 2**63 - 1]
+        rows[2] = f"{t} 0.4 0.2 0.1 1.0 0.0 0.0 0.0 1"
+        (tmp_path / "t.txt").write_text("\n".join(rows) + "\n")
+        with pytest.raises(MalformedFile, match=rf"t\.txt:3: time index must fit an int64, got {t}$"):
+            read_trajectory_file(tmp_path / "t.txt")
+
     def test_blank_lines_skipped(self, tmp_path):
         (tmp_path / "t.txt").write_text("\n0 0.4 0.2 0.2 1.0 0.0 0.0 0.0 0\n\n1 0.4 0.2 0.1 1.0 0.0 0.0 0.0 1\n")
         traj = read_trajectory_file(tmp_path / "t.txt")
@@ -170,7 +180,7 @@ json_values = st.recursive(
     max_leaves=10,
 )
 # values near the manifest's own: demo ids that name no file, escape the
-# archive or repeat; grids of the wrong shape, size or value
+# archive or repeat; grids of the wrong shape, size, value or kind
 demo_id_lists = st.one_of(
     json_values,
     st.lists(st.sampled_from(["d", "e", "", ".", "..", "../d", "d/", "d.demo", "x" * 300, "d\x00", 1, None]), max_size=3),
@@ -208,8 +218,8 @@ class TestArchive:
 
     @pytest.fixture(scope="class")
     def archive(self, tmp_path_factory):
-        """A one-demo archive on a 2 x 2 x 2 grid, so its .demo file is short."""
-        ds = Dataset(GridSpec(resolution=(2, 2, 2)))
+        """A one-demo archive of a 4-point cloud, so its .demo file is short."""
+        ds = Dataset()
         cloud = PointCloud(np.random.default_rng(0).normal(0.0, 0.02, (4, 3)) + [0.4, 0.2, 0.05])
         ds.ingest("open bottle", cloud, TRAJ, demo_id="d")
         path = tmp_path_factory.mktemp("archive")
@@ -223,7 +233,6 @@ class TestArchive:
         except TrajTransferError:
             return
         assert isinstance(ds, Dataset)
-        assert np.all(np.isfinite(ds.grid.origin + ds.grid.extent))
         for demo_id, demo in ds.demos.items():
             assert isinstance(demo, Demonstration) and demo.id == demo_id
             assert demo_id in ds.skill_index[demo.micro_skill]
@@ -320,14 +329,20 @@ class TestArchive:
             {"grid": {"origin": ["0", 0, 0], "extent": [1, 1, 1], "resolution": [2, 2, 2]}},
             {"grid": {"origin": "123", "extent": [1, 1, 1], "resolution": [2, 2, 2]}},
             {"grid": {"origin": [0, 0, 0], "extent": [True, 1, 1], "resolution": [2, 2, 2]}},
+            {"grid": {"origin": [0.0, 0.0, 0.0], "extent": [0.8, 0.45, 0.4], "resolution": [16, 12, 8]}},
+            {"grid": {"origin": [0.0, 0.0, 0.0], "extent": [0.8, 0.45, 0.4], "resolution": [32, 24.0, 16]}},
+            {"grid": {"origin": [False, False, False], "extent": [0.8, 0.45, 0.4], "resolution": [32, 24, 16]}},
+            {"grid": {"origin": [0.0, 0.0, 0.0], "extent": [0.8, 0.45, 0.4], "resolution": [32, 24, 16], "x": 1}},
         ],
         ids=[
             "no-such-file", "outside-the-archive", "nul-in-name", "infinite-resolution", "nan-extent", "huge-grid", "huge-axis",
             "fractional-resolution", "string-resolution", "float-resolution", "string-origin", "origin-string", "bool-extent",
+            "other-grid", "program-grid-float-resolution", "program-grid-bool-origin", "program-grid-extra-key",
         ],
     )
     def test_malformed_manifest(self, archive, change):
-        """A manifest grid value of another kind is refused, not converted."""
+        """A manifest grid other than the program's is refused, and so is the
+        program's with a value of another kind: it is not converted."""
         path, manifest, demo = archive
         (path / "d.demo").write_text(demo)
         (path / "dataset.json").write_text(json.dumps({**manifest, **change}))
@@ -367,8 +382,8 @@ class TestArchive:
             (["voxels 1", voxels([1], [0.5])[:-2] + "!="], 1, "as one base64 line: Only base64 data is allowed"),
             (["voxels 2", voxels([1], [0.5])], 1, "the line holds 12 bytes, not 12 x 2"),
             (["voxels 1", voxels([1, 3], [0.5, 0.5])], 1, "the line holds 24 bytes, not 12 x 1"),
-            (["voxels 2", voxels([1, 8], [0.5, 0.5])], 1, r"voxel entry 1: index 8 is outside \[0, 8\)"),
-            (["voxels 1", voxels([-1], [0.5], "<i4")], 1, r"voxel entry 0: index 4294967295 is outside \[0, 8\)"),
+            (["voxels 2", voxels([1, 12288], [0.5, 0.5])], 1, r"voxel entry 1: index 12288 is outside \[0, 12288\)"),
+            (["voxels 1", voxels([-1], [0.5], "<i4")], 1, r"voxel entry 0: index 4294967295 is outside \[0, 12288\)"),
             (["voxels 3", voxels([1, 3, 3], [0.5, 0.5, 0.25])], 1, "voxel entry 2: index 3 does not follow 3"),
             (["voxels 2", voxels([3, 2], [0.5, 0.25])], 1, "voxel entry 1: index 2 does not follow 3"),
             (["voxels 1", voxels([1], [math.inf])], 1, "voxel entry 0: value inf is not finite and > 0"),
@@ -462,7 +477,7 @@ class TestArchive:
     @pytest.mark.parametrize("dropped", [["open bottle", "open box"], ["open box"]], ids=["empty", "one-missing"])
     def test_partial_skill_index(self, tmp_path, dropped):
         """The manifest's skill index must list every skill the demos have."""
-        ds = Dataset(GridSpec(resolution=(2, 2, 2)))
+        ds = Dataset()
         cloud = PointCloud(np.random.default_rng(0).normal(0.0, 0.02, (4, 3)) + [0.4, 0.2, 0.05])
         ds.ingest("open bottle", cloud, TRAJ, demo_id="d")
         ds.ingest("open box", cloud, TRAJ, demo_id="e")
@@ -473,6 +488,15 @@ class TestArchive:
         (tmp_path / "dataset.json").write_text(json.dumps(manifest))
         with pytest.raises(MalformedFile, match=r"dataset\.json: skill index"):
             load_dataset(tmp_path)
+
+    def test_saved_grid_pinned(self, archive):
+        """save_dataset writes the program's grid to dataset.json, each value
+        of its kind, as load_dataset requires it."""
+        path, manifest, demo = archive
+        # keys in the file's order; json keeps 0.0 a float and 32 an int
+        assert json.dumps(manifest["grid"]) == (
+            '{"extent": [0.8, 0.45, 0.4], "origin": [0.0, 0.0, 0.0], "resolution": [32, 24, 16]}'
+        )
 
     def test_valid_archive_loads(self, archive):
         path, manifest, demo = archive

@@ -84,7 +84,7 @@ class TestHierarchicalRetrieve:
                 seed=100 + trial,
             )
             res = hierarchical_retrieve(dataset, "open bottle", query)
-            emb = occupancy_embedding(query, dataset.grid)
+            emb = occupancy_embedding(query)
             best = max(
                 sorted(i for i in dataset.demos if dataset.demos[i].micro_skill == "open bottle"),
                 key=lambda i: (cosine_similarity(emb, dataset.demos[i].embedding), [-ord(c) for c in i]),
@@ -123,6 +123,6 @@ class TestRankCandidates:
         ds.ingest("lift mug", cloud((0.45, 0.22, 0.1), seed=22, n=80), traj(), demo_id="near-other")
         query = cloud((0.45, 0.22, 0.1), seed=23)
         res = hierarchical_retrieve(ds, "lift mug", query)
-        emb = occupancy_embedding(query, ds.grid)
+        emb = occupancy_embedding(query)
         sims = {i: cosine_similarity(emb, d.embedding) for i, d in ds.demos.items()}
         assert res.demo_id == max(sorted(sims), key=lambda i: sims[i])

@@ -7,7 +7,9 @@ order), recorded once in ``controlled`` mode with scene seed k, so N = 1002
 is 167 instances of each family.  All N go into one Dataset, which is saved to
 a temporary directory and loaded back.  Prints one JSON line: the task and
 demo counts, ``record_s``, ``save_s`` and ``load_s`` (wall seconds),
-``archive_bytes`` (the saved files' sizes summed), ``same_bits`` (whether
+``archive_bytes`` (the saved files' sizes summed), ``archive_sha256`` (see
+:func:`archive_sha256`: equal hashes mean byte-identical archives, so a
+refactor that keeps the format can show it), ``same_bits`` (whether
 every loaded demo holds the saved description, micro skill, instance, cloud,
 trajectory translations and grippers, and embedding, bit for bit) and
 ``rotations_moved_by_load`` (trajectory rotations that ``Pose`` normalised to
@@ -17,6 +19,7 @@ library and trajtransfer.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import sys
 import tempfile
@@ -49,6 +52,17 @@ def _bits(demo) -> tuple:
     )
 
 
+def archive_sha256(archive: Path) -> str:
+    """sha256 over the archive's files in name order, each as its name, its
+    size and its bytes, so no two different archives share the stream."""
+    h = hashlib.sha256()
+    for f in sorted(archive.iterdir()):
+        data = f.read_bytes()
+        h.update(f"{f.name}\n{len(data)}\n".encode())
+        h.update(data)
+    return h.hexdigest()
+
+
 def main(argv) -> int:
     if len(argv) != 1 or not argv[0].isdigit() or int(argv[0]) < 1:
         print("usage: " + __doc__.strip().splitlines()[2].strip() + "  (N >= 1)", file=sys.stderr)
@@ -64,6 +78,7 @@ def main(argv) -> int:
         loaded = demos.load_dataset(archive)
         t3 = perf_counter()
         size = sum(f.stat().st_size for f in archive.iterdir())
+        digest = archive_sha256(archive)
     same = saved.demos.keys() == loaded.demos.keys() and all(
         _bits(saved.demos[i]) == _bits(loaded.demos[i]) for i in saved.demos
     )
@@ -80,6 +95,7 @@ def main(argv) -> int:
         "save_s": round(t2 - t1, 3),
         "load_s": round(t3 - t2, 3),
         "archive_bytes": size,
+        "archive_sha256": digest,
         "same_bits": same,
         "rotations_moved_by_load": moved,
     }
