@@ -73,8 +73,9 @@ class Demonstration:
     trajectory: tuple  # EndEffectorState, interaction phase only
     embedding: emb.GeometryEmbedding
     object_instance_id: str | None = None
-    # registration's memo, k -> covariances of object_cloud, filled by
-    # registration.estimate_delta; neither compared, printed nor archived
+    # registration's memo, k -> (the subset of object_cloud that GICP
+    # registers, its covariances), filled by registration.estimate_delta;
+    # neither compared, printed nor archived
     covariances: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -333,11 +334,16 @@ def _trajectory_line(line: str, n: int) -> list:
     return [EndEffectorState(*s) for s in zip(poses, gripper.tolist(), time_index.tolist())]
 
 
-def _cloud_line(line: str, n: int) -> np.ndarray:
-    """The n finite points of a packed cloud line, as an (n, 3) float64 array."""
+def _cloud_line(line: str, n: int) -> PointCloud:
+    """The cloud of n finite points on a packed cloud line."""
     (pts,) = _unpack(line, _CLOUD, n)
-    _first(~np.isfinite(pts).all(axis=1), lambda k: f"cloud point {k} is not finite: {pts[k].tolist()}")
-    return pts
+    pts = pts.copy()  # owned, out of the decoded bytes
+    pts.setflags(write=False)  # PointCloud keeps it as it is
+    try:
+        return PointCloud(pts)
+    except ValueError:  # a non-finite coordinate: name its point
+        _first(~np.isfinite(pts).all(axis=1), lambda k: f"cloud point {k} is not finite: {pts[k].tolist()}")
+        raise
 
 
 def _voxels_line(line: str, k: int) -> tuple:
@@ -475,7 +481,7 @@ def load_demo_file(path) -> Demonstration:
     stored = _parse(_value, lines, 1, path, "micro_skill")
     instance = _parse(_value, lines, 2, path, "instance")
     traj = _packed(lines, 3, "trajectory", _trajectory_line, path, "demonstration trajectory needs >= 2 states")
-    cloud = PointCloud(_packed(lines, 5, "cloud", _cloud_line, path, "demonstration object cloud is empty"))
+    cloud = _packed(lines, 5, "cloud", _cloud_line, path, "demonstration object cloud is empty")
     embedding = _embedding(lines, 7, path)
     if len(lines) > 9:
         raise MalformedFile(f"{path}:10: unexpected line after the voxels block")

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import EmptyCloud, OutOfWorkspace
-from .se3 import PointCloud
+from .se3 import PointCloud, handed_over
 
 # the 80x45 cm task space plus 40 cm of height, ~2.5 cm voxels
 ORIGIN = (0.0, 0.0, 0.0)
@@ -38,8 +38,7 @@ class GeometryEmbedding:
 
     def __post_init__(self):
         v = self.values
-        owned = isinstance(v, np.ndarray) and v.dtype == np.float64 and v.ndim == 1 and v.flags.owndata
-        if not owned or v.flags.writeable:  # kept only if handed over read-only, as the builders do
+        if not handed_over(v, 1):  # a caller's array, or a view: copied
             v = np.array(v, dtype=np.float64).reshape(-1)
         if v.shape[0] != SIZE:
             raise ValueError("embedding length does not match grid size")

@@ -126,14 +126,26 @@ class Pose:
         return [t[0], t[1], t[2], q[0], q[1], q[2], q[3]]
 
 
+def handed_over(a, ndim: int) -> bool:
+    """Whether ``a`` is a read-only float64 array of ``ndim`` dimensions that
+    owns its C-ordered data, as a builder that keeps no writable reference
+    hands one over: a holder keeps such an array without copying it."""
+    return (
+        isinstance(a, np.ndarray) and a.dtype == np.float64 and a.ndim == ndim
+        and a.flags.owndata and a.flags.c_contiguous and not a.flags.writeable
+    )
+
+
 @dataclass(frozen=True)
 class PointCloud:
-    """Points (N,3) in metres."""
+    """Points (N,3) in metres; ValueError if a coordinate is not finite."""
 
     points: np.ndarray
 
     def __post_init__(self):
-        p = np.asarray(self.points, dtype=np.float64).reshape(-1, 3).copy()
+        p = self.points
+        if not (handed_over(p, 2) and p.shape[1] == 3):  # a caller's array, or a view: copied
+            p = np.asarray(p, dtype=np.float64).reshape(-1, 3).copy()
         if not np.all(np.isfinite(p)):
             raise ValueError("non-finite point coordinates")
         p.setflags(write=False)

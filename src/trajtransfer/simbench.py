@@ -148,21 +148,22 @@ def _disc(rng, r, z, n):
     return np.stack([rad * np.cos(th), rad * np.sin(th), np.full(n, z)], axis=1)
 
 
+_FACE_AXES = np.array([[0, 1, 2], [1, 0, 2], [2, 0, 1]])  # a face's normal axis, then its two others
+
+
 def _box_surface(rng, size, n, center=(0.0, 0.0, 0.0)):
+    """n points on the faces of a box, each face drawn in proportion to its
+    area; faces 2a and 2a + 1 are the + and - faces along axis a."""
     sx, sy, sz = size
     areas = np.array([sy * sz, sy * sz, sx * sz, sx * sz, sx * sy, sx * sy])
     face = rng.choice(6, size=n, p=areas / areas.sum())
     u = rng.uniform(-0.5, 0.5, n)
     v = rng.uniform(-0.5, 0.5, n)
-    pts = np.zeros((n, 3))
-    for f in range(6):
-        m = face == f
-        axis = f // 2
-        sign = 1.0 if f % 2 == 0 else -1.0
-        other = [a for a in range(3) if a != axis]
-        pts[m, axis] = sign * 0.5 * size[axis]
-        pts[m, other[0]] = u[m] * size[other[0]]
-        pts[m, other[1]] = v[m] * size[other[1]]
+    size = np.asarray(size, dtype=np.float64)
+    axes = _FACE_AXES[face // 2]  # (n, 3)
+    rows = np.arange(n)[:, None]
+    pts = np.empty((n, 3))
+    pts[rows, axes] = np.stack([np.where(face % 2 == 0, 0.5, -0.5), u, v], axis=1) * size[axes]
     return pts + np.array(center)
 
 

@@ -510,6 +510,8 @@ class TestCloudBlock:
         back = load_dataset(path).demos["d"]
         assert back == demo
         assert np.array_equal(back.object_cloud.points.view(np.uint64), cloud.points.view(np.uint64))
+        flags = back.object_cloud.points.flags  # the reader hands over an array of its own
+        assert flags.owndata and not flags.writeable
 
 
 # quaternions that are not unit or not canonical: a negative w; w == 0 (or

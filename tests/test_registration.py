@@ -28,6 +28,7 @@ from trajtransfer.registration import (
     estimate_covariances,
     estimate_delta,
     generalized_icp,
+    normal_space_sample,
 )
 from trajtransfer.se3 import Pose, PointCloud, compose, invert, pose_distance, rotation_angle, transform_cloud
 from trajtransfer.simbench import (
@@ -301,9 +302,86 @@ def family_demo(family):
 
 
 def plain_estimate(demo, cloud):
-    """estimate_delta without the demo's memo: both covariances computed afresh."""
+    """estimate_delta without the demo's memo: the whole cloud's covariances
+    and the subset computed afresh, the sweep on the whole cloud and GICP on
+    the subset with its rows of those covariances."""
     init = coarse_align(demo.object_cloud, cloud)
-    return generalized_icp(demo.object_cloud, cloud, init)
+    k = min(GicpParams.k_neighbors, len(demo.object_cloud), len(cloud))
+    cov = estimate_covariances(demo.object_cloud, k)
+    keep = normal_space_sample(cov, k)
+    return generalized_icp(PointCloud(demo.object_cloud.points[keep]), cloud, init, demo_covariances=cov[keep])
+
+
+def bucket_covariances(sizes, seed=0):
+    """Covariances whose normals lie at the centres of the normal-space
+    buckets, ``sizes[b]`` of them in bucket b, in shuffled order; returns
+    (covariances, bucket of each).  The eigensolver returns some of these
+    normals pointing down, so the sampler's fold matters."""
+    rng = np.random.default_rng(seed)
+    polar, azimuth = registration.NORMAL_POLAR, registration.NORMAL_AZIMUTH
+    bucket = rng.permutation(np.repeat(np.arange(len(sizes)), sizes))
+    th = (bucket // azimuth + 0.5) * (0.5 * math.pi / polar)
+    ph = -math.pi + (bucket % azimuth + 0.5) * (2.0 * math.pi / azimuth)
+    n = np.stack([np.sin(th) * np.cos(ph), np.sin(th) * np.sin(ph), np.cos(th)], axis=1)
+    u = np.cross(n, [0.3, 0.5, 0.8])
+    u /= np.linalg.norm(u, axis=1, keepdims=True)
+    v = np.cross(n, u)
+    cov = sum(w * np.einsum("ni,nj->nij", a, a) for w, a in ((1e-6, n), (1e-4, u), (2e-4, v)))
+    return cov, bucket
+
+
+class TestNormalSpaceSample:
+    SIZES = [300, 1, 2, 0, 5, 40, 3, 0] + [7] * 16 + [60, 2, 30, 9, 0, 25, 11, 4]  # 32 buckets, three empty
+
+    def test_deterministic(self):
+        cov = estimate_covariances(mug_cloud())
+        first = normal_space_sample(cov, 20)
+        assert np.array_equal(first, normal_space_sample(cov.copy(), 20))
+
+    @pytest.mark.parametrize("n", [80, 81, 1000, 1001])
+    def test_sorted_unique_half(self, n):
+        cov = estimate_covariances(mug_cloud(n=n))[:n]
+        keep = normal_space_sample(cov, 20)
+        assert len(keep) == n // 2
+        assert np.all(np.diff(keep) > 0) and keep[0] >= 0 and keep[-1] < n
+
+    def test_every_bucket_contributes(self):
+        cov, bucket = bucket_covariances(self.SIZES)
+        keep = normal_space_sample(cov, 20)
+        taken = np.bincount(bucket[keep], minlength=len(self.SIZES))
+        sizes = np.array(self.SIZES)
+        assert np.all(taken[sizes > 0] >= 1) and np.all(taken[sizes == 0] == 0)
+        # round robin, one point per bucket and round, in bucket order
+        want = [0] * len(self.SIZES)
+        while sum(want) < len(keep):
+            for b, size in enumerate(self.SIZES):
+                if want[b] < size and sum(want) < len(keep):
+                    want[b] += 1
+        assert taken.tolist() == want
+
+    def test_even_positions_first(self):
+        cov, bucket = bucket_covariances(self.SIZES)
+        keep = normal_space_sample(cov, 20)
+        big = np.flatnonzero(bucket == 0)  # 300 points, most of them dropped
+        chosen = np.isin(big, keep)
+        assert 0 < chosen.sum() <= 150 and not chosen[1::2].any()
+        assert chosen[: 2 * chosen.sum() : 2].all()
+
+    @pytest.mark.parametrize("n, k, whole", [(79, 20, True), (80, 20, False), (39, 10, True), (40, 10, False)])
+    def test_small_demo_kept_whole(self, n, k, whole):
+        cov = estimate_covariances(mug_cloud())[:n]
+        keep = normal_space_sample(cov, k)
+        assert (len(keep) == n) == whole
+        if whole:
+            assert np.array_equal(keep, np.arange(n))
+
+    def test_small_demo_registers_whole(self):
+        demo, task, instance = family_demo("mug")
+        small = SimpleNamespace(object_cloud=PointCloud(demo.object_cloud.points[:70]), covariances={})
+        cloud = _observed_cloud(randomize_scene(task, instance, "controlled", 2))
+        estimate_delta(small, cloud)
+        subset, cov = small.covariances[20]
+        assert subset == small.object_cloud and len(cov) == 70
 
 
 class TestEstimateDelta:
@@ -323,6 +401,14 @@ class TestEstimateDelta:
         for cloud in (seen, seen, unseen):
             assert estimate_delta(demo, cloud).to_dict() == plain_estimate(demo, cloud).to_dict()
         assert list(demo.covariances) == [GicpParams.k_neighbors]
+        subset, cov = demo.covariances[GicpParams.k_neighbors]
+        # GICP of the memo's subset cloud and covariances, given the same init
+        for cloud in (seen, unseen):
+            init = coarse_align(demo.object_cloud, cloud)
+            want = generalized_icp(subset, cloud, init, demo_covariances=cov)
+            assert estimate_delta(demo, cloud).to_dict() == want.to_dict()
+        assert len(subset) == len(demo.object_cloud) // 2
+        assert subset.points.flags.owndata and not subset.points.flags.writeable
 
     def test_memo_per_neighbour_count(self):
         demo, task, instance = family_demo("mug")
@@ -346,17 +432,26 @@ class TestEstimateDelta:
             calls.append(cloud)
             return real(cloud, k)
 
+        selections = []
+        real_sample = registration.normal_space_sample
+
+        def counting_sample(cov, k):
+            selections.append(len(cov))
+            return real_sample(cov, k)
+
         monkeypatch.setattr(registration, "estimate_covariances", counting)
+        monkeypatch.setattr(registration, "normal_space_sample", counting_sample)
         demo, task, instance = family_demo("kettle")
         ds = Dataset()
         stored = ds.ingest(demo.description, demo.object_cloud, demo.trajectory)
         save_dataset(ds, tmp_path / "arch")
         loaded = load_dataset(tmp_path / "arch").demos[stored.id]
-        assert calls == []  # neither ingest nor load computes covariances
+        assert calls == [] and selections == []  # neither ingest nor load does either
         for seed in (2, 3):
             estimate_delta(loaded, _observed_cloud(randomize_scene(task, instance, "controlled", seed)))
         assert sum(c is loaded.object_cloud for c in calls) == 1
         assert len(calls) == 3  # the demo once, each test cloud once
+        assert selections == [len(loaded.object_cloud)]  # one selection for the loaded demo
 
     def test_memo_stays_out_of_repr_and_archive(self, tmp_path):
         demo, task, instance = family_demo("pan")

@@ -276,6 +276,39 @@ class TestQuaternionBits:
             assert a.rotation_matrix().tobytes() == quat_to_matrix_scalars(a.rotation).tobytes()
 
 
+class TestPointCloud:
+    """A cloud keeps an array handed over to it and copies any other."""
+
+    def test_keeps_a_handed_over_array(self, rng):
+        """An owned, read-only, float64 (N, 3) array is kept as it is."""
+        pts = rng.normal(size=(6, 3))
+        pts.setflags(write=False)
+        assert PointCloud(pts).points is pts
+
+    def test_copies_other_arrays(self, rng):
+        """A caller's writable array and a read-only view are copied, bits unchanged."""
+        writable = rng.normal(size=(6, 3))
+        view = writable[::2]
+        view.setflags(write=False)
+        row_view = writable[:3]
+        row_view.setflags(write=False)
+        for pts in (writable, view, row_view):
+            c = PointCloud(pts)
+            assert c.points is not pts and not np.shares_memory(c.points, writable)
+            assert c.points.tobytes() == np.ascontiguousarray(pts).tobytes()
+            assert not c.points.flags.writeable and c.points.flags.owndata
+        kept = PointCloud(writable)
+        writable[0, 0] = 7.0  # the caller's later write does not reach the cloud
+        assert kept.points[0, 0] != 7.0
+
+    def test_checks_a_handed_over_array(self):
+        pts = np.zeros((3, 3))
+        pts[1, 2] = np.nan
+        pts.setflags(write=False)
+        with pytest.raises(ValueError, match="non-finite"):
+            PointCloud(pts)
+
+
 class TestEquality:
     """Poses and clouds compare by value, so the types holding them do too."""
 

@@ -1,5 +1,6 @@
 """Synthetic benchmark: object families, depth rendering, scenes, rollouts."""
 
+import hashlib
 import itertools
 import math
 import pickle
@@ -57,6 +58,49 @@ class TestGenerateObject:
             inst = generate_object(cat, 0)
             assert len(inst.canonical_cloud) >= 500
             assert inst.category == cat
+
+    @pytest.mark.parametrize(
+        "family, seed, digest",
+        [
+            ("box", 0, "175b277d3604034503f84598955e4b890e890da2b379c3a7755858bf0402034f"),
+            ("box", 7, "b35a527adf956a895e9b135e25ed573977489b880d93b337cb7c99a9a9883f27"),
+            ("box", 1000, "56b107a138b76aab6bf99f43bf50cefe683fd3288f03a643bac1789da66d6d3f"),
+            ("tray", 0, "4558724bbc47c758148b0f6b6a9bb57914d8b5075bab7694e517c301ac076928"),
+            ("tray", 7, "4c783f738249d6b7162b8df48d6535b8466cff8341c08dcfcc3be833ae4c26b2"),
+            ("tray", 1000, "6648aa5a6f0331d891cb26c5d2d1274adc8ef816a17754148c7b489f340df895"),
+        ],
+    )
+    def test_box_surface_bits_pinned(self, family, seed, digest):
+        """The families built from box faces keep the bits of the per-face loop."""
+        points = generate_object(family, seed).canonical_cloud.points
+        assert hashlib.sha256(points.tobytes()).hexdigest() == digest
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_box_surface_matches_the_face_loop(self, seed):
+        """The vectorised box faces against the per-face loop they replace."""
+
+        def loop(rng, size, n, center):
+            sx, sy, sz = size
+            areas = np.array([sy * sz, sy * sz, sx * sz, sx * sz, sx * sy, sx * sy])
+            face = rng.choice(6, size=n, p=areas / areas.sum())
+            u = rng.uniform(-0.5, 0.5, n)
+            v = rng.uniform(-0.5, 0.5, n)
+            pts = np.zeros((n, 3))
+            for f in range(6):
+                m = face == f
+                axis = f // 2
+                other = [a for a in range(3) if a != axis]
+                pts[m, axis] = (1.0 if f % 2 == 0 else -1.0) * 0.5 * size[axis]
+                pts[m, other[0]] = u[m] * size[other[0]]
+                pts[m, other[1]] = v[m] * size[other[1]]
+            return pts + np.array(center)
+
+        draw = np.random.default_rng(seed)
+        size, center = tuple(draw.uniform(0.001, 0.5, 3)), tuple(draw.uniform(-0.2, 0.2, 3))
+        n = int(draw.integers(0, 700))
+        got = simbench._box_surface(np.random.default_rng(seed), size, n, center)
+        want = loop(np.random.default_rng(seed), size, n, center)
+        assert got.tobytes() == want.tobytes()
 
     def test_unknown_category(self):
         with pytest.raises(UnknownCategory):

@@ -95,6 +95,23 @@ def test_null_to_error_counts_under_registration(tmp_path):
     assert "registration.delta 0/3 0 m 0 rad\n" in out
 
 
+def test_success_per_category_and_class_changes(tmp_path):
+    """A behaviour change prints each category's success k/n, old then new,
+    and counts each change of failure_class; the exit rules stay."""
+    mug = {**ROW, "category": "mug"}
+    failed = {**mug, "success": False, "failure_class": "registration"}
+    kettle = {**ROW, "category": "kettle"}
+    flipped = {**kettle, "success": False, "failure_class": "registration"}
+    code, out = run(tmp_path, [failed, failed, mug, kettle], [mug, mug, mug, flipped])
+    assert code == 1  # success and failure_class moved
+    assert "success[kettle] 1/1 -> 0/1\n" in out and "success[mug] 1/3 -> 3/3\n" in out
+    assert "failure_class registration->none 2\n" in out
+    assert "failure_class none->registration 1\n" in out
+    assert out.count("failure_class ") == 3  # the key line and the two changes
+    code, out = run(tmp_path, [mug, kettle], [mug, kettle])
+    assert code == 0 and "success[mug] 1/1 -> 1/1\n" in out and "->none" not in out
+
+
 def test_row_count(tmp_path):
     assert run(tmp_path, [ROW, ROW], [ROW]) == (1, "rows: 2 old, 1 new\n")
 

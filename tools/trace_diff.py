@@ -6,7 +6,9 @@ Prints one line per key, "key rows_moved/rows largest_move", where
 registration is split into its fields, "registration" itself standing for
 their names (so a change between null, an error and a result moves it), and a
 pose's move is "<metres> m <radians> rad" (translation distance and rotation
-angle).  Exits 1 if the row
+angle).  Then one line per category, "success[category] k/n -> k/n" (old
+successes, then new), and one per failure_class change that occurs,
+"failure_class old->new count".  Exits 1 if the row
 counts differ, if a key other than "registration" and "final_pose" differs in
 any row (so any change of success or failure_class), or if
 "registration.delta" or "final_pose" moved by more than 1e-6 m or 1e-6 rad;
@@ -19,6 +21,7 @@ from __future__ import annotations
 import json
 import math
 import sys
+from collections import Counter
 
 TOLERANCE = 1e-6  # metres and radians
 POSE_KEYS = ("registration.delta", "final_pose")
@@ -108,7 +111,25 @@ def main(argv) -> int:
             status |= max(largest) > TOLERANCE
         elif rows and key.split(".")[0] not in FREE_KEYS:
             status = 1
+    print_outcomes(old, new)
     return int(status)
+
+
+def print_outcomes(old: list, new: list) -> None:
+    """Success k/n per category, old and new, and the count of each change of
+    failure_class; rows pair up by position, as in :func:`main`."""
+    per: dict = {}  # category -> [old successes, new successes, rows]
+    for a, b in zip(old, new):
+        count = per.setdefault(str(a.get("category")), [0, 0, 0])
+        count[0] += a.get("success") is True
+        count[1] += b.get("success") is True
+        count[2] += 1
+    for category, (k_old, k_new, n) in sorted(per.items()):
+        print(f"success[{category}] {k_old}/{n} -> {k_new}/{n}")
+    changes = Counter((a.get("failure_class"), b.get("failure_class")) for a, b in zip(old, new))
+    for (x, y), rows in sorted(changes.items(), key=str):
+        if x != y:
+            print(f"failure_class {x}->{y} {rows}")
 
 
 if __name__ == "__main__":
