@@ -8,17 +8,16 @@ Gauss-Newton step on the summed Mahalanobis cost.  Only cost-decreasing steps
 are accepted, so the reported final cost never exceeds the cost at init.
 
 GICP stops (converged) when 8 damped trials in a row fail to lower the cost,
-when an accepted step changes the cost by less than ``rel_tolerance`` of it,
 or, before a trial's KD query, when the trial's step would move no matched
-demo point by more than ``rel_tolerance * inlier_radius`` (25 nm with
-``GicpParams``).  The step ``[w, t]`` moves a point ``p`` by at most
-``|w| |p| + |t|``, since ``|(R - I) p| <= angle |p|``.  Where a test cloud
-holds the demo's own surface samples the cost tends to 0, the relative rule
-never fires, and without the step rule the loop polished the pose to float
-noise, then spent 8 rejected trials proving it was done.  So results are not
-bit-identical to that loop: final poses differ from it by well under a
-micrometre and a microradian (Madsen, Nielsen and Tingleff, "Methods for
-Non-Linear Least Squares Problems", 2004, give this step-size criterion).
+demo point by more than ``step_stop`` (10 micrometres with ``GicpParams``), a
+stop on step size in physical units (Madsen, Nielsen and Tingleff, "Methods
+for Non-Linear Least Squares Problems", 2004).  The step ``[w, t]`` moves a
+point ``p`` by at most ``|w| |p| + |t|``, since ``|(R - I) p| <= angle |p|``.
+The tasks need millimetres and the sensor noise is 2 mm, so a finer polish
+buys no success: against a loop that polishes to float noise, final poses
+moved by at most 25 micrometres and 0.11 mrad on the scenes of
+``TestStepStop`` (more where the yaw is free, as on a bottle), for about 30%
+fewer cost evaluations than a stop at 25 nm.
 
 :func:`estimate_delta` sweeps the whole demo cloud but refines on half of
 its points, chosen once per demo by normal-space sampling
@@ -42,8 +41,8 @@ yaw sweep is a branch and bound: a yaw's capped distances over part of the
 points bound its score from below, and only yaws that can still win are
 scored in full (see :func:`coarse_align`).  Within one GICP run, a demo
 point is queried again only if its move since its last query could have
-changed its match (see :class:`_Matches`): 24% of points per cost evaluation
-on seen clouds, 37% on unseen occluded ones.  And the demo covariances turn
+changed its match (see :class:`_Matches`): 36% of points per cost evaluation
+on seen clouds, 48% on unseen occluded ones.  And the demo covariances turn
 with the trial's rotation in one flat matrix product, which gives the bits of
 the stacked ``R @ C @ R.T`` at about a third of its cost.
 
@@ -79,10 +78,9 @@ class GicpParams:
 
     max_iterations = 50
     inlier_radius = 0.025  # metres
-    # stop once an accepted step changes the cost by less than this fraction
-    # of it, or before a trial whose step would move no matched demo point by
-    # more than rel_tolerance * inlier_radius (25 nm)
-    rel_tolerance = 1e-6
+    # stop before a trial whose step would move no matched demo point by more
+    # than this, in metres
+    step_stop = 1e-5
     damping = 1e-4  # initial Levenberg lambda
     k_neighbors = 20
     yaw_steps = 72  # coarse sweep resolution (5 degree steps)
@@ -96,8 +94,8 @@ class RegistrationResult:
     even if none of its trials was evaluated; ``converged`` is False only when
     ``max_iterations`` ran out.  If the step stop fires before the first
     trial (the first damped step from ``init`` would move no matched point by
-    more than 25 nm), the result is ``delta = init``, ``iterations = 1`` and
-    ``converged = True``.
+    more than ``step_stop``), the result is ``delta = init``, ``iterations =
+    1`` and ``converged = True``.
     """
 
     delta: Pose  # maps demo-cloud coordinates to test-cloud coordinates (robot frame)
@@ -227,8 +225,12 @@ def _eigh3x3(A: np.ndarray):
     Analytic trigonometric eigenvalues and cross-product eigenvectors; rows
     with a near-degenerate spectrum fall back to ``np.linalg.eigh``.  Returns
     ``(w, v)`` with ascending eigenvalues and eigenvectors in the columns of
-    ``v``, matching ``np.linalg.eigh``.  The batched LAPACK path costs tens of
-    microseconds per 3x3 matrix on some BLAS builds; this is ~50x faster.
+    ``v``, matching ``np.linalg.eigh``.  In isolation it is about as fast as
+    the batched LAPACK path, not faster: 0.5-1.3x its speed on the
+    covariances of one observed cloud per family (250-800 points, numpy
+    2.4.6, OpenBLAS 0.3.31), and slower on the mug and tray clouds.  It is
+    kept because registration ran faster end to end with it
+    (``np.linalg.eigh`` was slower in 6 of 6 benchmark pairs).
     """
     a00, a01, a02 = A[:, 0, 0], A[:, 0, 1], A[:, 0, 2]
     a11, a12, a22 = A[:, 1, 1], A[:, 1, 2], A[:, 2, 2]
@@ -488,7 +490,6 @@ def generalized_icp(
         raise NoCorrespondences("no correspondences within the inlier radius at init")
     pose = init
     lam = GicpParams.damping
-    min_move = GicpParams.rel_tolerance * radius
     converged = False
     iterations = 0
     for iterations in range(1, GicpParams.max_iterations + 1):
@@ -507,30 +508,23 @@ def generalized_icp(
         g = WJ.T @ d.reshape(-1)
         reach = float(np.sqrt(np.einsum("ni,ni->n", src, src).max()))
         accepted = False
-        new_state = None
-        new_pose = None
         for _ in range(8):
             try:
                 step = np.linalg.solve(H + lam * np.diag(np.diag(H)) + 1e-12 * np.eye(6), -g)
             except np.linalg.LinAlgError:
                 break
             # |(R - I) p| <= angle |p|: no matched point would move further
-            if np.linalg.norm(step[:3]) * reach + np.linalg.norm(step[3:]) <= min_move:
+            if np.linalg.norm(step[:3]) * reach + np.linalg.norm(step[3:]) <= GicpParams.step_stop:
                 break
             cand = compose(_exp_step(step), pose)
             cand_state = _corresponding_cost(cand, demo_pts, demo_covariances, tree, test_pts, test_covariances)
             if cand_state is not None and cand_state[5] < cost:
                 accepted = True
-                new_pose, new_state = cand, cand_state
+                pose, state = cand, cand_state
                 lam = max(lam / 3.0, 1e-10)
                 break
             lam *= 10.0
         if not accepted:
-            converged = True
-            break
-        rel_change = abs(cost - new_state[5]) / max(cost, 1e-30)
-        pose, state = new_pose, new_state
-        if rel_change < GicpParams.rel_tolerance:
             converged = True
             break
 

@@ -114,14 +114,19 @@ print(json.dumps({"correct": True, "attempted": 10, "failed": 0,
 """
 
 
-def test_runs_alternate_and_a_crash_fails(tmp_path):
+def run_stand_in(tmp_path, *args):
+    """The tool's run on two checkouts of the stand-in benchmark."""
     spec = {"command": [sys.executable, "perfbench/run.py"], "run_seconds": 5, "end_to_end": END_TO_END[:1]}
     for side in ("old", "new"):
         (tmp_path / side / "perfbench").mkdir(parents=True)
         (tmp_path / side / "perfbench" / "run.py").write_text(STAND_IN)
         (tmp_path / side / "BENCHMARK.json").write_text(json.dumps(spec))
-    argv = [sys.executable, str(TOOL), str(tmp_path / "old"), str(tmp_path / "new"), "w", "3"]
-    out = subprocess.run(argv, capture_output=True, text=True)
+    argv = [sys.executable, str(TOOL), str(tmp_path / "old"), str(tmp_path / "new"), "w", *args]
+    return subprocess.run(argv, capture_output=True, text=True)
+
+
+def test_runs_alternate_and_a_crash_fails(tmp_path):
+    out = run_stand_in(tmp_path, "3")
     assert (tmp_path / "order.log").read_text().split("\n")[:-1] == [
         "old w 1 5 0", "new w 1 5 0", "new w 2 5 0", "old w 2 5 0", "old w 3 5 0", "new w 3 5 0",
     ]
@@ -131,6 +136,21 @@ def test_runs_alternate_and_a_crash_fails(tmp_path):
     assert "old 41.5, new 31.5, old quartile distance 0.5, new better in 2/2; old 41 42; new 31 32" in out.stdout
 
 
+def test_first_seed(tmp_path):
+    out = run_stand_in(tmp_path, "3", "4242")
+    # the old run goes first in the first pair, whatever the seed's parity
+    assert (tmp_path / "order.log").read_text().split("\n")[:-1] == [
+        "old w 4242 5 0", "new w 4242 5 0", "new w 4243 5 0", "old w 4243 5 0", "old w 4244 5 0", "new w 4244 5 0",
+    ]
+    assert out.returncode == 0, out.stdout
+    assert out.stdout.startswith("w: 3 pairs of 5 s runs from seed 4242, ")
+    assert "run old seed 4242: correct True" in out.stdout and "run new seed 4244: correct True" in out.stdout
+    assert "old 4283, new 4273, old quartile distance 1, new better in 3/3" in out.stdout
+
+
 def test_usage():
-    for argv in ([], ["a", "b", "w"], ["a", "b", "w", "0"], ["a", "b", "w", "x"]):
+    for argv in (
+        [], ["a", "b", "w"], ["a", "b", "w", "0"], ["a", "b", "w", "x"],
+        ["a", "b", "w", "2", "x"], ["a", "b", "w", "2", "-1"], ["a", "b", "w", "2", "1", "1"],
+    ):
         assert bench_pairs.main(argv) == 2

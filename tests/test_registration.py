@@ -64,9 +64,10 @@ def cylinder_cloud(n=600, seed=1):
 class TestGicpParams:
     def test_fixed_values(self):
         assert (
-            GicpParams.max_iterations, GicpParams.inlier_radius, GicpParams.rel_tolerance,
+            GicpParams.max_iterations, GicpParams.inlier_radius, GicpParams.step_stop,
             GicpParams.damping, GicpParams.k_neighbors, GicpParams.yaw_steps,
-        ) == (50, 0.025, 1e-6, 1e-4, 20, 72)
+        ) == (50, 0.025, 1e-5, 1e-4, 20, 72)
+        assert not hasattr(GicpParams, "rel_tolerance")
         assert GicpParams().yaw_steps == 72
 
     @pytest.mark.parametrize("kwargs", [{"max_iterations": 0}, {"yaw_steps": 36}, {"radius": 0.01}])
@@ -467,9 +468,10 @@ class TestEstimateDelta:
 
 
 def polish_to_noise(demo_cloud, test_cloud, init, cov_demo, cov_test):
-    """GICP's loop without the step stop, as it ran before the stop: it ends
-    only when 8 trials in a row fail or the cost changes by less than
-    ``rel_tolerance``.  Returns the final pose and its cost evaluations."""
+    """GICP's loop without the step stop, as it ran before any step stop: it
+    ends only when 8 trials in a row fail or an accepted step changes the
+    cost by less than 1e-6 of it.  Returns the final pose and its cost
+    evaluations."""
     tree = cKDTree(test_cloud.points)
     calls = 0
 
@@ -500,7 +502,7 @@ def polish_to_noise(demo_cloud, test_cloud, init, cov_demo, cov_test):
         else:
             return pose, calls
         pose, state = cand, cand_state
-        if abs(cost - state[5]) / max(cost, 1e-30) < GicpParams.rel_tolerance:
+        if abs(cost - state[5]) / max(cost, 1e-30) < 1e-6:
             return pose, calls
     return pose, calls
 
@@ -595,16 +597,18 @@ STEP_STOP_CASES = [(family, kind) for family in CATEGORIES for kind in ("seen", 
 
 class TestStepStop:
     """GICP stops once a step would move no matched demo point by more than
-    ``rel_tolerance * inlier_radius``, checked against the loop without the
-    stop (``polish_to_noise``)."""
+    ``step_stop``, checked against the loop without the stop
+    (``polish_to_noise``)."""
 
-    min_move = GicpParams.rel_tolerance * GicpParams.inlier_radius
+    min_move = GicpParams.step_stop
 
     @pytest.mark.parametrize("family,kind", STEP_STOP_CASES)
     def test_pose_close_to_polish_to_noise(self, family, kind):
+        # about twice the largest move measured over these 54 scenes when the
+        # stop was set to 10 um: 25 um and 0.11 mrad, both on an unseen mug
         for run in step_stop_runs(family, kind):
             dt, dr = pose_distance(run.res.delta, run.want)
-            assert dt <= 1e-6 and dr <= 1e-6, (dt, dr)
+            assert dt <= 5e-5 and dr <= 2e-4, (dt, dr)
 
     @pytest.mark.parametrize("family,kind", STEP_STOP_CASES)
     def test_cost_never_above_init(self, family, kind):
@@ -621,10 +625,14 @@ class TestStepStop:
             assert min(run.log.bounds, default=math.inf) > self.min_move * (1.0 + 1e-6)
             assert run.res.converged
 
-    def test_seen_calls_at_most_60_percent(self):
-        # summed over the families: one family's three scenes can save little
-        runs = [run for family in CATEGORIES for run in step_stop_runs(family, "seen")]
-        assert sum(r.log.calls for r in runs) <= 0.6 * sum(r.oracle_calls for r in runs)
+    @pytest.mark.parametrize("kind,share", [("seen", 0.4), ("unseen", 0.8)], ids=["seen", "unseen"])
+    def test_calls_against_polish_to_noise(self, kind, share):
+        """Cost evaluations summed over the families (one family's three
+        scenes can save little), against the oracle's: 104/326 = 0.32 seen
+        and 287/397 = 0.72 unseen when the stop was set to 10 um.  A stop
+        at 25 nm read 0.47 and 0.99, so a return to polishing fails here."""
+        runs = [run for family in CATEGORIES for run in step_stop_runs(family, kind)]
+        assert sum(r.log.calls for r in runs) <= share * sum(r.oracle_calls for r in runs)
 
     def test_stop_before_any_trial(self):
         c = mug_cloud()
@@ -760,11 +768,12 @@ class TestMatches:
         with pytest.raises(ValueError):
             _query_within(matches, mug_cloud().points, 0.03)
 
-    @pytest.mark.parametrize("kind,share", [("seen", 0.30), ("unseen", 0.42)])
+    @pytest.mark.parametrize("kind,share", [("seen", 0.42), ("unseen", 0.53)], ids=["seen", "unseen"])
     def test_share_of_points_queried(self, kind, share):
         """Points sent to the test cloud's tree, against points times cost
-        evaluations: about 24% on seen scenes and 37% on unseen occluded
-        noisy ones when this test was written."""
+        evaluations: about 36% on seen scenes and 48% on unseen occluded
+        noisy ones with GICP's 10 um step stop (24% and 37% with a 25 nm
+        stop, whose extra evaluations were mostly answered from memory)."""
         queried = evaluated = 0
         for family in CATEGORIES:
             for demo_cloud, test_cloud in step_stop_scenes(family, kind):

@@ -1,11 +1,13 @@
 """Run the benchmark on two checkouts in pairs and compare the end-to-end metrics.
 
-    python3 tools/bench_pairs.py OLD NEW WORKLOAD PAIRS
+    python3 tools/bench_pairs.py OLD NEW WORKLOAD PAIRS [FIRST_SEED]
 
 OLD and NEW are checkout directories (the parent and the change).  For each
-seed 1..PAIRS it runs the command NEW/BENCHMARK.json declares with
-"--workload WORKLOAD --seed S --seconds <run_seconds> --trace 0" in each
-checkout, the old one first on odd seeds and the new one first on even seeds.
+seed FIRST_SEED..FIRST_SEED+PAIRS-1 (FIRST_SEED defaults to 1, so a claim can
+be checked again on held-out seeds) it runs the command NEW/BENCHMARK.json
+declares with "--workload WORKLOAD --seed S --seconds <run_seconds> --trace 0"
+in each checkout, the old one first in the first, third, ... pair and the new
+one first in the others.
 It prints every run, then one line per end-to-end metric of
 NEW/BENCHMARK.json: both medians, the old runs' quartile distance, in how many
 pairs the new run was better (ties count for neither side), every value, and
@@ -68,12 +70,13 @@ def failed_share(runs: list) -> float:
     return sum(r.get("failed", 0) for r in runs) / attempted if attempted else 0.0
 
 
-def summarize(end_to_end: list, old: list, new: list) -> tuple[list, int]:
+def summarize(end_to_end: list, old: list, new: list, first_seed: int = 1) -> tuple[list, int]:
     """(printed lines, exit status) for the runs of each side, pair i being
-    (old[i], new[i]); ``end_to_end`` is BENCHMARK.json's list of metrics."""
+    (old[i], new[i]) at seed ``first_seed + i``; ``end_to_end`` is
+    BENCHMARK.json's list of metrics."""
     lines = []
     for side, runs in (("old", old), ("new", new)):
-        for seed, r in enumerate(runs, 1):
+        for seed, r in enumerate(runs, first_seed):
             line = f"run {side} seed {seed}: correct {r.get('correct')}, failed {r.get('failed')}/{r.get('attempted')}"
             lines.append(line + (f", {r['error']}" if "error" in r else ""))
     for m in end_to_end:
@@ -113,22 +116,26 @@ def summarize(end_to_end: list, old: list, new: list) -> tuple[list, int]:
 
 
 def main(argv) -> int:
-    if len(argv) != 4 or not argv[3].isdigit() or int(argv[3]) < 1:
+    if len(argv) not in (4, 5) or not all(a.isdigit() for a in argv[3:]) or int(argv[3]) < 1:
         print("usage: " + __doc__.strip().splitlines()[2].strip() + "  (PAIRS >= 1)", file=sys.stderr)
         return 2
     old_dir, new_dir, workload, pairs = Path(argv[0]), Path(argv[1]), argv[2], int(argv[3])
+    first = int(argv[4]) if len(argv) == 5 else 1
     try:
         spec = json.loads((new_dir / "BENCHMARK.json").read_text())
     except (OSError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
     old, new = [], []
-    for seed in range(1, pairs + 1):
-        order = ((old_dir, old), (new_dir, new)) if seed % 2 else ((new_dir, new), (old_dir, old))
+    for i in range(pairs):
+        order = ((old_dir, old), (new_dir, new)) if i % 2 == 0 else ((new_dir, new), (old_dir, old))
         for checkout, runs in order:
-            runs.append(run(checkout, spec["command"], workload, seed, spec["run_seconds"]))
-    lines, status = summarize(spec["end_to_end"], old, new)
-    print(f"{workload}: {pairs} pairs of {spec['run_seconds']} s runs, old {old_dir}, new {new_dir}")
+            runs.append(run(checkout, spec["command"], workload, first + i, spec["run_seconds"]))
+    lines, status = summarize(spec["end_to_end"], old, new, first)
+    print(
+        f"{workload}: {pairs} pairs of {spec['run_seconds']} s runs from seed {first}, "
+        f"old {old_dir}, new {new_dir}"
+    )
     print("\n".join(lines))
     return status
 
