@@ -31,7 +31,7 @@ yaw within 5% of the grid's best (see :func:`coarse_align`): a third fewer KD
 queries than one bounded sweep of all 72 yaws, whose pick it kept in all
 1,948 benchmark rollouts checked (seeds 1-3 of each workload, 4 of unseen).
 
-Four savings leave every result bit-identical.  :func:`estimate_delta`
+Five savings leave every result bit-identical.  :func:`estimate_delta`
 memoizes a demo's covariances and its subset on the demo per neighbour count
 ``k``, computed at its first registration (not at ingest or load), so later
 registrations of that demo reuse them.  Every KD query is bounded just above
@@ -43,9 +43,16 @@ scipy's bound is strict, so a match at exactly the radius still comes back
 and counts.  Within one GICP run, a demo point is queried again only if its
 move since its last query could have changed its match (see
 :class:`_Matches`): 36% of points per cost evaluation on seen clouds, 48% on
-unseen occluded ones.  And the demo covariances turn with the trial's
+unseen occluded ones.  The demo covariances turn with the trial's
 rotation in one flat matrix product, which gives the bits of
-the stacked ``R @ C @ R.T`` at about a third of its cost.
+the stacked ``R @ C @ R.T`` at about a third of its cost.  And the batched
+3x3 kernels (:func:`_eigh3x3`, :func:`_inv3x3` and the neighbour mean of
+:func:`estimate_covariances`) run on contiguous rows of components, not on
+strided views of the stack, with the stacked forms' bits (the tests keep
+those forms as references).  That matters most at a demo's first
+registration, which estimates its covariances and subset: 4.75 ms before,
+3.46 ms after (median over the archive benchmark's 60 demo clouds of 800
+points), of which the k-nearest-neighbour query takes 1.67 ms.
 
 A cloud with a coordinate beyond ``MAX_COORDINATE`` raises OutOfRange, as a
 too small one raises TooFewPoints, so no input ends in a numpy exception.
@@ -243,21 +250,44 @@ def coarse_align(demo_cloud: PointCloud, test_cloud: PointCloud) -> Pose:
     return Pose(R.rotation, t)
 
 
+def _components(A: np.ndarray) -> np.ndarray:
+    """The nine entries of stacked (N, 3, 3) matrices as a contiguous (9, N)
+    block, row-major: row ``3 i + j`` holds every matrix's entry ``(i, j)``."""
+    return np.ascontiguousarray(A.reshape(-1, 9).T)
+
+
+def _stacked(rows) -> np.ndarray:
+    """The C-contiguous (N, 3, 3) matrices whose entry ``(i, j)`` is ``rows[3 i + j]``."""
+    out = np.empty((len(rows[0]), 9))
+    for j, row in enumerate(rows):
+        out[:, j] = row
+    return out.reshape(-1, 3, 3)
+
+
+def _cross(u, v):
+    """``np.cross`` of 3-vectors given as component triples: the same
+    products and subtractions in the same order, so the same bits."""
+    return u[1] * v[2] - u[2] * v[1], u[2] * v[0] - u[0] * v[2], u[0] * v[1] - u[1] * v[0]
+
+
 def _eigh3x3(A: np.ndarray):
-    """Batched eigendecomposition of symmetric (N, 3, 3) matrices.
+    """Batched eigendecomposition of symmetric (N, 3, 3) matrices with finite entries.
 
     Analytic trigonometric eigenvalues and cross-product eigenvectors; rows
     with a near-degenerate spectrum fall back to ``np.linalg.eigh``.  Returns
     ``(w, v)`` with ascending eigenvalues and eigenvectors in the columns of
-    ``v``, matching ``np.linalg.eigh``.  In isolation it is about as fast as
-    the batched LAPACK path, not faster: 0.5-1.3x its speed on the
-    covariances of one observed cloud per family (250-800 points, numpy
-    2.4.6, OpenBLAS 0.3.31), and slower on the mug and tray clouds.  It is
-    kept because registration ran faster end to end with it
-    (``np.linalg.eigh`` was slower in 6 of 6 benchmark pairs).
+    ``v``, matching ``np.linalg.eigh``.  It works on contiguous rows of
+    components (:func:`_components`), not on strided views of the stack:
+    0.30 ms on an 800-point demo's covariances, against 0.72 ms on the views
+    and 0.69 ms for ``np.linalg.eigh`` (median over the archive benchmark's
+    60 demos, minimum of 7 timings, numpy 2.4.6, OpenBLAS 0.3.31).  Its bits
+    are those of the stacked form it replaced, which ``TestEigh3x3`` keeps
+    as its reference: each eigenvector candidate is ``np.cross``'s
+    arithmetic on the rows of ``A - lam I``, off-diagonal ``lam * 0.0``
+    included, and the first of the longest candidates wins, as with
+    ``argmax``.
     """
-    a00, a01, a02 = A[:, 0, 0], A[:, 0, 1], A[:, 0, 2]
-    a11, a12, a22 = A[:, 1, 1], A[:, 1, 2], A[:, 2, 2]
+    a00, a01, a02, a10, a11, a12, a20, a21, a22 = _components(A)
     q = (a00 + a11 + a22) / 3.0
     p1 = a01 * a01 + a02 * a02 + a12 * a12
     b00, b11, b22 = a00 - q, a11 - q, a22 - q
@@ -277,24 +307,24 @@ def _eigh3x3(A: np.ndarray):
     w = np.stack([w_lo, 3.0 * q - w_hi - w_lo, w_hi], axis=1)
 
     def eigvec(lam):
-        m = A - lam[:, None, None] * np.eye(3)
-        cands = np.stack(
-            [
-                np.cross(m[:, 0], m[:, 1]),
-                np.cross(m[:, 0], m[:, 2]),
-                np.cross(m[:, 1], m[:, 2]),
-            ],
-            axis=1,
-        )
-        norms = np.linalg.norm(cands, axis=2)
-        best = cands[np.arange(len(A)), np.argmax(norms, axis=1)]
-        n = np.linalg.norm(best, axis=1, keepdims=True)
-        return best / np.where(n > 0.0, n, 1.0), norms.max(axis=1)
+        off = lam * 0.0  # what ``lam * np.eye(3)`` puts off the diagonal
+        r0 = (a00 - lam, a01 - off, a02 - off)
+        r1 = (a10 - off, a11 - lam, a12 - off)
+        r2 = (a20 - off, a21 - off, a22 - lam)
+        cands = [_cross(r0, r1), _cross(r0, r2), _cross(r1, r2)]
+        norms = [np.sqrt(c[0] * c[0] + c[1] * c[1] + c[2] * c[2]) for c in cands]
+        best, top = cands[0], norms[0]
+        for cand, norm in zip(cands[1:], norms[1:]):
+            longer = norm > top  # strictly: a tie keeps the earlier candidate
+            best = [np.where(longer, x, y) for x, y in zip(cand, best)]
+            top = np.where(longer, norm, top)
+        n = np.where(top > 0.0, top, 1.0)
+        return [x / n for x in best], top
 
     v_lo, n_lo = eigvec(w[:, 0])
     v_hi, n_hi = eigvec(w[:, 2])
-    v_mid = np.cross(v_hi, v_lo)
-    v = np.stack([v_lo, v_mid, v_hi], axis=2)
+    v_mid = _cross(v_hi, v_lo)
+    v = _stacked([vec[i] for i in range(3) for vec in (v_lo, v_mid, v_hi)])
 
     # fall back where the analytic vectors are unreliable: repeated
     # eigenvalues (tiny cross products) or a (near-)isotropic matrix
@@ -323,9 +353,11 @@ def estimate_covariances(cloud: PointCloud, k: int = GicpParams.k_neighbors) -> 
     _check_extent(cloud)
     tree = cKDTree(cloud.points)
     _, idx = tree.query(cloud.points, k=k)
-    nbrs = cloud.points[idx]  # (N, k, 3)
-    mean = nbrs.mean(axis=1, keepdims=True)
-    centered = nbrs - mean
+    nbrs = np.take(cloud.points, idx.T, axis=0)  # (k, N, 3): neighbour-major
+    # the neighbours' mean, summed in neighbour order, as ``mean(axis=1)`` of
+    # the (N, k, 3) stack sums it (a test pins the order)
+    nbrs -= np.add.reduce(nbrs, axis=0) / k
+    centered = np.ascontiguousarray(nbrs.transpose(1, 0, 2))  # (N, k, 3)
     cov = centered.transpose(0, 2, 1) @ centered / k
     w, v = _eigh3x3(cov)
     largest = np.maximum(w[:, -1], 1e-12)
@@ -337,25 +369,19 @@ def _inv3x3(c: np.ndarray) -> np.ndarray:
     """Batched analytic inverse of (N, 3, 3) matrices via the adjugate.
 
     Orders of magnitude faster than ``np.linalg.inv`` on batches of small
-    matrices, which dominates the refinement loop otherwise.
+    matrices, which dominates the refinement loop otherwise.  Works on
+    contiguous rows of components (:func:`_components`) and returns a
+    C-contiguous stack, with the bits of the stacked form ``TestInv3x3``
+    keeps as its reference.
     """
-    a, b, c_ = c[:, 0, 0], c[:, 0, 1], c[:, 0, 2]
-    d, e, f = c[:, 1, 0], c[:, 1, 1], c[:, 1, 2]
-    g, h, i = c[:, 2, 0], c[:, 2, 1], c[:, 2, 2]
+    a, b, c_, d, e, f, g, h, i = _components(c)
     A = e * i - f * h
     B = f * g - d * i
     C = d * h - e * g
     det = a * A + b * B + c_ * C
-    out = np.empty_like(c)
-    out[:, 0, 0] = A
-    out[:, 0, 1] = c_ * h - b * i
-    out[:, 0, 2] = b * f - c_ * e
-    out[:, 1, 0] = B
-    out[:, 1, 1] = a * i - c_ * g
-    out[:, 1, 2] = c_ * d - a * f
-    out[:, 2, 0] = C
-    out[:, 2, 1] = b * g - a * h
-    out[:, 2, 2] = a * e - b * d
+    out = _stacked(
+        [A, c_ * h - b * i, b * f - c_ * e, B, a * i - c_ * g, c_ * d - a * f, C, b * g - a * h, a * e - b * d]
+    )
     out /= det[:, None, None]
     return out
 
@@ -464,11 +490,13 @@ def _corresponding_cost(pose, demo_pts, cov_demo, tree, test_pts, cov_test):
     radius = GicpParams.inlier_radius
     dist, idx = _query_within(tree, moved, radius)
     mask = dist <= radius
-    if not np.any(mask):
+    rows = np.flatnonzero(mask)
+    if len(rows) == 0:
         return None
-    src = moved[mask]
-    tgt = test_pts[idx[mask]]
-    cov = cov_test[idx[mask]] + _rotate_covariances(R, cov_demo[mask])
+    src = moved[rows]
+    match = idx[rows]
+    tgt = test_pts[match]
+    cov = cov_test[match] + _rotate_covariances(R, cov_demo[rows])
     W = _inv3x3(cov)
     d = tgt - src
     Wd = (W @ d[:, :, None])[:, :, 0]
@@ -516,25 +544,29 @@ def generalized_icp(
     lam = GicpParams.damping
     converged = False
     iterations = 0
+    # residual model r(delta) = d + [src]x dw - dt, so J = [[src]x, -I]; one
+    # buffer for every linearisation, its leading rows in use
+    J_all = np.zeros((len(demo_pts), 3, 6))
+    J_all[:, :, 3:] = -np.eye(3)
+    ridge = 1e-12 * np.eye(6)
     for iterations in range(1, GicpParams.max_iterations + 1):
         mask, src, tgt, W, d, cost = state
-        # residual model r(delta) = d + [src]x dw - dt, so J = [[src]x, -I]
-        J = np.zeros((d.shape[0], 3, 6))
+        J = J_all[: len(src)]
         J[:, 0, 1] = -src[:, 2]
         J[:, 0, 2] = src[:, 1]
         J[:, 1, 0] = src[:, 2]
         J[:, 1, 2] = -src[:, 0]
         J[:, 2, 0] = -src[:, 1]
         J[:, 2, 1] = src[:, 0]
-        J[:, :, 3:] = -np.eye(3)
         WJ = (W @ J).reshape(-1, 6)
         H = J.reshape(-1, 6).T @ WJ
         g = WJ.T @ d.reshape(-1)
+        diag = np.diag(np.diag(H))
         reach = float(np.sqrt(np.einsum("ni,ni->n", src, src).max()))
         accepted = False
         for _ in range(8):
             try:
-                step = np.linalg.solve(H + lam * np.diag(np.diag(H)) + 1e-12 * np.eye(6), -g)
+                step = np.linalg.solve(H + lam * diag + ridge, -g)
             except np.linalg.LinAlgError:
                 break
             # |(R - I) p| <= angle |p|: no matched point would move further

@@ -109,6 +109,8 @@ with open(log, "a") as f:
 if Path.cwd().name == "new" and args["--seed"] == "3":
     sys.exit("crashed")
 p50 = (40.0 if Path.cwd().name == "old" else 30.0) + int(args["--seed"])
+trace = "t" + args["--seed"] + ("x" if Path.cwd().name == "new" and args["--seed"] == "2" else "")
+print(json.dumps({"environment": {}, "trace_sha256": trace}))
 print(json.dumps({"correct": True, "attempted": 10, "failed": 0,
                   "metrics": {"rollout_p50_ms": {"value": p50, "unit": "ms"}}}))
 """
@@ -134,6 +136,14 @@ def test_runs_alternate_and_a_crash_fails(tmp_path):
     assert "run new seed 3: correct False, failed 0/0, exit 1: crashed" in out.stdout
     # metrics come from the pairs where both runs report them
     assert "old 41.5, new 31.5, old quartile distance 0.5, new better in 2/2; old 41 42; new 31 32" in out.stdout
+    # the trace hash each run printed before its result, compared per pair
+    lines = out.stdout.splitlines()
+    assert [line for line in lines if "trace_sha256" in line] == [
+        "pair seed 1: trace_sha256 equal",
+        "pair seed 2: trace_sha256 differs, old t2, new t2x",
+        "pair seed 3: trace_sha256 differs, old t3, new None",
+        "trace_sha256 equal in 1/3 pairs",
+    ]
 
 
 def test_first_seed(tmp_path):
@@ -146,6 +156,7 @@ def test_first_seed(tmp_path):
     assert out.stdout.startswith("w: 3 pairs of 5 s runs from seed 4242, ")
     assert "run old seed 4242: correct True" in out.stdout and "run new seed 4244: correct True" in out.stdout
     assert "old 4283, new 4273, old quartile distance 1, new better in 3/3" in out.stdout
+    assert "\ntrace_sha256 equal in 3/3 pairs\n" in out.stdout
 
 
 def test_usage():
@@ -154,3 +165,9 @@ def test_usage():
         ["a", "b", "w", "2", "x"], ["a", "b", "w", "2", "-1"], ["a", "b", "w", "2", "1", "1"],
     ):
         assert bench_pairs.main(argv) == 2
+
+
+def test_trace_hash_needs_the_line_before_the_result():
+    assert bench_pairs.trace_hash(['{"trace_sha256": "abc"}', "{}"]) == "abc"
+    for lines in (["{}"], ["not json", "{}"], ["[1]", "{}"], ["{}", "{}"]):
+        assert bench_pairs.trace_hash(lines) is None

@@ -1,5 +1,6 @@
 """Registration: coarse yaw sweep, planar covariances, GICP refinement."""
 
+import itertools
 import math
 from functools import lru_cache
 from types import SimpleNamespace
@@ -23,6 +24,7 @@ from trajtransfer.registration import (
     _exp_step,
     _Matches,
     _query_within,
+    _eigh3x3,
     _rotate_covariances,
     coarse_align,
     estimate_covariances,
@@ -916,6 +918,287 @@ class TestRotateCovariances:
 
 
 FUZZ = settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+
+
+# The stacked forms of the 3x3 kernels, as they were before they moved to
+# contiguous component rows: the references the kernels must match bit for
+# bit.  A numpy or BLAS for which they differ fails here.
+
+
+def stacked_eigh3x3(A):
+    a00, a01, a02 = A[:, 0, 0], A[:, 0, 1], A[:, 0, 2]
+    a11, a12, a22 = A[:, 1, 1], A[:, 1, 2], A[:, 2, 2]
+    q = (a00 + a11 + a22) / 3.0
+    p1 = a01 * a01 + a02 * a02 + a12 * a12
+    b00, b11, b22 = a00 - q, a11 - q, a22 - q
+    p2 = b00 * b00 + b11 * b11 + b22 * b22 + 2.0 * p1
+    p = np.sqrt(np.maximum(p2, 0.0) / 6.0)
+    ps = np.where(p > 0.0, p, 1.0)
+    c00, c01, c02 = b00 / ps, a01 / ps, a02 / ps
+    c11, c12, c22 = b11 / ps, a12 / ps, b22 / ps
+    det_b = (
+        c00 * (c11 * c22 - c12 * c12)
+        - c01 * (c01 * c22 - c12 * c02)
+        + c02 * (c01 * c12 - c11 * c02)
+    )
+    phi = np.arccos(np.clip(det_b / 2.0, -1.0, 1.0)) / 3.0
+    w_hi = q + 2.0 * p * np.cos(phi)
+    w_lo = q + 2.0 * p * np.cos(phi + 2.0 * math.pi / 3.0)
+    w = np.stack([w_lo, 3.0 * q - w_hi - w_lo, w_hi], axis=1)
+
+    def eigvec(lam):
+        m = A - lam[:, None, None] * np.eye(3)
+        cands = np.stack(
+            [np.cross(m[:, 0], m[:, 1]), np.cross(m[:, 0], m[:, 2]), np.cross(m[:, 1], m[:, 2])], axis=1
+        )
+        norms = np.linalg.norm(cands, axis=2)
+        best = cands[np.arange(len(A)), np.argmax(norms, axis=1)]
+        n = np.linalg.norm(best, axis=1, keepdims=True)
+        return best / np.where(n > 0.0, n, 1.0), norms.max(axis=1)
+
+    v_lo, n_lo = eigvec(w[:, 0])
+    v_hi, n_hi = eigvec(w[:, 2])
+    v_mid = np.cross(v_hi, v_lo)
+    v = np.stack([v_lo, v_mid, v_hi], axis=2)
+    scale = np.maximum(np.abs(w).max(axis=1), 1e-300)
+    gap = np.minimum(w[:, 1] - w[:, 0], w[:, 2] - w[:, 1])
+    bad = (gap <= 1e-6 * scale) | (n_lo <= 1e-12 * scale * scale) | (n_hi <= 1e-12 * scale * scale)
+    if np.any(bad):
+        w_b, v_b = np.linalg.eigh(A[bad])
+        w[bad] = w_b
+        v[bad] = v_b
+    return w, v
+
+
+def stacked_inv3x3(c):
+    a, b, c_ = c[:, 0, 0], c[:, 0, 1], c[:, 0, 2]
+    d, e, f = c[:, 1, 0], c[:, 1, 1], c[:, 1, 2]
+    g, h, i = c[:, 2, 0], c[:, 2, 1], c[:, 2, 2]
+    A = e * i - f * h
+    B = f * g - d * i
+    C = d * h - e * g
+    det = a * A + b * B + c_ * C
+    out = np.empty_like(c)
+    out[:, 0, 0] = A
+    out[:, 0, 1] = c_ * h - b * i
+    out[:, 0, 2] = b * f - c_ * e
+    out[:, 1, 0] = B
+    out[:, 1, 1] = a * i - c_ * g
+    out[:, 1, 2] = c_ * d - a * f
+    out[:, 2, 0] = C
+    out[:, 2, 1] = b * g - a * h
+    out[:, 2, 2] = a * e - b * d
+    out /= det[:, None, None]
+    return out
+
+
+def stacked_raw_covariances(cloud, k):
+    """The neighbour covariances before the planar clamp, from the (N, k, 3) stack."""
+    _, idx = cKDTree(cloud.points).query(cloud.points, k=k)
+    nbrs = cloud.points[idx]
+    centered = nbrs - nbrs.mean(axis=1, keepdims=True)
+    return centered.transpose(0, 2, 1) @ centered / k
+
+
+def stacked_covariances(cloud, k=GicpParams.k_neighbors):
+    w, v = stacked_eigh3x3(stacked_raw_covariances(cloud, k))
+    largest = np.maximum(w[:, -1], 1e-12)
+    w = np.maximum(w, (EPS_PLANE * largest)[:, None])
+    return (v * w[:, None, :]) @ v.transpose(0, 2, 1)
+
+
+@lru_cache(maxsize=None)
+def kernel_clouds(family):
+    """A family's demo cloud and one unseen occluded noisy cloud."""
+    demo, _, _ = family_demo(family)
+    (_, occluded), *_ = step_stop_scenes(family, "unseen")
+    return demo.object_cloud, occluded
+
+
+def family_matrices(family):
+    """(name, stack): the raw and regularised covariances of the family's
+    demo and occluded clouds, at scales 1e-150, 1 and 1e6."""
+    for cloud_name, cloud in zip(("demo", "occluded"), kernel_clouds(family)):
+        raw = stacked_raw_covariances(cloud, GicpParams.k_neighbors)
+        for cov_name, cov in (("raw", raw), ("regularised", stacked_covariances(cloud))):
+            for scale in (1e-150, 1.0, 1e6):
+                yield f"{cloud_name} {cov_name} x{scale:g}", cov * scale
+
+
+def assert_eigh_close(A, w, v):
+    """``(w, v)`` agrees with ``np.linalg.eigh(A)``: the same ascending
+    eigenvalues and orthonormal columns that rebuild ``A``, to a tolerance
+    relative to each matrix's largest |eigenvalue|."""
+    w_ref = np.linalg.eigh(A)[0]
+    scale = np.abs(w_ref).max(axis=1)
+    assert np.all(np.abs(w - w_ref) <= 1e-10 * scale[:, None])
+    np.testing.assert_allclose(v.transpose(0, 2, 1) @ v, np.broadcast_to(np.eye(3), A.shape), rtol=0, atol=1e-8)
+    rebuilt = (v * w[:, None, :]) @ v.transpose(0, 2, 1)
+    assert np.all(np.abs(rebuilt - A) <= 1e-8 * scale[:, None, None])
+
+
+def assert_inv_close(c, inv):
+    """Where ``c`` has a condition number below 1e6 and a determinant that
+    does not underflow, ``inv`` is ``np.linalg.inv(c)`` within the adjugate's
+    error bound.  The cofactors are 2x2 minors, which cancel to within
+    rounding of ``|c|^2``, so the bound grows with the square of the
+    condition number (the regularised covariances stay below about 1e3)."""
+    with np.errstate(all="ignore"):  # LAPACK's det and cond of tiny or singular matrices
+        cond = np.linalg.cond(c)
+        fine = (cond < 1e6) & (np.abs(np.linalg.det(c)) >= np.finfo(np.float64).tiny)
+    ref = np.linalg.inv(c[fine])
+    size = np.abs(ref).max(axis=(1, 2))
+    err = np.abs(inv[fine] - ref).max(axis=(1, 2))
+    assert np.all(err <= 1e-14 * cond[fine] ** 2 * size)
+
+
+@st.composite
+def symmetric_3x3(draw):
+    """A symmetric 3x3 matrix: zero, isotropic, with a repeated eigenvalue,
+    of rank 1, invariant under swapping the first two axes (so two
+    eigenvector candidates have exactly equal norms), or general; at scales
+    from 1e-150 to 1e6."""
+    kind = draw(st.sampled_from(["zero", "isotropic", "repeated", "rank1", "tie", "general"]))
+    unit = st.floats(-1.0, 1.0)
+    if kind == "zero":
+        A = np.zeros((3, 3))
+    elif kind == "isotropic":
+        A = draw(unit) * np.eye(3)
+    elif kind in ("repeated", "rank1"):
+        Q = Pose(draw(arrays(np.float64, 4, elements=st.floats(0.1, 1.0)))).rotation_matrix()
+        a, b = draw(unit), draw(unit)
+        A = (Q * ([0.0, 0.0, b] if kind == "rank1" else [a, a, b])) @ Q.T
+    elif kind == "tie":
+        a, b, c, d = (draw(unit) for _ in range(4))
+        A = np.array([[a, b, c], [b, a, c], [c, c, d]])
+    else:
+        M = draw(arrays(np.float64, (3, 3), elements=unit))
+        A = M + M.T
+    A = 0.5 * (A + A.T)  # exactly symmetric
+    return A * draw(st.sampled_from([1e-150, 1e-3, 1.0, 1e6]))
+
+
+symmetric_stacks = st.lists(symmetric_3x3(), min_size=1, max_size=8).map(np.array)
+
+
+class TestEigh3x3:
+    @pytest.mark.parametrize("family", CATEGORIES)
+    def test_family_covariances(self, family):
+        for name, A in family_matrices(family):
+            w, v = _eigh3x3(A)
+            w_ref, v_ref = stacked_eigh3x3(A)
+            assert w.tobytes() == w_ref.tobytes() and v.tobytes() == v_ref.tobytes(), name
+            assert v.flags.c_contiguous
+            assert_eigh_close(A, w, v)
+
+    @FUZZ
+    @given(A=symmetric_stacks)
+    def test_symmetric_matrices(self, A):
+        w, v = _eigh3x3(A)
+        w_ref, v_ref = stacked_eigh3x3(A)
+        assert w.tobytes() == w_ref.tobytes() and v.tobytes() == v_ref.tobytes()
+        assert_eigh_close(A, w, v)
+
+    def test_tied_candidates_keep_the_first(self):
+        """Two candidates for the smallest eigenvalue's vector tie exactly,
+        and the kernel keeps the earlier one as ``argmax`` does."""
+        A = np.array([[[2.0, 1.0, 0.0], [1.0, 2.0, 0.0], [0.0, 0.0, 5.0]]])
+        lam = stacked_eigh3x3(A)[0][:, 0]
+        m = A - lam[:, None, None] * np.eye(3)
+        r0, r1, r2 = m[0]
+        norms = np.linalg.norm([np.cross(r0, r1), np.cross(r0, r2), np.cross(r1, r2)], axis=1)
+        assert norms[1] == norms[2] > norms[0]
+        w, v = _eigh3x3(A)
+        assert v.tobytes() == stacked_eigh3x3(A)[1].tobytes()
+        assert_eigh_close(A, w, v)
+
+
+    def test_signed_zeros(self):
+        """Off the diagonal ``A - lam I`` holds ``a - lam * 0.0``, which turns
+        a -0.0 entry into +0.0 where ``lam`` is negative, as the stacked form
+        does; diagonal matrices with every sign of their zero entries show it
+        in the eigenvectors' zero components."""
+        mats = []
+        for diag in itertools.permutations([1.0, 2.0, 3.0]):
+            for scale in (1.0, -1.0):
+                for signs in itertools.product((1.0, -1.0), repeat=3):
+                    A = np.diag(np.array(diag) * scale)
+                    A[0, 1] = A[1, 0] = signs[0] * 0.0
+                    A[0, 2] = A[2, 0] = signs[1] * 0.0
+                    A[1, 2] = A[2, 1] = signs[2] * 0.0
+                    mats.append(A)
+        A = np.array(mats)
+        w, v = _eigh3x3(A)
+        w_ref, v_ref = stacked_eigh3x3(A)
+        assert w.tobytes() == w_ref.tobytes() and v.tobytes() == v_ref.tobytes()
+
+
+class TestInv3x3:
+    @pytest.mark.parametrize("family", CATEGORIES)
+    def test_family_covariances(self, family):
+        for name, c in family_matrices(family):
+            with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+                inv, ref = registration._inv3x3(c), stacked_inv3x3(c)
+            assert inv.tobytes() == ref.tobytes(), name
+            assert inv.flags.c_contiguous
+            assert_inv_close(c, inv)
+
+    @FUZZ
+    @given(c=symmetric_stacks)
+    def test_symmetric_matrices(self, c):
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            inv, ref = registration._inv3x3(c), stacked_inv3x3(c)
+        assert inv.tobytes() == ref.tobytes()
+        assert_inv_close(c, inv)
+
+
+class TestCovariancePath:
+    """Covariance estimation and the normal-space sample keep the stacked
+    forms' bits on every family."""
+
+    def test_neighbour_sum_order(self):
+        """``mean(axis=1)`` of an (N, k, 3) stack and ``add.reduce`` over the
+        first axis of its (k, N, 3) transpose both add the k neighbours in
+        order, on values where the order shows."""
+        rng = np.random.default_rng(3)
+        k = GicpParams.k_neighbors
+        x = rng.choice([1e16, -1e16, 1.0, 3.0, -0.5, 1e-3], size=(500, k, 3)) * rng.uniform(0.5, 2.0, (500, k, 3))
+        total = x[:, 0].copy()
+        for j in range(1, k):
+            total = total + x[:, j]
+        backwards = x[:, -1].copy()
+        for j in range(k - 2, -1, -1):
+            backwards = backwards + x[:, j]
+        assert np.any(total != backwards)  # the order matters on these values
+        assert x.mean(axis=1).tobytes() == (total / k).tobytes()
+        assert np.add.reduce(np.ascontiguousarray(x.transpose(1, 0, 2)), axis=0).tobytes() == total.tobytes()
+
+    @pytest.mark.parametrize("family", CATEGORIES)
+    def test_estimate_covariances(self, family):
+        for cloud in kernel_clouds(family):
+            for k in (3, GicpParams.k_neighbors):
+                assert estimate_covariances(cloud, k).tobytes() == stacked_covariances(cloud, k).tobytes()
+
+    @pytest.mark.parametrize("family", CATEGORIES)
+    def test_normal_space_sample(self, family, monkeypatch):
+        covs = [stacked_covariances(cloud) for cloud in kernel_clouds(family)]
+        got = [normal_space_sample(cov, GicpParams.k_neighbors) for cov in covs]
+        monkeypatch.setattr(registration, "_eigh3x3", stacked_eigh3x3)
+        want = [normal_space_sample(cov, GicpParams.k_neighbors) for cov in covs]
+        assert all(a.tobytes() == b.tobytes() for a, b in zip(got, want))
+
+    @pytest.mark.parametrize("family", CATEGORIES)
+    def test_registration(self, family, monkeypatch):
+        """Registration with the kernels gives the results it gives with the
+        stacked forms."""
+        tests = [test for kind in ("seen", "unseen") for _, test in step_stop_scenes(family, kind)]
+        demo, _, _ = family_demo(family)
+        got = [estimate_delta(demo, test).to_dict() for test in tests]
+        monkeypatch.setattr(registration, "_eigh3x3", stacked_eigh3x3)
+        monkeypatch.setattr(registration, "_inv3x3", stacked_inv3x3)
+        monkeypatch.setattr(registration, "estimate_covariances", stacked_covariances)
+        demo, _, _ = family_demo(family)  # a fresh memo
+        assert got == [estimate_delta(demo, test).to_dict() for test in tests]
 
 
 @st.composite

@@ -8,7 +8,9 @@ be checked again on held-out seeds) it runs the command NEW/BENCHMARK.json
 declares with "--workload WORKLOAD --seed S --seconds <run_seconds> --trace 0"
 in each checkout, the old one first in the first, third, ... pair and the new
 one first in the others.
-It prints every run, then one line per end-to-end metric of
+It prints every run, then for each pair whether the two runs printed the same
+trace_sha256 (on the line before their result) and in how many pairs they
+did, then one line per end-to-end metric of
 NEW/BENCHMARK.json: both medians, the old runs' quartile distance, in how many
 pairs the new run was better (ties count for neither side), every value, and
 "WORSE" when the new median is worse than the old one by more than the
@@ -30,14 +32,24 @@ import sys
 from pathlib import Path
 
 
+def trace_hash(lines: list):
+    """The ``trace_sha256`` a run prints on the line before its result, or None."""
+    try:
+        return json.loads(lines[-2]).get("trace_sha256")
+    except (IndexError, ValueError, AttributeError):
+        return None
+
+
 def run(checkout: Path, command: list, workload: str, seed: int, seconds) -> dict:
-    """The result object a benchmark run prints last, or a failed record."""
+    """The result object a benchmark run prints last, with the run's
+    ``trace_sha256`` added under that key, or a failed record."""
     argv = command + ["--workload", workload, "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"]
     out = subprocess.run(argv, cwd=checkout, capture_output=True, text=True)
+    lines = out.stdout.strip().splitlines()
     try:
-        result = json.loads(out.stdout.strip().splitlines()[-1])
+        result = json.loads(lines[-1])
         if out.returncode == 0 and isinstance(result, dict):
-            return result
+            return {**result, "trace_sha256": trace_hash(lines)}
     except (IndexError, ValueError):
         pass
     error = (out.stderr.strip().splitlines() or ["no output"])[-1]
@@ -79,6 +91,13 @@ def summarize(end_to_end: list, old: list, new: list, first_seed: int = 1) -> tu
         for seed, r in enumerate(runs, first_seed):
             line = f"run {side} seed {seed}: correct {r.get('correct')}, failed {r.get('failed')}/{r.get('attempted')}"
             lines.append(line + (f", {r['error']}" if "error" in r else ""))
+    equal = 0
+    for seed, (a, b) in enumerate(zip(old, new), first_seed):
+        x, y = a.get("trace_sha256"), b.get("trace_sha256")
+        same = x is not None and x == y
+        equal += same
+        lines.append(f"pair seed {seed}: trace_sha256 " + ("equal" if same else f"differs, old {x}, new {y}"))
+    lines.append(f"trace_sha256 equal in {equal}/{len(old)} pairs")
     for m in end_to_end:
         name, sign = m["name"], 1 if m["better"] == "higher" else -1
         pairs = [
