@@ -31,7 +31,7 @@ yaw within 5% of the grid's best (see :func:`coarse_align`): a third fewer KD
 queries than one bounded sweep of all 72 yaws, whose pick it kept in all
 1,948 benchmark rollouts checked (seeds 1-3 of each workload, 4 of unseen).
 
-Five savings leave every result bit-identical.  :func:`estimate_delta`
+Four savings leave every result bit-identical.  :func:`estimate_delta`
 memoizes a demo's covariances and its subset on the demo per neighbour count
 ``k``, computed at its first registration (not at ingest or load), so later
 registrations of that demo reuse them.  Every KD query is bounded just above
@@ -40,10 +40,7 @@ distances at its cap, and GICP keeps only matches within ``inlier_radius``.
 scipy returns ``inf`` (index ``n``) past the bound, and ``min(inf, cap) ==
 cap`` as before; the GICP bound is ``nextafter(inlier_radius, inf)`` because
 scipy's bound is strict, so a match at exactly the radius still comes back
-and counts.  Within one GICP run, a demo point is queried again only if its
-move since its last query could have changed its match (see
-:class:`_Matches`): 36% of points per cost evaluation on seen clouds, 48% on
-unseen occluded ones.  The demo covariances turn with the trial's
+and counts.  The demo covariances turn with the trial's
 rotation in one flat matrix product, which gives the bits of
 the stacked ``R @ C @ R.T`` at about a third of its cost.  And the batched
 3x3 kernels (:func:`_eigh3x3`, :func:`_inv3x3` and the neighbour mean of
@@ -402,74 +399,6 @@ def _query_within(tree, pts, radius):
     return tree.query(pts, distance_upper_bound=np.nextafter(radius, np.inf))
 
 
-class _Matches:
-    """Answers ``_query_within(tree, pts, radius)`` for successive positions
-    of the same points, sending to the tree only the points whose answer can
-    have changed since they were last queried.
-
-    A point queried at ``a`` keeps its nearest test point ``j`` at ``d1`` and
-    the runner-up's distance ``d2`` (a k=2 query bounded at ``2 * radius``;
-    beyond the bound both count as ``2 * radius``).  Moved by ``m = |p - a|``,
-    every test point's distance changes by at most ``m`` (triangle
-    inequality; Elkan, "Using the Triangle Inequality to Accelerate k-Means",
-    ICML 2003).  So the point keeps ``j`` within the radius while ``2 m < d2 -
-    d1`` and ``d1 + m < radius``, and has no match within it while ``d1 - m >
-    radius``.  Each rule holds by ``slack``, which covers the rounding of the
-    distances at any coordinate registration accepts, and becomes one bound
-    on ``m`` per point, ``safe``.  Points that moved by ``safe`` or more are
-    queried again.  Where a new query leaves ``safe <= 0`` (its nearest two
-    within ``slack`` of each other, a tie the tree may break either way, or
-    its nearest within ``slack`` of the radius) the answer comes from
-    ``_query_within`` itself, so ``dist <= radius`` and the indices there are
-    exactly the tree's.  A kept match reports its distance at ``a``.
-    """
-
-    def __init__(self, tree, radius: float):
-        self.tree = tree
-        self.radius = radius
-        self.bound = np.nextafter(radius, np.inf)
-        self.reach = 2.0 * radius
-        # a few ulps of the largest coordinate accepted (1.2e-10 m each at
-        # MAX_COORDINATE): far above the rounding of any distance compared
-        self.slack = 1e-9 * radius + 8.0 * np.spacing(MAX_COORDINATE)
-        self.anchor = None  # (N, 3): where each point was last queried
-        self.dist = self.idx = None  # the answer at the anchor
-        self.safe_sq = None  # safe ** 2, or -1 where safe <= 0
-
-    def query(self, pts, distance_upper_bound):
-        if distance_upper_bound != self.bound:
-            raise ValueError("_Matches answers only _query_within at its own radius")
-        if self.anchor is None:
-            self.anchor = np.empty_like(pts)
-            self.dist = np.empty(len(pts))
-            self.idx = np.empty(len(pts), dtype=np.intp)
-            self.safe_sq = np.empty(len(pts))
-            todo = np.arange(len(pts))
-        else:
-            diff = pts - self.anchor
-            todo = np.flatnonzero(np.einsum("ni,ni->n", diff, diff) >= self.safe_sq)
-        if len(todo):
-            p = pts[todo]
-            d, i = self.tree.query(p, k=2, distance_upper_bound=self.reach)
-            d1 = np.minimum(d[:, 0], self.reach)
-            gap = np.minimum(d[:, 1], self.reach) - d1
-            within = d1 <= self.radius
-            safe = np.where(
-                within,
-                np.minimum(0.5 * (gap - self.slack), self.radius - self.slack - d1),
-                d1 - self.radius - self.slack,
-            )
-            self.anchor[todo] = p
-            self.dist[todo] = np.where(within, d1, np.inf)
-            self.idx[todo] = np.where(within, i[:, 0], self.tree.n)
-            self.safe_sq[todo] = np.where(safe > 0.0, safe * safe, -1.0)
-            unsure = safe <= 0.0
-            if np.any(unsure):
-                rows = todo[unsure]
-                self.dist[rows], self.idx[rows] = _query_within(self.tree, p[unsure], self.radius)
-        return self.dist.copy(), self.idx.copy()
-
-
 def _rotate_covariances(R: np.ndarray, cov: np.ndarray) -> np.ndarray:
     """``R @ cov @ R.T`` for stacked (N, 3, 3) ``cov`` as one flat product.
 
@@ -481,10 +410,8 @@ def _rotate_covariances(R: np.ndarray, cov: np.ndarray) -> np.ndarray:
 
 
 def _corresponding_cost(pose, demo_pts, cov_demo, tree, test_pts, cov_test):
-    """Correspondences + mean Mahalanobis cost at a pose; None if no matches.
-
-    ``tree`` is the test cloud's ``cKDTree`` or a :class:`_Matches` over it.
-    """
+    """Correspondences + mean Mahalanobis cost at a pose, matched in the test
+    cloud's ``tree``; None if no matches."""
     R = pose.rotation_matrix()
     moved = demo_pts @ R.T + pose.translation
     radius = GicpParams.inlier_radius
@@ -535,7 +462,7 @@ def generalized_icp(
     demo_pts = demo_cloud.points
     test_pts = test_cloud.points
     radius = GicpParams.inlier_radius
-    tree = _Matches(cKDTree(test_pts), radius)
+    tree = cKDTree(test_pts)
 
     state = _corresponding_cost(init, demo_pts, demo_covariances, tree, test_pts, test_covariances)
     if state is None:

@@ -85,6 +85,26 @@ def test_worse_beyond_the_bound_is_marked():
     assert "WORSE by more than 0.25" in metric_line(lines, "success_rate")
 
 
+def test_wide_spread_is_unresolved():
+    """A metric whose old runs spread wider than its bound gets no verdict,
+    unless every new run is better than every old one."""
+    # p50 quartile distance 15 against 0.25 x 35; success rate 0.3 against 0.25 x 0.5
+    old = [record(p50, success) for p50, success in ((20.0, 0.2), (30.0, 0.4), (40.0, 0.6), (50.0, 0.8))]
+    lines, status = bench_pairs.summarize(END_TO_END, old, [record(p50, 0.5) for p50 in (21.0, 29.0, 41.0, 49.0)])
+    assert status == 0
+    p50 = metric_line(lines, "rollout_p50_ms")
+    assert "old 35, new 35, old quartile distance 15" in p50
+    assert p50.endswith(", UNRESOLVED: old quartile distance above the bound's 8.75; old 20 30 40 50; new 21 29 41 49")
+    assert "WORSE" not in p50 and "UNRESOLVED" in metric_line(lines, "success_rate")
+    # every new run better than every old one, in each direction
+    lines, _ = bench_pairs.summarize(END_TO_END, old, [record(p50, 0.9) for p50 in (10.0, 12.0, 15.0, 19.0)])
+    assert not any("UNRESOLVED" in line for line in lines)
+    # one new run that only ties the best old run
+    lines, _ = bench_pairs.summarize(END_TO_END, old, [record(p50, 0.9) for p50 in (10.0, 12.0, 15.0, 20.0)])
+    assert "UNRESOLVED" in metric_line(lines, "rollout_p50_ms")
+    assert "UNRESOLVED" not in metric_line(lines, "success_rate")
+
+
 def test_incorrect_run_fails():
     old = [record(40.0, 0.5), record(40.0, 0.5)]
     lines, status = bench_pairs.summarize(END_TO_END, old, [record(30.0, 0.5), record(30.0, 0.5, correct=False)])

@@ -39,11 +39,18 @@ def test_one_round():
             assert group[f"{stage}_points_per_call"] == round(group[f"{stage}_points"] / 6, 1)
         # the sweep sends at most 72 yaws x its 600-point subsample per call
         assert group["coarse_points"] <= 6 * 72 * 600
+        # GICP evaluates its cost at the init and then once per trial; each
+        # evaluation queries at most the 800 points of a rendered cloud, and
+        # so does the fitness query at the end
+        assert group["gicp_evaluations"] >= 6
+        assert group["gicp_evaluations_per_call"] == round(group["gicp_evaluations"] / 6, 1)
+        assert group["gicp_points"] <= 800 * (group["gicp_evaluations"] + 6)
 
 
 def test_counts_repeat_and_registration_is_restored():
     tool = load_tool()
-    before = {name: getattr(registration, name) for name in ("cKDTree", "coarse_align", "generalized_icp")}
+    names = ("cKDTree", "coarse_align", "estimate_covariances", "generalized_icp", "_corresponding_cost")
+    before = {name: getattr(registration, name) for name in names}
     first = tool.count(1)
     assert tool.count(1) == first
     assert {name: getattr(registration, name) for name in before} == before

@@ -22,7 +22,6 @@ from trajtransfer.registration import (
     RegistrationResult,
     _corresponding_cost,
     _exp_step,
-    _Matches,
     _query_within,
     _eigh3x3,
     _rotate_covariances,
@@ -770,65 +769,19 @@ class TestInlierRadiusBoundary:
             generalized_icp(demo, test, Pose.identity())
 
 
-@st.composite
-def match_walks(draw):
-    """A test cloud and positions a GICP run could move demo points through:
-    clouds with exact ties (duplicated test points, grids), demo points at
-    exactly the radius or one ulp beyond, at scales from 1e-300 m to offsets
-    of MAX_COORDINATE."""
-    radius = draw(st.sampled_from([GicpParams.inlier_radius, 0.004]))
-    kind = draw(st.sampled_from(["general", "duplicates", "grid", "at_radius"]))
-    n = draw(st.integers(1, 40))
-    offset = draw(st.sampled_from([0.0, 1.0, 1e3, MAX_COORDINATE - 1.0]))
-    unit = arrays(np.float64, (n, 3), elements=st.floats(-1.0, 1.0))
-    if kind in ("grid", "at_radius"):
-        size = spacing = draw(st.sampled_from([radius / 2, radius, 1.0 / 64, 0.1]))
-        yz = np.array([(y, z) for y in range(5) for z in range(5)], dtype=np.float64)[:n] * spacing
-        test = np.column_stack([np.zeros(len(yz)), yz])
-        # at_radius: every demo point's partner is at exactly the radius, or
-        # one ulp beyond it
-        gap = draw(st.sampled_from([radius, np.nextafter(radius, np.inf)]))
-        demo = test + [gap if kind == "at_radius" else spacing / 2, 0.0, 0.0]
-    else:
-        size = draw(st.sampled_from([1e-300, 1e-9, 0.003, 0.03, 0.2]))
-        test = draw(unit) * size
-        if kind == "duplicates":  # exact ties
-            test = np.vstack([test, test[: draw(st.integers(1, n))]])
-        demo = draw(unit) * size
-    test, demo = test + offset, demo + offset
-    centre = demo.mean(axis=0)
-    pose, walk = Pose.identity(), [demo]
-    for _ in range(draw(st.integers(1, 8))):
-        # steps as GICP takes them, from the last pose, on the cloud's scale
-        angle = draw(st.sampled_from([0.0, 1e-9, 1e-4, 0.01, 0.3]))
-        shift = size * draw(st.sampled_from([0.0, 1e-9, 0.01, 0.1, 0.3, 1.0]))
-        axis = draw(arrays(np.float64, 3, elements=st.floats(-1.0, 1.0)))
-        direction = draw(arrays(np.float64, 3, elements=st.floats(-1.0, 1.0)))
-        pose = compose(Pose.from_axis_angle(axis, angle, direction * shift), pose)
-        walk.append((demo - centre) @ pose.rotation_matrix().T + centre + pose.translation)
-        if draw(st.booleans()):
-            walk.append(walk[-1])  # the same position again
-    return radius, test, walk
-
-
-class TestMatches:
-    """``_Matches`` answers as ``_query_within`` does, querying fewer points."""
-
-    @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
-    @given(walk=match_walks())
-    def test_same_answers(self, walk):
-        radius, test, moves = walk
-        self.check_walk(test, moves, radius)
+class TestQueryWithin:
+    """GICP's bounded query answers within the radius as an unbounded one
+    does: the same matches, distances and indices."""
 
     @staticmethod
     def check_walk(test, walk, radius=0.025):
         tree = cKDTree(test)
-        matches = _Matches(tree, radius)
         for pts in walk:
-            got_d, got_i = _query_within(matches, pts, radius)
-            want_d, want_i = _query_within(tree, pts, radius)
+            got_d, got_i = _query_within(tree, pts, radius)
+            want_d, want_i = tree.query(pts)
             mask = want_d <= radius
             assert np.array_equal(got_d <= radius, mask)
+            assert np.array_equal(got_d[mask], want_d[mask])
             assert np.array_equal(got_i[mask], want_i[mask])
 
     @pytest.mark.parametrize(
@@ -837,7 +790,7 @@ class TestMatches:
             (0.025, (1e-12, -1e-12, 1e-10, -2e-10, 0.0, 3e-12)),
             (np.nextafter(0.025, np.inf), (1e-12, -1e-12, 1e-10, -2e-10, 0.0, 3e-12)),
             (np.nextafter(0.025, 0.0), (1e-12, -1e-12, 1e-10, -2e-10, 0.0, 3e-12)),
-            (0.06, (-0.02, -0.04, -0.01)),  # from beyond the k=2 bound into the radius
+            (0.06, (-0.02, -0.04, -0.01)),  # from far beyond the radius into it
         ],
     )
     def test_walk_across_the_radius(self, gap, steps):
@@ -849,54 +802,13 @@ class TestMatches:
     @pytest.mark.parametrize("offset", [0.0, 1.0, 1e3, MAX_COORDINATE - 1.0])
     def test_walk_into_a_tie(self, offset):
         """From near one end of a segment between two test points to its
-        midpoint, give or take a few ulps: the rules' margin decides."""
+        midpoint, give or take a few ulps."""
         rng = np.random.default_rng(11)
         for _ in range(200):
             ends = rng.uniform(-0.025, 0.025, (2, 3)) + offset
             start = ends[0] + rng.uniform(0.0, 0.3, (20, 1)) * (ends[1] - ends[0])
             mid = ends.mean(axis=0)
             self.check_walk(ends, [start, mid + rng.integers(-3, 4, (20, 3)) * np.spacing(np.abs(mid))])
-
-    def test_other_radius_refused(self):
-        matches = _Matches(cKDTree(mug_cloud().points), 0.025)
-        with pytest.raises(ValueError):
-            _query_within(matches, mug_cloud().points, 0.03)
-
-    @pytest.mark.parametrize("kind,share", [("seen", 0.42), ("unseen", 0.53)], ids=["seen", "unseen"])
-    def test_share_of_points_queried(self, kind, share):
-        """Points sent to the test cloud's tree, against points times cost
-        evaluations: about 36% on seen scenes and 48% on unseen occluded
-        noisy ones with GICP's 10 um step stop (24% and 37% with a 25 nm
-        stop, whose extra evaluations were mostly answered from memory)."""
-        queried = evaluated = 0
-        for family in CATEGORIES:
-            for demo_cloud, test_cloud in step_stop_scenes(family, kind):
-                init = coarse_align(demo_cloud, test_cloud)
-
-                class CountingTree(cKDTree):
-                    def __init__(self, data):
-                        super().__init__(data)
-                        self.queried = 0
-
-                    def query(self, x, *args, **kwargs):
-                        self.queried += len(x)
-                        return super().query(x, *args, **kwargs)
-
-                calls = []
-
-                def counted(*args):
-                    calls.append(args)
-                    return _corresponding_cost(*args)
-
-                with pytest.MonkeyPatch.context() as mp:
-                    mp.setattr(registration, "cKDTree", CountingTree)
-                    mp.setattr(registration, "_corresponding_cost", counted)
-                    generalized_icp(demo_cloud, test_cloud, init)
-                tree = calls[0][3].tree  # the test cloud's, behind the _Matches
-                assert isinstance(tree, CountingTree) and all(args[3].tree is tree for args in calls)
-                queried += tree.queried
-                evaluated += len(calls) * len(demo_cloud)
-        assert queried <= share * evaluated
 
 
 class TestRotateCovariances:

@@ -9,18 +9,19 @@ declares with "--workload WORKLOAD --seed S --seconds <run_seconds> --trace 0"
 in each checkout, the old one first in the first, third, ... pair and the new
 one first in the others.
 It prints every run, then for each pair whether the two runs printed the same
-trace_sha256 (on the line before their result) and in how many pairs they
-did, then one line per end-to-end metric of
-NEW/BENCHMARK.json: both medians, the old runs' quartile distance, in how many
-pairs the new run was better (ties count for neither side), every value, and
-"WORSE" when the new median is worse than the old one by more than the
-metric's bound (a share of the old median).  An indented line under it gives
-each side's quartiles and whether the gain rule holds: at least 10 pairs, the
-new run better in at least 9/10 of them, and the medians further apart, in
-the better direction, than the old runs' quartile distance.  Exits 1 if a run
-is not correct or the new runs fail a larger share of their operations than
-the old ones, 2 on a usage error, and 0 otherwise.  Needs only the standard
-library.
+trace_sha256 (on the line before their result) and in how many pairs they did,
+then one line per end-to-end metric of NEW/BENCHMARK.json: both medians, the
+old runs' quartile distance, in how many pairs the new run was better (ties
+count for neither side), every value, and "WORSE" when the new median is worse
+than the old one by more than the metric's bound (a share of the old median),
+and "UNRESOLVED" when the old runs' quartile distance is wider than that
+bound, so that no verdict on the metric holds, unless every new run was better
+than every old run.  An indented line under it gives each side's quartiles and
+whether the gain rule holds: at least 10 pairs, the new run better in at least
+9/10 of them, and the medians further apart, in the better direction, than the
+old runs' quartile distance.  Exits 1 if a run is not correct or the new runs
+fail a larger share of their operations than the old ones, 2 on a usage error,
+and 0 otherwise.  Needs only the standard library.
 """
 
 from __future__ import annotations
@@ -32,24 +33,32 @@ import sys
 from pathlib import Path
 
 
+def stamp(lines: list) -> dict:
+    """The object a run prints on the line before its result (its
+    ``environment`` and ``trace_sha256``), or {}."""
+    try:
+        line = json.loads(lines[-2])
+    except (IndexError, ValueError):
+        return {}
+    return line if isinstance(line, dict) else {}
+
+
 def trace_hash(lines: list):
     """The ``trace_sha256`` a run prints on the line before its result, or None."""
-    try:
-        return json.loads(lines[-2]).get("trace_sha256")
-    except (IndexError, ValueError, AttributeError):
-        return None
+    return stamp(lines).get("trace_sha256")
 
 
-def run(checkout: Path, command: list, workload: str, seed: int, seconds) -> dict:
+def run(checkout: Path, command: list, workload: str, seed: int, seconds, trace: int = 0) -> dict:
     """The result object a benchmark run prints last, with the run's
-    ``trace_sha256`` added under that key, or a failed record."""
-    argv = command + ["--workload", workload, "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"]
+    ``trace_sha256`` and ``environment`` added under those keys, or a failed
+    record."""
+    argv = command + ["--workload", workload, "--seed", str(seed), "--seconds", str(seconds), "--trace", str(trace)]
     out = subprocess.run(argv, cwd=checkout, capture_output=True, text=True)
     lines = out.stdout.strip().splitlines()
     try:
         result = json.loads(lines[-1])
         if out.returncode == 0 and isinstance(result, dict):
-            return {**result, "trace_sha256": trace_hash(lines)}
+            return {**result, "trace_sha256": trace_hash(lines), "environment": stamp(lines).get("environment")}
     except (IndexError, ValueError):
         pass
     error = (out.stderr.strip().splitlines() or ["no output"])[-1]
@@ -112,12 +121,14 @@ def summarize(end_to_end: list, old: list, new: list, first_seed: int = 1) -> tu
         old_median, new_median = statistics.median(a), statistics.median(b)
         better = sum(sign * (y - x) > 0 for x, y in pairs)
         gap = sign * (new_median - old_median)
-        worse = gap < -m["bound"] * abs(old_median)
+        bound = m["bound"] * abs(old_median)
         (q1, q3), (n1, n3) = quartiles(a), quartiles(b)
+        unresolved = q3 - q1 > bound and min(sign * y for y in b) <= max(sign * x for x in a)
         lines.append(
             f"{name} ({m['unit']}, {m['better']} is better): old {old_median:.4g}, new {new_median:.4g}, "
             f"old quartile distance {q3 - q1:.4g}, new better in {better}/{len(pairs)}"
-            + (f", WORSE by more than {m['bound']:g}" if worse else "")
+            + (f", WORSE by more than {m['bound']:g}" if gap < -bound else "")
+            + (f", UNRESOLVED: old quartile distance above the bound's {bound:.4g}" if unresolved else "")
             + f"; old {' '.join(f'{v:.4g}' for v in a)}; new {' '.join(f'{v:.4g}' for v in b)}"
         )
         lines.append(

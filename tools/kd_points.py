@@ -11,9 +11,11 @@ the benchmark's ``rollout-unseen-occluded`` workload.  While it
 runs, ``registration.cKDTree`` is a subclass whose ``query`` adds the number
 of query points to the stage that sent them: ``coarse`` (``coarse_align``),
 ``covariances`` (``estimate_covariances``, test side and the demo's first
-registration) or ``gicp`` (``generalized_icp`` after its covariances).
-Prints one JSON line: per group, the registrations and, per stage, the
-points summed and their mean per registration.  The counts repeat exactly
+registration) or ``gicp`` (``generalized_icp`` after its covariances), and
+a wrapper of ``_corresponding_cost`` counts GICP's cost evaluations, so GICP's
+points read per evaluation too.  Prints one JSON line: per group, the registrations, per
+stage the points summed and their mean per registration, and the GICP cost
+evaluations summed and per registration.  The counts repeat exactly
 from run to run, so two versions of registration compare by them without
 timing noise.  Exits 2 on a usage error.  Needs only trajtransfer.
 """
@@ -50,7 +52,8 @@ def scenes(rounds: int) -> dict:
 
 
 def count(rounds: int) -> dict:
-    """{group: {"registrations": n, "<stage>_points": ..., "<stage>_points_per_call": ...}}."""
+    """{group: {"registrations": n, "<stage>_points": ..., "<stage>_points_per_call": ...,
+    "gicp_evaluations": ..., "gicp_evaluations_per_call": ...}}."""
     bench = simbench.Benchmark(Dataset())
     demos = {}
     for family in simbench.CATEGORIES:
@@ -74,11 +77,19 @@ def count(rounds: int) -> dict:
 
         return run
 
+    def evaluated(fn):
+        def run(*args, **kwargs):
+            counts["gicp_evaluations"] += 1
+            return fn(*args, **kwargs)
+
+        return run
+
     patched = {
         "cKDTree": CountingTree,
         "coarse_align": staged("coarse", registration.coarse_align),
         "estimate_covariances": staged("covariances", registration.estimate_covariances),
         "generalized_icp": staged("gicp", registration.generalized_icp),
+        "_corresponding_cost": evaluated(registration._corresponding_cost),
     }
     saved = {name: getattr(registration, name) for name in patched}
     result = {}
@@ -94,6 +105,8 @@ def count(rounds: int) -> dict:
             for stage in STAGES:
                 result[group][f"{stage}_points"] = counts[stage]
                 result[group][f"{stage}_points_per_call"] = round(counts[stage] / n, 1)
+            result[group]["gicp_evaluations"] = counts["gicp_evaluations"]
+            result[group]["gicp_evaluations_per_call"] = round(counts["gicp_evaluations"] / n, 1)
     finally:
         for name, value in saved.items():
             setattr(registration, name, value)

@@ -4,7 +4,10 @@
 # "repeats": 2, "occlusion_fraction": 0.5, "noise_sigma": 0.002}, which takes
 # the observed cloud's occlusion and noise path, and on the `edges` run, the
 # same with occlusion 0.9 and noise 0.6, whose rollouts end in retrieval
-# failures and in registration's NoCorrespondences, each at --jobs 1 and
+# failures and in registration's NoCorrespondences, and on the `paper` run
+# {"mode": "thousand", "seed": 7, "repeats": 1, "seen_instances_per_family":
+# 167, "unseen_instances_per_family": 50}, the paper's 1,000 tasks with one
+# demo each plus 300 rollouts on unseen instances, each at --jobs 1 and
 # --jobs 2, and print one line "run jobs trace_sha256 report_sha256 seconds"
 # per run: the trace hash from summary.json, the sha256 of report.csv, and the
 # wall time of the `evaluate`.
@@ -31,7 +34,9 @@ printf '{"mode": "thousand", "seed": 7, "repeats": 2, "occlusion_fraction": 0.5,
     > "$work/occluded.json"
 printf '{"mode": "thousand", "seed": 7, "repeats": 2, "occlusion_fraction": 0.9, "noise_sigma": 0.6}\n' \
     > "$work/edges.json"
-for run in dataset_size diversity thousand occluded edges; do
+printf '{"mode": "thousand", "seed": 7, "repeats": 1, "seen_instances_per_family": 167, "unseen_instances_per_family": 50}\n' \
+    > "$work/paper.json"
+for run in dataset_size diversity thousand occluded edges paper; do
     first=""
     for jobs in 1 2; do
         start=$(python3 -c 'import time; print(time.time())')
