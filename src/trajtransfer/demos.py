@@ -73,10 +73,12 @@ class Demonstration:
     trajectory: tuple  # EndEffectorState, interaction phase only
     embedding: emb.GeometryEmbedding
     object_instance_id: str | None = None
-    # registration's memo, k -> (the subset of object_cloud that GICP
-    # registers, its covariances), filled by registration.estimate_delta;
-    # neither compared, printed nor archived
-    covariances: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    # work a rollout would otherwise redo for this demo, filled at its first
+    # use: k -> (the subset of object_cloud that GICP registers, its
+    # covariances) by registration.estimate_delta, and "replay_plan" -> the
+    # relative motions by policies.build_replay_plan; neither compared,
+    # printed nor archived
+    memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not is_file_name(self.id):

@@ -46,11 +46,14 @@ def plan_linear_path(start: Pose, target: Pose):
 
 
 def build_replay_plan(demo: Demonstration) -> tuple:
-    """(successor pose in the predecessor's frame, gripper command) per demo step."""
-    steps = []
-    for a, b in zip(demo.trajectory[:-1], demo.trajectory[1:]):
-        steps.append((compose(invert(a.pose), b.pose), b.gripper))
-    return tuple(steps)
+    """(successor pose in the predecessor's frame, gripper command) per demo
+    step, computed at the demo's first call and kept in ``demo.memo``."""
+    if "replay_plan" not in demo.memo:
+        steps = []
+        for a, b in zip(demo.trajectory[:-1], demo.trajectory[1:]):
+            steps.append((compose(invert(a.pose), b.pose), b.gripper))
+        demo.memo["replay_plan"] = tuple(steps)
+    return demo.memo["replay_plan"]
 
 
 def execute_replay(plan: tuple, start: Pose, start_gripper: int = 0):

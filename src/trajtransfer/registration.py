@@ -31,10 +31,12 @@ yaw within 5% of the grid's best (see :func:`coarse_align`): a third fewer KD
 queries than one bounded sweep of all 72 yaws, whose pick it kept in all
 1,948 benchmark rollouts checked (seeds 1-3 of each workload, 4 of unseen).
 
-Four savings leave every result bit-identical.  :func:`estimate_delta`
+Five savings leave every result bit-identical.  :func:`estimate_delta`
 memoizes a demo's covariances and its subset on the demo per neighbour count
 ``k``, computed at its first registration (not at ingest or load), so later
-registrations of that demo reuse them.  Every KD query is bounded just above
+registrations of that demo reuse them.  It builds the test cloud's KD tree
+once and hands it to the sweep, the test side's covariances and GICP (each
+builds its own when called without one).  Every KD query is bounded just above
 the distance beyond which its caller discards the match: the sweep clamps
 distances at its cap, and GICP keeps only matches within ``inlier_radius``.
 scipy returns ``inf`` (index ``n``) past the bound, and ``min(inf, cap) ==
@@ -132,8 +134,10 @@ def _sweep_angles(steps: int):
     return angles
 
 
-def coarse_align(demo_cloud: PointCloud, test_cloud: PointCloud) -> Pose:
+def coarse_align(demo_cloud: PointCloud, test_cloud: PointCloud, *, tree: cKDTree | None = None) -> Pose:
     """Centroid shift plus best yaw from a two-pass sweep about the vertical.
+
+    ``tree`` is ``cKDTree(test_cloud.points)`` if given (built here if not).
 
     A yaw scores the nearest-neighbour RMSE of the turned demo cloud against
     the test cloud.  Pass 1 scores every ``COARSE_GRID``-th yaw (a 20 degree
@@ -182,7 +186,8 @@ def coarse_align(demo_cloud: PointCloud, test_cloud: PointCloud) -> Pose:
         step = len(centered) // 600 + 1
         centered = centered[::step]
     n = len(centered)
-    tree = cKDTree(test_cloud.points)
+    if tree is None:
+        tree = cKDTree(test_cloud.points)
     # cap per-point distances so parts visible in only one of two partial
     # views bound the penalty without drowning out small discriminative
     # features (handles, spouts)
@@ -335,12 +340,15 @@ def _eigh3x3(A: np.ndarray):
     return w, v
 
 
-def estimate_covariances(cloud: PointCloud, k: int = GicpParams.k_neighbors) -> np.ndarray:
+def estimate_covariances(
+    cloud: PointCloud, k: int = GicpParams.k_neighbors, *, tree: cKDTree | None = None
+) -> np.ndarray:
     """(N, 3, 3) per-point covariances of the k nearest neighbours, planar-regularized.
 
     Eigenvalues are clamped below at EPS_PLANE times the largest so plane
     patches stay invertible in the Mahalanobis weights.  A plane needs
-    ``k >= 3`` neighbours.
+    ``k >= 3`` neighbours.  ``tree`` is ``cKDTree(cloud.points)`` if given
+    (built here if not).
     """
     if k < 3:
         raise TooFewPoints(f"a planar covariance needs >= 3 neighbours, got k={k}")
@@ -348,7 +356,8 @@ def estimate_covariances(cloud: PointCloud, k: int = GicpParams.k_neighbors) -> 
     if n < k:
         raise TooFewPoints(f"need >= {k} points, cloud has {n}")
     _check_extent(cloud)
-    tree = cKDTree(cloud.points)
+    if tree is None:
+        tree = cKDTree(cloud.points)
     _, idx = tree.query(cloud.points, k=k)
     nbrs = np.take(cloud.points, idx.T, axis=0)  # (k, N, 3): neighbour-major
     # the neighbours' mean, summed in neighbour order, as ``mean(axis=1)`` of
@@ -438,6 +447,7 @@ def generalized_icp(
     *,
     demo_covariances: np.ndarray | None = None,
     test_covariances: np.ndarray | None = None,
+    tree: cKDTree | None = None,
 ) -> RegistrationResult:
     """Refine ``init`` by plane-to-plane GICP; returns the last accepted pose,
     which is the best visited, since a trial is accepted only if it lowers the
@@ -448,21 +458,24 @@ def generalized_icp(
     ``k = min(GicpParams.k_neighbors, len(demo_cloud), len(test_cloud))``, so
     repeated registrations against the same cloud skip the (comparatively
     expensive) re-estimation; :func:`estimate_delta` passes the demo's memo.
-    Correspondence and fitness queries are bounded just above
-    ``inlier_radius`` (see :func:`_query_within`), which changes no result.
+    ``tree`` is ``cKDTree(test_cloud.points)`` if given (built here if not);
+    the test side's covariances use it too.  Correspondence and fitness
+    queries are bounded just above ``inlier_radius`` (see
+    :func:`_query_within`), which changes no result.
     """
     if len(demo_cloud) == 0 or len(test_cloud) == 0:
         raise EmptyCloud("registration requires non-empty clouds")
     _check_extent(demo_cloud, test_cloud)
     k = min(GicpParams.k_neighbors, len(demo_cloud), len(test_cloud))
+    if tree is None:
+        tree = cKDTree(test_cloud.points)
     if demo_covariances is None:
         demo_covariances = estimate_covariances(demo_cloud, k)
     if test_covariances is None:
-        test_covariances = estimate_covariances(test_cloud, k)
+        test_covariances = estimate_covariances(test_cloud, k, tree=tree)
     demo_pts = demo_cloud.points
     test_pts = test_cloud.points
     radius = GicpParams.inlier_radius
-    tree = cKDTree(test_pts)
 
     state = _corresponding_cost(init, demo_pts, demo_covariances, tree, test_pts, test_covariances)
     if state is None:
@@ -569,18 +582,20 @@ def estimate_delta(demo, test_cloud: PointCloud) -> RegistrationResult:
     refinement on the demo's registered subset.
 
     At its first registration with a given ``k`` the demo's covariances are
-    estimated on the whole cloud, and ``demo.covariances[k]`` keeps the
-    subset :func:`normal_space_sample` picks from them, as a cloud, with the
-    subset's rows of those covariances.  The result equals
+    estimated on the whole cloud, and ``demo.memo[k]`` keeps the subset
+    :func:`normal_space_sample` picks from them, as a cloud, with the
+    subset's rows of those covariances.  One KD tree of the test cloud serves
+    the sweep, the test side's covariances and GICP.  The result equals
     ``generalized_icp`` of that cloud with those covariances bit for bit.
     """
-    init = coarse_align(demo.object_cloud, test_cloud)
+    tree = cKDTree(test_cloud.points)
+    init = coarse_align(demo.object_cloud, test_cloud, tree=tree)
     k = min(GicpParams.k_neighbors, len(demo.object_cloud), len(test_cloud))
-    if k not in demo.covariances:
+    if k not in demo.memo:
         cov = estimate_covariances(demo.object_cloud, k)
         keep = normal_space_sample(cov, k)
         subset = demo.object_cloud.points[keep]
         subset.setflags(write=False)  # handed over: PointCloud keeps it as it is
-        demo.covariances[k] = (PointCloud(subset), cov[keep])
-    cloud, cov = demo.covariances[k]
-    return generalized_icp(cloud, test_cloud, init, demo_covariances=cov)
+        demo.memo[k] = (PointCloud(subset), cov[keep])
+    cloud, cov = demo.memo[k]
+    return generalized_icp(cloud, test_cloud, init, demo_covariances=cov, tree=tree)

@@ -29,7 +29,7 @@ from .policies import OCCLUSION_CLUSTERS, build_replay_plan, execute_replay, jit
 from .policies import plan_linear_path
 from .registration import RegistrationResult, estimate_delta
 from .retrieval import RetrievalResult, hierarchical_retrieve
-from .se3 import Pose, PointCloud, compose, invert, pose_distance, transform_cloud
+from .se3 import Pose, PointCloud, compose, invert, pose_distance
 
 WORKSPACE = (0.80, 0.45)  # metres, x by y
 WORKSPACE_MARGIN = 0.06
@@ -412,7 +412,11 @@ def render_partial_cloud(instance: ObjectInstance, object_pose: Pose, seed: int 
     if len(visible) > MAX_RENDER_POINTS:
         rng = np.random.default_rng(np.random.SeedSequence([seed, 7]))
         visible = np.sort(rng.choice(visible, size=MAX_RENDER_POINTS, replace=False))
-    return PointCloud(transform_cloud(object_pose, instance.canonical_cloud).points[visible])
+    # only the drawn points: the rows of se3.transform_cloud's product, bit for bit
+    R = object_pose.rotation_matrix()
+    points = instance.canonical_cloud.points[visible] @ R.T + object_pose.translation
+    points.setflags(write=False)  # handed over: PointCloud keeps it as it is
+    return PointCloud(points)
 
 
 # --- scene randomization and demonstrations ----------------------------------

@@ -71,7 +71,7 @@ def test_record(tmp_path):
     out = run(root, "7")
     assert out.returncode == 0, out.stderr
     assert out.stdout.splitlines()[0] == "a seed 1 trace 0: correct True, failed 0/4, trace_sha256 ta1"
-    assert out.stdout.endswith("wrote BENCH_7.json\n")
+    assert out.stdout.endswith("wrote BENCH_7.json\nno earlier BENCH_*.json to compare against\n")
     assert (tmp_path / "order.log").read_text().splitlines() == [
         f"{w} {seed} 5 {trace}" for w in "ab" for seed, trace in ((1, 0), (2, 0), (3, 0), (31, 1))
     ]
@@ -88,6 +88,41 @@ def test_record(tmp_path):
     assert bench["per_layer"]["a"] == {"registration.gicp_ms": {"value": 3.1, "unit": "ms"}}
     assert bench["kd_points"] == {"seen": {"gicp_evaluations": 12}, "path": str(root / "src")}
     assert bench["trace_oracle"] == ["one 1 2", "two 3 4"]
+
+
+def canned(pr, medians, kd):
+    """A BENCH file with the given rollout_p50_ms median per workload."""
+    return {
+        "pr": pr,
+        "end_to_end": {w: {"rollout_p50_ms": {"median": m, "values": [m], "unit": "ms"}} for w, m in medians.items()},
+        "kd_points": kd,
+    }
+
+
+def test_compare_with_the_newest_earlier_file(tmp_path):
+    root = checkout(tmp_path)
+    kd = {"seen": {"gicp_evaluations": 12}, "path": str(root / "src")}
+    (root / "BENCH_3.json").write_text(json.dumps(canned(3, {"a": 40.0, "b": 40.0}, kd)))
+    (root / "BENCH_5.json").write_text(json.dumps(canned(5, {"a": 25.0}, {**kd, "path": "elsewhere"})))
+    (root / "BENCH_9.json").write_text(json.dumps(canned(9, {"a": 1.0, "b": 1.0}, kd)))  # later: not compared
+    (root / "BENCH_x.json").write_text("{")
+    out = run(root, "7")
+    assert out.returncode == 0, out.stderr
+    tail = out.stdout.split("wrote BENCH_7.json\n")[1].splitlines()
+    # BENCH_5 is the newest earlier file; its b is missing, and its kd line differs
+    assert tail == [
+        "against BENCH_5.json: workload metric old_median new_median new/old",
+        "a rollout_p50_ms 25 20 0.800",
+        "b rollout_p50_ms - 20 -",
+        "kd_points: differ to BENCH_5.json's",
+    ]
+    (root / "BENCH_5.json").unlink()
+    tail = run(root, "7").stdout.split("wrote BENCH_7.json\n")[1].splitlines()
+    assert tail[1:] == ["a rollout_p50_ms 40 20 0.500", "b rollout_p50_ms 40 20 0.500", "kd_points: equal to BENCH_3.json's"]
+    (root / "BENCH_3.json").write_text("{")
+    out = run(root, "7")
+    assert out.returncode == 1 and out.stderr.startswith("error: BENCH_3.json")
+    assert (root / "BENCH_7.json").exists()
 
 
 def test_uncommitted_tree_is_marked(tmp_path):

@@ -5,7 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from trajtransfer.demos import Dataset, EndEffectorState, alignment_target
+from trajtransfer import policies
+from trajtransfer.demos import Dataset, EndEffectorState, alignment_target, load_dataset, save_dataset
 from trajtransfer.errors import TooFewPoints
 from trajtransfer.policies import (
     ALIGN_CUBOID_ORIGIN,
@@ -129,6 +130,34 @@ class TestReplay:
         for _ in range(5):
             out = execute_replay(plan, random_pose(rng), ref[0])
             assert [s.gripper for s in out] == ref
+
+    def test_plan_once_per_demo(self, monkeypatch, tmp_path):
+        """The plan's composes run at a demo's first call only; later calls
+        return the kept plan, whose bits are those of a fresh one."""
+        calls = []
+
+        def counting(a, b):
+            calls.append(1)
+            return compose(a, b)
+
+        ds = Dataset()
+        source = make_demo()
+        demo = ds.ingest(source.description, source.object_cloud, source.trajectory)
+        steps = len(demo.trajectory) - 1
+        fresh = tuple(
+            (compose(invert(a.pose), b.pose), b.gripper) for a, b in zip(demo.trajectory[:-1], demo.trajectory[1:])
+        )
+        save_dataset(ds, tmp_path / "arch")
+        loaded = load_dataset(tmp_path / "arch").demos[demo.id]
+        monkeypatch.setattr(policies, "compose", counting)
+        plan = build_replay_plan(demo)
+        assert len(calls) == steps > 2
+        assert build_replay_plan(demo) is plan and len(calls) == steps
+        assert [(m.rotation.tobytes(), m.translation.tobytes(), g) for m, g in plan] == [
+            (m.rotation.tobytes(), m.translation.tobytes(), g) for m, g in fresh
+        ]
+        build_replay_plan(loaded)  # a loaded demo has its own memo
+        assert len(calls) == 2 * steps and build_replay_plan(loaded) is not plan
 
 
 class TestAlignmentTrajectories:

@@ -5,11 +5,15 @@ import itertools
 import math
 import pickle
 from dataclasses import replace
+from functools import lru_cache
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
-from trajtransfer import simbench
+from trajtransfer import policies, simbench
 from trajtransfer.demos import Dataset
 from trajtransfer.errors import EmptyCloud, OutOfRange, TooFewPoints, UnknownCategory
 from trajtransfer.se3 import Pose, PointCloud, compose, invert, pose_distance, transform_cloud
@@ -205,6 +209,59 @@ class TestRender:
                 assert np.array_equal(centre, CAMERA_CENTRE)
             for seed in (0, 1, 1000):
                 assert generate_object(cat, seed).canonical_cloud.points[:, 2].max() < CAMERA_HEIGHT
+
+
+@lru_cache(maxsize=None)
+def rendered_instance(family, seed):
+    """An instance whose visible set is found, shared across the tests below."""
+    inst = generate_object(family, seed)
+    inst.visible_indices
+    return inst
+
+
+def drawn_rows(instance, object_pose, seed):
+    """render_partial_cloud as it was: every canonical point transformed by
+    se3.transform_cloud, then the drawn visible rows kept."""
+    visible = instance.visible_indices
+    if len(visible) > MAX_RENDER_POINTS:
+        rng = np.random.default_rng(np.random.SeedSequence([seed, 7]))
+        visible = np.sort(rng.choice(visible, size=MAX_RENDER_POINTS, replace=False))
+    return transform_cloud(object_pose, instance.canonical_cloud).points[visible]
+
+
+class TestRenderDrawnPoints:
+    """Transforming only the drawn points gives the rows of the whole
+    transformed cloud bit for bit."""
+
+    INSTANCES = (0, 1, 1000, 1001)  # seen and unseen instance seeds
+
+    @pytest.mark.parametrize("family", CATEGORIES)
+    def test_scenes(self, family):
+        task = default_task(family)
+        for seed in self.INSTANCES:
+            inst = rendered_instance(family, seed)
+            for mode, s in itertools.product(("controlled", "thousand"), range(5)):
+                scene = randomize_scene(task, inst, mode, s)
+                got = render_partial_cloud(inst, scene.object_pose, scene.rng_seed).points
+                assert got.tobytes() == drawn_rows(inst, scene.object_pose, scene.rng_seed).tobytes()
+
+    def test_both_sides_of_the_cap(self):
+        sizes = [len(rendered_instance(f, seed).visible_indices) for f in CATEGORIES for seed in self.INSTANCES]
+        assert min(sizes) <= MAX_RENDER_POINTS < max(sizes)
+
+    @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(
+        family=st.sampled_from(CATEGORIES),
+        instance_seed=st.sampled_from(INSTANCES),
+        yaw=st.floats(-math.pi, math.pi),
+        translation=arrays(np.float64, 3, elements=st.floats(-2.0, 2.0)),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_drawn_poses(self, family, instance_seed, yaw, translation, seed):
+        inst = rendered_instance(family, instance_seed)
+        pose = Pose.from_yaw(yaw, translation)
+        got = render_partial_cloud(inst, pose, seed).points
+        assert got.tobytes() == drawn_rows(inst, pose, seed).tobytes()
 
 
 def head_camera(object_pose):
@@ -406,6 +463,32 @@ class TestRollout:
         a = run_rollout(bench, task, scene)
         b = run_rollout(bench, task, scene)
         assert a.to_trace_dict() == b.to_trace_dict()
+
+    def test_replay_plan_memo(self, monkeypatch):
+        """Two rollouts of one scene give equal traces and equal executed
+        states; the second replays the plan the first kept on the demo."""
+        bench, task, inst, _ = make_bench()
+        scene = randomize_scene(task, inst, "controlled", 918)
+        inverts = []
+        real = policies.invert
+
+        def counting(pose):
+            inverts.append(pose)
+            return real(pose)
+
+        monkeypatch.setattr(policies, "invert", counting)
+        a = run_rollout(bench, task, scene)
+        planned = len(inverts)
+        b = run_rollout(bench, task, scene)
+        (demo,) = bench.dataset.demos.values()
+        assert planned == len(demo.trajectory) - 1 and len(inverts) == planned
+        assert a.to_trace_dict() == b.to_trace_dict()
+        assert len(a.executed) == len(b.executed) == len(demo.trajectory)
+        for x, y in zip(a.executed, b.executed):
+            assert (x.gripper, x.time_index) == (y.gripper, y.time_index)
+            assert x.pose.rotation.tobytes() + x.pose.translation.tobytes() == (
+                y.pose.rotation.tobytes() + y.pose.translation.tobytes()
+            )
 
     def test_heaviest_occlusion_runs(self):
         bench, task, inst, _ = make_bench()

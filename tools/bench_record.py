@@ -11,9 +11,13 @@ it), each run's environment line and trace_sha256, per workload the median
 over the three seeds of every end-to-end metric (with the three values) and
 the traced run's per-layer metrics, the JSON line of kd_points.py, and the
 lines of tools/trace_oracle.expected.  PR numbers the file, so each change
-commits its own and a later one compares against it.  Exits 1, writing no
-file, if a run is not correct or kd_points.py fails, 2 on a usage error, and
-0 otherwise.  Needs only the standard library.
+commits its own and a later one compares against it: after writing the file
+it prints, against the newest BENCH_<N>.json with N < PR at the root, one
+line per workload and end-to-end metric with the two medians and their ratio
+(new / old), then whether the two kd_points.py lines are equal.  Exits 1,
+writing no file, if a run is not correct or kd_points.py fails (or after
+writing it, if the earlier file does not read), 2 on a usage error, and 0
+otherwise.  Needs only the standard library.
 """
 
 from __future__ import annotations
@@ -76,6 +80,33 @@ def record(spec: dict, runs: dict) -> dict:
     return out
 
 
+def previous(pr: int) -> Path | None:
+    """The newest BENCH_<N>.json at the root with N < ``pr``, or None."""
+    older = []
+    for path in ROOT.glob("BENCH_*.json"):
+        n = path.stem[len("BENCH_") :]
+        if n.isdigit() and int(n) < pr:
+            older.append((int(n), path))
+    return max(older)[1] if older else None
+
+
+def compare(old: dict, new: dict, old_name: str) -> list:
+    """Lines comparing ``new``'s end-to-end medians and kd_points line with ``old``'s."""
+    lines = [f"against {old_name}: workload metric old_median new_median new/old"]
+    for workload, metrics in new["end_to_end"].items():
+        for name, entry in metrics.items():
+            before = old.get("end_to_end", {}).get(workload, {}).get(name, {}).get("median")
+            after = entry["median"]
+            if before is None:
+                lines.append(f"{workload} {name} - {after:.6g} -")
+            else:
+                ratio = f"{after / before:.3f}" if before else "-"
+                lines.append(f"{workload} {name} {before:.6g} {after:.6g} {ratio}")
+    same = "equal" if old.get("kd_points") == new["kd_points"] else "differ"
+    lines.append(f"kd_points: {same} to {old_name}'s")
+    return lines
+
+
 def main(argv) -> int:
     if len(argv) != 1 or not argv[0].isdigit() or int(argv[0]) < 1:
         print("usage: " + __doc__.strip().splitlines()[2].strip() + "  (PR >= 1)", file=sys.stderr)
@@ -112,6 +143,16 @@ def main(argv) -> int:
     path = ROOT / f"BENCH_{int(argv[0])}.json"
     path.write_text(json.dumps(bench, indent=2, sort_keys=True) + "\n")
     print(f"wrote {path.name}")
+    before = previous(bench["pr"])
+    if before is None:
+        print("no earlier BENCH_*.json to compare against")
+    else:
+        try:
+            old = json.loads(before.read_text())
+        except (OSError, ValueError) as e:
+            print(f"error: {before.name}: {e}", file=sys.stderr)
+            return 1
+        print("\n".join(compare(old, bench, before.name)))
     return 0
 
 
