@@ -4,7 +4,7 @@ from .se3 import Pose, PointCloud, compose, invert, transform_cloud, pose_distan
 from .demos import Dataset, Demonstration, EndEffectorState, parse_micro_skill, resample_trajectory, alignment_target, save_dataset, load_dataset
 from .embedding import GeometryEmbedding, occupancy_embedding, cosine_similarity
 from .retrieval import RetrievalResult, language_filter, hierarchical_retrieve
-from .registration import GicpParams, RegistrationResult, coarse_align, estimate_covariances, generalized_icp, estimate_delta
+from .registration import GicpParams, RegistrationResult, coarse_align, estimate_covariances, generalized_icp, estimate_delta, prepare_test_cloud
 from .policies import (
     transfer_alignment_pose,
     plan_linear_path,

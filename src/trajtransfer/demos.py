@@ -75,9 +75,9 @@ class Demonstration:
     object_instance_id: str | None = None
     # work a rollout would otherwise redo for this demo, filled at its first
     # use: k -> (the subset of object_cloud that GICP registers, its
-    # covariances) by registration.estimate_delta, and "replay_plan" -> the
-    # relative motions by policies.build_replay_plan; neither compared,
-    # printed nor archived
+    # covariances) by registration._prepare_demo, the demo side's preparer,
+    # and "replay_plan" -> the relative motions by policies.build_replay_plan;
+    # neither compared, printed nor archived
     memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):

@@ -31,12 +31,12 @@ yaw within 5% of the grid's best (see :func:`coarse_align`): a third fewer KD
 queries than one bounded sweep of all 72 yaws, whose pick it kept in all
 1,948 benchmark rollouts checked (seeds 1-3 of each workload, 4 of unseen).
 
-Five savings leave every result bit-identical.  :func:`estimate_delta`
-memoizes a demo's covariances and its subset on the demo per neighbour count
+Five savings leave every result bit-identical.  Each side of a registration
+is prepared once.  :func:`prepare_test_cloud` builds the test cloud's KD tree
+and covariances, which the sweep and GICP both read.  :func:`_prepare_demo`
+memoizes a demo's subset and its covariances on the demo per neighbour count
 ``k``, computed at its first registration (not at ingest or load), so later
-registrations of that demo reuse them.  It builds the test cloud's KD tree
-once and hands it to the sweep, the test side's covariances and GICP (each
-builds its own when called without one).  Every KD query is bounded just above
+registrations of that demo reuse them.  Every KD query is bounded just above
 the distance beyond which its caller discards the match: the sweep clamps
 distances at its cap, and GICP keeps only matches within ``inlier_radius``.
 scipy returns ``inf`` (index ``n``) past the bound, and ``min(inf, cap) ==
@@ -117,10 +117,22 @@ class RegistrationResult:
         return {**vars(self), "delta": self.delta.as_row()}
 
 
-def _check_extent(*clouds: PointCloud) -> None:
-    for cloud in clouds:
-        if len(cloud) and np.abs(cloud.points).max() > MAX_COORDINATE:
-            raise OutOfRange(f"cloud coordinates exceed {MAX_COORDINATE:g} m")
+@dataclass(frozen=True)
+class PreparedCloud:
+    """A test cloud ready for registration, made by :func:`prepare_test_cloud`."""
+
+    cloud: PointCloud
+    tree: cKDTree  # cKDTree(cloud.points)
+    covariances: np.ndarray  # estimate_covariances(cloud, k, tree)
+
+
+def _check(stage: str, *clouds: PointCloud) -> None:
+    """EmptyCloud if any cloud is empty, else OutOfRange if any has a
+    coordinate beyond ``MAX_COORDINATE``."""
+    if any(len(cloud) == 0 for cloud in clouds):
+        raise EmptyCloud(f"{stage} requires non-empty clouds")
+    if any(np.abs(cloud.points).max() > MAX_COORDINATE for cloud in clouds):
+        raise OutOfRange(f"cloud coordinates exceed {MAX_COORDINATE:g} m")
 
 
 def _sweep_angles(steps: int):
@@ -134,10 +146,9 @@ def _sweep_angles(steps: int):
     return angles
 
 
-def coarse_align(demo_cloud: PointCloud, test_cloud: PointCloud, *, tree: cKDTree | None = None) -> Pose:
-    """Centroid shift plus best yaw from a two-pass sweep about the vertical.
-
-    ``tree`` is ``cKDTree(test_cloud.points)`` if given (built here if not).
+def coarse_align(demo_cloud: PointCloud, test: PreparedCloud) -> Pose:
+    """Centroid shift plus best yaw from a two-pass sweep about the vertical;
+    of the test side it reads the cloud and its tree.
 
     A yaw scores the nearest-neighbour RMSE of the turned demo cloud against
     the test cloud.  Pass 1 scores every ``COARSE_GRID``-th yaw (a 20 degree
@@ -174,11 +185,9 @@ def coarse_align(demo_cloud: PointCloud, test_cloud: PointCloud, *, tree: cKDTre
     so they agree, and by induction over the pruned yaws so does the pruned
     sweep.  The margin's relative term absorbs the rounding of partial sums.
     """
-    if len(demo_cloud) == 0 or len(test_cloud) == 0:
-        raise EmptyCloud("coarse alignment requires non-empty clouds")
-    _check_extent(demo_cloud, test_cloud)
+    _check("coarse alignment", demo_cloud)
     c_demo = demo_cloud.points.mean(axis=0)
-    c_test = test_cloud.points.mean(axis=0)
+    c_test = test.cloud.points.mean(axis=0)
     centered = demo_cloud.points - c_demo
     # the sweep only has to pick a 5 degree bin; an even subsample keeps the
     # score discriminative at a fraction of the query cost
@@ -186,8 +195,6 @@ def coarse_align(demo_cloud: PointCloud, test_cloud: PointCloud, *, tree: cKDTre
         step = len(centered) // 600 + 1
         centered = centered[::step]
     n = len(centered)
-    if tree is None:
-        tree = cKDTree(test_cloud.points)
     # cap per-point distances so parts visible in only one of two partial
     # views bound the penalty without drowning out small discriminative
     # features (handles, spouts)
@@ -204,7 +211,7 @@ def coarse_align(demo_cloud: PointCloud, test_cloud: PointCloud, *, tree: cKDTre
         moved[:, :, 1] = sa[yaws, None] * x + ca[yaws, None] * y
         moved[:, :, 2] = z
         moved += c_test
-        d, _ = tree.query(moved.reshape(-1, 3), distance_upper_bound=cap)
+        d, _ = test.tree.query(moved.reshape(-1, 3), distance_upper_bound=cap)
         return np.minimum(d.reshape(len(yaws), len(pts)), cap)
 
     d = np.empty((len(angles), n))  # rows of pruned yaws stay unfilled
@@ -340,24 +347,20 @@ def _eigh3x3(A: np.ndarray):
     return w, v
 
 
-def estimate_covariances(
-    cloud: PointCloud, k: int = GicpParams.k_neighbors, *, tree: cKDTree | None = None
-) -> np.ndarray:
-    """(N, 3, 3) per-point covariances of the k nearest neighbours, planar-regularized.
+def estimate_covariances(cloud: PointCloud, k: int, tree: cKDTree) -> np.ndarray:
+    """(N, 3, 3) per-point covariances of the k nearest neighbours in ``tree``,
+    ``cKDTree(cloud.points)``, planar-regularized.
 
     Eigenvalues are clamped below at EPS_PLANE times the largest so plane
     patches stay invertible in the Mahalanobis weights.  A plane needs
-    ``k >= 3`` neighbours.  ``tree`` is ``cKDTree(cloud.points)`` if given
-    (built here if not).
+    ``k >= 3`` neighbours.
     """
     if k < 3:
         raise TooFewPoints(f"a planar covariance needs >= 3 neighbours, got k={k}")
     n = len(cloud)
     if n < k:
         raise TooFewPoints(f"need >= {k} points, cloud has {n}")
-    _check_extent(cloud)
-    if tree is None:
-        tree = cKDTree(cloud.points)
+    _check("covariance estimation", cloud)
     _, idx = tree.query(cloud.points, k=k)
     nbrs = np.take(cloud.points, idx.T, axis=0)  # (k, N, 3): neighbour-major
     # the neighbours' mean, summed in neighbour order, as ``mean(axis=1)`` of
@@ -418,21 +421,21 @@ def _rotate_covariances(R: np.ndarray, cov: np.ndarray) -> np.ndarray:
     return ((R @ cov).reshape(-1, 3) @ R.T).reshape(-1, 3, 3)
 
 
-def _corresponding_cost(pose, demo_pts, cov_demo, tree, test_pts, cov_test):
+def _corresponding_cost(pose, demo_pts, cov_demo, test: PreparedCloud):
     """Correspondences + mean Mahalanobis cost at a pose, matched in the test
-    cloud's ``tree``; None if no matches."""
+    side's tree; None if no matches."""
     R = pose.rotation_matrix()
     moved = demo_pts @ R.T + pose.translation
     radius = GicpParams.inlier_radius
-    dist, idx = _query_within(tree, moved, radius)
+    dist, idx = _query_within(test.tree, moved, radius)
     mask = dist <= radius
     rows = np.flatnonzero(mask)
     if len(rows) == 0:
         return None
     src = moved[rows]
     match = idx[rows]
-    tgt = test_pts[match]
-    cov = cov_test[match] + _rotate_covariances(R, cov_demo[rows])
+    tgt = test.cloud.points[match]
+    cov = test.covariances[match] + _rotate_covariances(R, cov_demo[rows])
     W = _inv3x3(cov)
     d = tgt - src
     Wd = (W @ d[:, :, None])[:, :, 0]
@@ -440,44 +443,22 @@ def _corresponding_cost(pose, demo_pts, cov_demo, tree, test_pts, cov_test):
     return mask, src, tgt, W, d, cost
 
 
-def generalized_icp(
-    demo_cloud: PointCloud,
-    test_cloud: PointCloud,
-    init: Pose,
-    *,
-    demo_covariances: np.ndarray | None = None,
-    test_covariances: np.ndarray | None = None,
-    tree: cKDTree | None = None,
-) -> RegistrationResult:
+def generalized_icp(demo_cloud: PointCloud, test: PreparedCloud, init: Pose, demo_covariances: np.ndarray) -> RegistrationResult:
     """Refine ``init`` by plane-to-plane GICP; returns the last accepted pose,
     which is the best visited, since a trial is accepted only if it lowers the
     cost.
 
-    ``demo_covariances``/``test_covariances`` accept precomputed
-    :func:`estimate_covariances` results with
-    ``k = min(GicpParams.k_neighbors, len(demo_cloud), len(test_cloud))``, so
-    repeated registrations against the same cloud skip the (comparatively
-    expensive) re-estimation; :func:`estimate_delta` passes the demo's memo.
-    ``tree`` is ``cKDTree(test_cloud.points)`` if given (built here if not);
-    the test side's covariances use it too.  Correspondence and fitness
-    queries are bounded just above ``inlier_radius`` (see
+    ``demo_covariances`` are :func:`estimate_covariances` of ``demo_cloud``
+    with the ``k`` the test side was prepared with.  Correspondence and
+    fitness queries are bounded just above ``inlier_radius`` (see
     :func:`_query_within`), which changes no result.
     """
-    if len(demo_cloud) == 0 or len(test_cloud) == 0:
-        raise EmptyCloud("registration requires non-empty clouds")
-    _check_extent(demo_cloud, test_cloud)
-    k = min(GicpParams.k_neighbors, len(demo_cloud), len(test_cloud))
-    if tree is None:
-        tree = cKDTree(test_cloud.points)
-    if demo_covariances is None:
-        demo_covariances = estimate_covariances(demo_cloud, k)
-    if test_covariances is None:
-        test_covariances = estimate_covariances(test_cloud, k, tree=tree)
+    _check("registration", demo_cloud)
     demo_pts = demo_cloud.points
-    test_pts = test_cloud.points
+    test_pts = test.cloud.points
     radius = GicpParams.inlier_radius
 
-    state = _corresponding_cost(init, demo_pts, demo_covariances, tree, test_pts, test_covariances)
+    state = _corresponding_cost(init, demo_pts, demo_covariances, test)
     if state is None:
         raise NoCorrespondences("no correspondences within the inlier radius at init")
     pose = init
@@ -513,7 +494,7 @@ def generalized_icp(
             if np.linalg.norm(step[:3]) * reach + np.linalg.norm(step[3:]) <= GicpParams.step_stop:
                 break
             cand = compose(_exp_step(step), pose)
-            cand_state = _corresponding_cost(cand, demo_pts, demo_covariances, tree, test_pts, test_covariances)
+            cand_state = _corresponding_cost(cand, demo_pts, demo_covariances, test)
             if cand_state is not None and cand_state[5] < cost:
                 accepted = True
                 pose, state = cand, cand_state
@@ -577,25 +558,41 @@ def normal_space_sample(covariances: np.ndarray, k: int) -> np.ndarray:
     return np.sort(order[:half])
 
 
-def estimate_delta(demo, test_cloud: PointCloud) -> RegistrationResult:
-    """Full pipeline: coarse yaw-sweep init on the whole demo cloud, then GICP
-    refinement on the demo's registered subset.
+def prepare_test_cloud(cloud: PointCloud, k: int) -> PreparedCloud:
+    """The test side of a registration: ``cloud``, its KD tree and its
+    covariances with ``k`` neighbours, built once for the sweep and GICP."""
+    _check("registration", cloud)
+    tree = cKDTree(cloud.points)
+    return PreparedCloud(cloud, tree, estimate_covariances(cloud, k, tree))
 
-    At its first registration with a given ``k`` the demo's covariances are
-    estimated on the whole cloud, and ``demo.memo[k]`` keeps the subset
-    :func:`normal_space_sample` picks from them, as a cloud, with the
-    subset's rows of those covariances.  One KD tree of the test cloud serves
-    the sweep, the test side's covariances and GICP.  The result equals
-    ``generalized_icp`` of that cloud with those covariances bit for bit.
+
+def _prepare_demo(demo, k: int):
+    """The demo side, ``demo.memo[k]``: the subset of ``demo.object_cloud``
+    that GICP registers, as a cloud, and its covariances.  At the demo's first
+    registration with ``k`` the whole cloud's covariances are estimated and
+    :func:`normal_space_sample` picks the subset.  The memo lives on the demo,
+    not in a cache by demo id: two archives may hold different demos under one id.
     """
-    tree = cKDTree(test_cloud.points)
-    init = coarse_align(demo.object_cloud, test_cloud, tree=tree)
-    k = min(GicpParams.k_neighbors, len(demo.object_cloud), len(test_cloud))
     if k not in demo.memo:
-        cov = estimate_covariances(demo.object_cloud, k)
+        cloud = demo.object_cloud
+        cov = estimate_covariances(cloud, k, cKDTree(cloud.points))
         keep = normal_space_sample(cov, k)
-        subset = demo.object_cloud.points[keep]
+        subset = cloud.points[keep]
         subset.setflags(write=False)  # handed over: PointCloud keeps it as it is
         demo.memo[k] = (PointCloud(subset), cov[keep])
-    cloud, cov = demo.memo[k]
-    return generalized_icp(cloud, test_cloud, init, demo_covariances=cov, tree=tree)
+    return demo.memo[k]
+
+
+def estimate_delta(demo, test_cloud: PointCloud) -> RegistrationResult:
+    """Full pipeline: prepare both sides, sweep the whole demo cloud for a
+    coarse init, then refine it by GICP on the demo's registered subset.
+
+    Both clouds are checked first: an empty one raises EmptyCloud whatever
+    the other holds, then one out of range OutOfRange, then TooFewPoints.
+    """
+    demo_cloud = demo.object_cloud
+    _check("coarse alignment", demo_cloud, test_cloud)
+    k = min(GicpParams.k_neighbors, len(demo_cloud), len(test_cloud))
+    test = prepare_test_cloud(test_cloud, k)
+    subset, cov = _prepare_demo(demo, k)
+    return generalized_icp(subset, test, coarse_align(demo_cloud, test), cov)

@@ -32,6 +32,7 @@ from trajtransfer.registration import (
     coarse_align,
     estimate_covariances,
     generalized_icp,
+    prepare_test_cloud,
 )
 from trajtransfer.retrieval import hierarchical_retrieve
 from trajtransfer.se3 import (
@@ -149,8 +150,7 @@ def test_criterion_03_registration_recovery():
             len(pts), size=2000, replace=False
         )
         demo_cloud = PointCloud(pts[np.sort(pick)])
-        lc_demo = estimate_covariances(demo_cloud, GicpParams.k_neighbors)
-        cov_demo = lc_demo
+        cov_demo = estimate_covariances(demo_cloud, GicpParams.k_neighbors, cKDTree(demo_cloud.points))
         rng = np.random.default_rng(zlib.crc32(family.encode()) + 1)
         for trial in range(per_family):
             g = Pose.from_yaw(
@@ -163,11 +163,9 @@ def test_criterion_03_registration_recovery():
                 ("clean", moved, 0.002, math.radians(1.0)),
                 ("noisy", noisy, 0.005, math.radians(2.0)),
             ):
-                lc_test = estimate_covariances(test_cloud, GicpParams.k_neighbors)
-                init = coarse_align(demo_cloud, test_cloud)
-                res = generalized_icp(
-                    demo_cloud, test_cloud, init, demo_covariances=lc_demo, test_covariances=lc_test
-                )
+                test = prepare_test_cloud(test_cloud, GicpParams.k_neighbors)
+                init = coarse_align(demo_cloud, test)
+                res = generalized_icp(demo_cloud, test, init, cov_demo)
                 dt, dr = pose_distance(res.delta, g)
                 if family == "bottle":
                     # surface of revolution: yaw is genuinely unconstrained
@@ -182,14 +180,8 @@ def test_criterion_03_registration_recovery():
                     noisy_ok += hit
                 # monotone refinement: cost at the returned pose never exceeds
                 # the cost at the coarse init
-                cov_test = lc_test
-                tree = cKDTree(test_cloud.points)
-                c_init = _corresponding_cost(
-                    init, demo_cloud.points, cov_demo, tree, test_cloud.points, cov_test
-                )
-                c_final = _corresponding_cost(
-                    res.delta, demo_cloud.points, cov_demo, tree, test_cloud.points, cov_test
-                )
+                c_init = _corresponding_cost(init, demo_cloud.points, cov_demo, test)
+                c_final = _corresponding_cost(res.delta, demo_cloud.points, cov_demo, test)
                 cost_ok += (
                     c_init is not None
                     and c_final is not None

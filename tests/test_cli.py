@@ -232,6 +232,21 @@ class TestRegister:
         err = capsys.readouterr().err
         assert "TooFewPoints" in err and "Traceback" not in err
 
+    def test_empty_cloud(self, workdir, capsys):
+        ingest_one(workdir)
+        (workdir / "empty.txt").write_text("0\n")
+        capsys.readouterr()
+        code = cli.main(
+            [
+                "register",
+                "--dataset", str(workdir / "ds"),
+                "--demo-id", "d1",
+                "--cloud", str(workdir / "empty.txt"),
+            ]
+        )
+        assert code == cli.EXIT_INPUT
+        assert capsys.readouterr().err.splitlines()[-1] == "error: EmptyCloud: coarse alignment requires non-empty clouds"
+
 
 class TestGenScene:
     def test_scene_json(self, workdir, capsys):

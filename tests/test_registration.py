@@ -1,6 +1,5 @@
 """Registration: coarse yaw sweep, planar covariances, GICP refinement."""
 
-import inspect
 import itertools
 import math
 from functools import lru_cache
@@ -21,6 +20,7 @@ from trajtransfer.registration import (
     EPS_PLANE,
     MAX_COORDINATE,
     GicpParams,
+    PreparedCloud,
     RegistrationResult,
     _corresponding_cost,
     _exp_step,
@@ -32,6 +32,7 @@ from trajtransfer.registration import (
     estimate_delta,
     generalized_icp,
     normal_space_sample,
+    prepare_test_cloud,
 )
 from trajtransfer.se3 import Pose, PointCloud, compose, invert, pose_distance, rotation_angle, transform_cloud
 from trajtransfer.simbench import (
@@ -64,6 +65,29 @@ def cylinder_cloud(n=600, seed=1):
     return PointCloud(np.stack([0.04 * np.cos(th), 0.04 * np.sin(th), z], axis=1))
 
 
+def covariances(cloud, k=GicpParams.k_neighbors):
+    """estimate_covariances in a KD tree of the cloud's own."""
+    return estimate_covariances(cloud, k, cKDTree(cloud.points))
+
+
+def swept(cloud):
+    """The test side as the sweep reads it: the cloud and its tree, which
+    ``registration.cKDTree`` builds.  The sweep reads no covariances, so this
+    serves clouds too small to prepare as well."""
+    return PreparedCloud(cloud, registration.cKDTree(cloud.points), None)
+
+
+def coarse(demo_cloud, test_cloud):
+    return coarse_align(demo_cloud, swept(test_cloud))
+
+
+def gicp(demo_cloud, test_cloud, init):
+    """generalized_icp of the whole demo cloud, both sides' covariances at
+    the ``k`` estimate_delta picks."""
+    k = min(GicpParams.k_neighbors, len(demo_cloud), len(test_cloud))
+    return generalized_icp(demo_cloud, prepare_test_cloud(test_cloud, k), init, covariances(demo_cloud, k))
+
+
 class TestGicpParams:
     def test_fixed_values(self):
         assert (
@@ -84,7 +108,7 @@ class TestGicpParams:
 class TestCoarseAlign:
     def test_identity(self):
         c = mug_cloud()
-        delta = coarse_align(c, c)
+        delta = coarse(c, c)
         dt, dr = pose_distance(delta, Pose.identity())
         assert dt < 1e-6 and dr < 1e-6
 
@@ -92,21 +116,21 @@ class TestCoarseAlign:
         c = mug_cloud()
         g = Pose.from_yaw(math.radians(30.0), (0.10, 0.0, 0.0))
         moved = transform_cloud(g, c)
-        delta = coarse_align(c, moved)
+        delta = coarse(c, moved)
         dt, dr = pose_distance(delta, g)
         assert dt < 1e-3  # 1 mm
         assert dr < math.radians(2.5)  # half a sweep step
 
     def test_symmetric_cloud_lowest_angle(self):
         c = cylinder_cloud()
-        delta = coarse_align(c, c)
+        delta = coarse(c, c)
         # every yaw ties on a surface of revolution: the sweep must keep 0
         _, dr = pose_distance(delta, Pose.identity())
         assert dr < math.radians(5.0) + 1e-9
 
     def test_empty_cloud(self):
         with pytest.raises(EmptyCloud):
-            coarse_align(PointCloud(np.zeros((0, 3))), mug_cloud())
+            coarse(PointCloud(np.zeros((0, 3))), mug_cloud())
 
 
 def sweep_scores(demo_cloud, test_cloud):
@@ -225,7 +249,7 @@ class TestSweepBound:
     def test_benchmark_clouds(self, family):
         demo, clouds = benchmark_sweep_clouds(family)
         for cloud in clouds:
-            assert_same_pose(coarse_align(demo.object_cloud, cloud), full_sweep(demo.object_cloud, cloud))
+            assert_same_pose(coarse(demo.object_cloud, cloud), full_sweep(demo.object_cloud, cloud))
 
     def test_benchmark_clouds_query_share(self, monkeypatch):
         """Points sent to the KD tree, as a share of 72 yaws x the subsample,
@@ -239,7 +263,7 @@ class TestSweepBound:
             n = len(demo.object_cloud)
             n = len(range(0, n, n // 600 + 1)) if n > 600 else n
             for cloud in clouds:
-                coarse_align(demo.object_cloud, cloud)
+                coarse(demo.object_cloud, cloud)
                 full += 72 * n
         assert CountingTree.points <= 0.42 * full
 
@@ -255,7 +279,7 @@ class TestSweepBound:
         elif isinstance(test, str):  # the demo turned by exactly 90 degrees
             test = np.column_stack([-demo[:, 1], demo[:, 0], demo[:, 2]]) + shift
         demo, test = PointCloud(demo), PointCloud(test)
-        assert_same_pose(coarse_align(demo, test), two_stage_sweep(demo, test))
+        assert_same_pose(coarse(demo, test), two_stage_sweep(demo, test))
 
     def test_best_off_the_candidates(self):
         """A narrow basin at 10 degrees, half-way between two grid yaws, and a
@@ -276,17 +300,17 @@ class TestSweepBound:
         flipped = transform_cloud(Pose.from_yaw(math.pi), PointCloud(half)).points
         test = PointCloud(np.vstack([turned, flipped]))
         assert sweep_yaw(full_sweep(demo, test)) == pytest.approx(math.radians(10.0))
-        assert abs(sweep_yaw(coarse_align(demo, test))) == pytest.approx(math.pi)
-        assert_same_pose(coarse_align(demo, test), two_stage_sweep(demo, test))
+        assert abs(sweep_yaw(coarse(demo, test))) == pytest.approx(math.pi)
+        assert_same_pose(coarse(demo, test), two_stage_sweep(demo, test))
         alone = PointCloud(turned)
-        assert sweep_yaw(coarse_align(demo, alone)) == pytest.approx(math.radians(10.0))
-        assert_same_pose(coarse_align(demo, alone), full_sweep(demo, alone))
+        assert sweep_yaw(coarse(demo, alone)) == pytest.approx(math.radians(10.0))
+        assert_same_pose(coarse(demo, alone), full_sweep(demo, alone))
 
     def test_cylinder(self):
         c = cylinder_cloud()
         for yaw in (0.0, math.pi / 2, math.radians(37.0)):
             moved = transform_cloud(Pose.from_yaw(yaw, (0.01, -0.02, 0.0)), c)
-            assert_same_pose(coarse_align(c, moved), full_sweep(c, moved))
+            assert_same_pose(coarse(c, moved), full_sweep(c, moved))
 
 
 class TestEstimateCovariances:
@@ -294,31 +318,31 @@ class TestEstimateCovariances:
         rng = np.random.default_rng(4)
         pts = np.zeros((200, 3))
         pts[:, :2] = rng.uniform(-0.1, 0.1, size=(200, 2))
-        cov = estimate_covariances(PointCloud(pts))
+        cov = covariances(PointCloud(pts))
         w = np.linalg.eigvalsh(cov)
         np.testing.assert_allclose(w[:, 0], EPS_PLANE * w[:, 2], rtol=1e-9)
 
     def test_isotropic_blob(self):
         rng = np.random.default_rng(5)
         pts = rng.normal(scale=0.05, size=(400, 3))
-        cov = estimate_covariances(PointCloud(pts), k=40)
+        cov = covariances(PointCloud(pts), k=40)
         w = np.linalg.eigvalsh(cov)
         assert np.median(w[:, 0] / w[:, 2]) > 0.5
 
     def test_symmetric_psd(self):
-        cov = estimate_covariances(mug_cloud())
+        cov = covariances(mug_cloud())
         np.testing.assert_allclose(cov, np.transpose(cov, (0, 2, 1)), atol=1e-15)
         assert np.all(np.linalg.eigvalsh(cov) >= 0)
 
     def test_too_few_points(self):
         with pytest.raises(TooFewPoints):
-            estimate_covariances(PointCloud(np.zeros((5, 3))), k=20)
+            covariances(PointCloud(np.zeros((5, 3))), k=20)
 
 
 class TestGeneralizedIcp:
     def test_identical_clouds_identity(self):
         c = mug_cloud()
-        res = generalized_icp(c, c, Pose.identity())
+        res = gicp(c, c, Pose.identity())
         dt, dr = pose_distance(res.delta, Pose.identity())
         assert dt < 1e-9 and dr < 1e-9
         assert res.inlier_rmse < 1e-9
@@ -329,8 +353,8 @@ class TestGeneralizedIcp:
         c = mug_cloud(n=1600)
         g = Pose.from_yaw(math.radians(10.0), (0.05, 0.0, 0.0))
         moved = transform_cloud(g, c)
-        init = coarse_align(c, moved)
-        res = generalized_icp(c, moved, init)
+        init = coarse(c, moved)
+        res = gicp(c, moved, init)
         dt, dr = pose_distance(res.delta, g)
         assert dt < 2e-3
         assert dr < math.radians(1.0)
@@ -338,7 +362,7 @@ class TestGeneralizedIcp:
     def test_small_perturbation_refined(self):
         c = mug_cloud(n=1600)
         init = Pose.from_yaw(math.radians(3.0), (0.004, -0.003, 0.002))
-        res = generalized_icp(c, c, init)
+        res = gicp(c, c, init)
         dt, dr = pose_distance(res.delta, Pose.identity())
         assert dt < 2e-3
         assert dr < math.radians(1.0)
@@ -347,7 +371,7 @@ class TestGeneralizedIcp:
         c = mug_cloud()
         far = Pose(translation=np.array([10.0, 0.0, 0.0]))
         with pytest.raises(NoCorrespondences):
-            generalized_icp(c, c, far)
+            gicp(c, c, far)
 
     def test_consistency_random_inits(self, rng):
         c = mug_cloud(n=1200)
@@ -357,7 +381,7 @@ class TestGeneralizedIcp:
                 rng.uniform(-math.radians(4), math.radians(4)),
                 rng.uniform(-0.005, 0.005, size=3),
             )
-            res = generalized_icp(c, c, init)
+            res = gicp(c, c, init)
             dt, dr = pose_distance(res.delta, Pose.identity())
             if dt < 2e-3 and dr < math.radians(1.0):
                 good += 1
@@ -368,7 +392,7 @@ class TestGeneralizedIcp:
         c = cylinder_cloud(n=900)
         g = Pose(translation=np.array([0.03, 0.02, 0.0]))
         moved = transform_cloud(g, c)
-        res = generalized_icp(c, moved, coarse_align(c, moved))
+        res = gicp(c, moved, coarse(c, moved))
         assert np.linalg.norm(res.delta.translation - g.translation) < 2e-3
 
     def test_left_equivariance(self, rng):
@@ -376,13 +400,13 @@ class TestGeneralizedIcp:
         for _ in range(5):
             g = Pose.from_yaw(rng.uniform(-math.pi, math.pi), rng.uniform(-0.1, 0.1, size=3) * [1, 1, 0])
             moved = transform_cloud(g, c)
-            res = generalized_icp(c, moved, coarse_align(c, moved))
+            res = gicp(c, moved, coarse(c, moved))
             dt, dr = pose_distance(res.delta, g)
             assert dt < 2e-3 and dr < math.radians(1.0)
 
     def test_result_serializable(self):
         c = mug_cloud()
-        res = generalized_icp(c, c, Pose.identity())
+        res = gicp(c, c, Pose.identity())
         d = res.to_dict()
         # the CLI prints these keys unsorted, so their order is part of the output
         assert list(d) == ["delta", "inlier_rmse", "fitness", "iterations", "converged"]
@@ -401,11 +425,11 @@ def plain_estimate(demo, cloud):
     """estimate_delta without the demo's memo: the whole cloud's covariances
     and the subset computed afresh, the sweep on the whole cloud and GICP on
     the subset with its rows of those covariances."""
-    init = coarse_align(demo.object_cloud, cloud)
+    init = coarse(demo.object_cloud, cloud)
     k = min(GicpParams.k_neighbors, len(demo.object_cloud), len(cloud))
-    cov = estimate_covariances(demo.object_cloud, k)
+    cov = covariances(demo.object_cloud, k)
     keep = normal_space_sample(cov, k)
-    return generalized_icp(PointCloud(demo.object_cloud.points[keep]), cloud, init, demo_covariances=cov[keep])
+    return generalized_icp(PointCloud(demo.object_cloud.points[keep]), prepare_test_cloud(cloud, k), init, cov[keep])
 
 
 def bucket_covariances(sizes, seed=0):
@@ -430,13 +454,13 @@ class TestNormalSpaceSample:
     SIZES = [300, 1, 2, 0, 5, 40, 3, 0] + [7] * 16 + [60, 2, 30, 9, 0, 25, 11, 4]  # 32 buckets, three empty
 
     def test_deterministic(self):
-        cov = estimate_covariances(mug_cloud())
+        cov = covariances(mug_cloud())
         first = normal_space_sample(cov, 20)
         assert np.array_equal(first, normal_space_sample(cov.copy(), 20))
 
     @pytest.mark.parametrize("n", [80, 81, 1000, 1001])
     def test_sorted_unique_half(self, n):
-        cov = estimate_covariances(mug_cloud(n=n))[:n]
+        cov = covariances(mug_cloud(n=n))[:n]
         keep = normal_space_sample(cov, 20)
         assert len(keep) == n // 2
         assert np.all(np.diff(keep) > 0) and keep[0] >= 0 and keep[-1] < n
@@ -465,7 +489,7 @@ class TestNormalSpaceSample:
 
     @pytest.mark.parametrize("n, k, whole", [(79, 20, True), (80, 20, False), (39, 10, True), (40, 10, False)])
     def test_small_demo_kept_whole(self, n, k, whole):
-        cov = estimate_covariances(mug_cloud())[:n]
+        cov = covariances(mug_cloud())[:n]
         keep = normal_space_sample(cov, k)
         assert (len(keep) == n) == whole
         if whole:
@@ -500,8 +524,8 @@ class TestEstimateDelta:
         subset, cov = demo.memo[GicpParams.k_neighbors]
         # GICP of the memo's subset cloud and covariances, given the same init
         for cloud in (seen, unseen):
-            init = coarse_align(demo.object_cloud, cloud)
-            want = generalized_icp(subset, cloud, init, demo_covariances=cov)
+            test = prepare_test_cloud(cloud, GicpParams.k_neighbors)
+            want = generalized_icp(subset, test, coarse_align(demo.object_cloud, test), cov)
             assert estimate_delta(demo, cloud).to_dict() == want.to_dict()
         assert len(subset) == len(demo.object_cloud) // 2
         assert subset.points.flags.owndata and not subset.points.flags.writeable
@@ -524,9 +548,9 @@ class TestEstimateDelta:
         calls = []
         real = registration.estimate_covariances
 
-        def counting(cloud, k=20, *, tree=None):
+        def counting(cloud, k, tree):
             calls.append(cloud)
-            return real(cloud, k, tree=tree)
+            return real(cloud, k, tree)
 
         selections = []
         real_sample = registration.normal_space_sample
@@ -564,18 +588,17 @@ class TestEstimateDelta:
         assert (tmp_path / "after" / name).read_bytes() == (tmp_path / "before" / name).read_bytes()
 
 
-def polish_to_noise(demo_cloud, test_cloud, init, cov_demo, cov_test):
+def polish_to_noise(demo_cloud, test, init, cov_demo):
     """GICP's loop without the step stop, as it ran before any step stop: it
     ends only when 8 trials in a row fail or an accepted step changes the
     cost by less than 1e-6 of it.  Returns the final pose and its cost
     evaluations."""
-    tree = cKDTree(test_cloud.points)
     calls = 0
 
     def cost_at(pose):
         nonlocal calls
         calls += 1
-        return _corresponding_cost(pose, demo_cloud.points, cov_demo, tree, test_cloud.points, cov_test)
+        return _corresponding_cost(pose, demo_cloud.points, cov_demo, test)
 
     pose, state, lam = init, cost_at(init), GicpParams.damping
     for _ in range(GicpParams.max_iterations):
@@ -667,20 +690,16 @@ def step_stop_runs(family, kind):
     runs = []
     for demo_cloud, test_cloud in step_stop_scenes(family, kind):
         k = min(GicpParams.k_neighbors, len(demo_cloud), len(test_cloud))
-        cov_demo = estimate_covariances(demo_cloud, k)
-        cov_test = estimate_covariances(test_cloud, k)
-        init = coarse_align(demo_cloud, test_cloud)
+        cov_demo = covariances(demo_cloud, k)
+        test = prepare_test_cloud(test_cloud, k)
+        init = coarse_align(demo_cloud, test)
         log = TrialLog()
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(registration, "_corresponding_cost", log)
-            res = generalized_icp(
-                demo_cloud, test_cloud, init, demo_covariances=cov_demo, test_covariances=cov_test
-            )
-        want, oracle_calls = polish_to_noise(demo_cloud, test_cloud, init, cov_demo, cov_test)
-        tree = cKDTree(test_cloud.points)
+            res = generalized_icp(demo_cloud, test, init, cov_demo)
+        want, oracle_calls = polish_to_noise(demo_cloud, test, init, cov_demo)
         cost_init, cost_final = (
-            _corresponding_cost(pose, demo_cloud.points, cov_demo, tree, test_cloud.points, cov_test)[5]
-            for pose in (init, res.delta)
+            _corresponding_cost(pose, demo_cloud.points, cov_demo, test)[5] for pose in (init, res.delta)
         )
         runs.append(SimpleNamespace(
             res=res, accepted=log.current[0], want=want, log=log, oracle_calls=oracle_calls,
@@ -733,7 +752,7 @@ class TestStepStop:
 
     def test_stop_before_any_trial(self):
         c = mug_cloud()
-        res = generalized_icp(c, c, Pose.identity())
+        res = gicp(c, c, Pose.identity())
         assert (res.iterations, res.converged) == (1, True)
         assert_same_pose(res.delta, Pose.identity())
 
@@ -755,7 +774,7 @@ class TestInlierRadiusBoundary:
     def cost(self, gap):
         demo, test = facing_grids(gap)
         cov = np.broadcast_to(np.eye(3) * 1e-4, (25, 3, 3))
-        return _corresponding_cost(Pose.identity(), demo.points, cov, cKDTree(test.points), test.points, cov)
+        return _corresponding_cost(Pose.identity(), demo.points, cov, PreparedCloud(test, cKDTree(test.points), cov))
 
     def test_corresponding_cost(self):
         state = self.cost(self.radius)
@@ -765,12 +784,12 @@ class TestInlierRadiusBoundary:
     def test_fitness(self, monkeypatch):
         monkeypatch.setattr(GicpParams, "max_iterations", 0)
         demo, test = facing_grids(self.radius)
-        res = generalized_icp(demo, test, Pose.identity())
+        res = gicp(demo, test, Pose.identity())
         assert res.fitness == 1.0
         assert res.inlier_rmse == pytest.approx(self.radius, rel=1e-12)
         demo, test = facing_grids(np.nextafter(self.radius, np.inf))
         with pytest.raises(NoCorrespondences):
-            generalized_icp(demo, test, Pose.identity())
+            gicp(demo, test, Pose.identity())
 
 
 class TestQueryWithin:
@@ -825,7 +844,7 @@ class TestRotateCovariances:
         demo, _, _ = family_demo(family)
         (_, occluded), *_ = step_stop_scenes(family, "unseen")
         for cloud in (demo.object_cloud, occluded):
-            cov = estimate_covariances(cloud)
+            cov = covariances(cloud)
             for scale in (1e-150, 1.0, 1e6):
                 for _ in range(10):
                     R = Pose(rng.normal(size=4)).rotation_matrix()
@@ -916,7 +935,7 @@ def stacked_raw_covariances(cloud, k):
     return centered.transpose(0, 2, 1) @ centered / k
 
 
-def stacked_covariances(cloud, k=GicpParams.k_neighbors, *, tree=None):
+def stacked_covariances(cloud, k=GicpParams.k_neighbors, tree=None):
     """estimate_covariances from the stacked forms; it builds its own tree,
     so a caller's ``tree`` is ignored."""
     w, v = stacked_eigh3x3(stacked_raw_covariances(cloud, k))
@@ -1092,10 +1111,10 @@ class TestCovariancePath:
         assert np.add.reduce(np.ascontiguousarray(x.transpose(1, 0, 2)), axis=0).tobytes() == total.tobytes()
 
     @pytest.mark.parametrize("family", CATEGORIES)
-    def test_estimate_covariances(self, family):
+    def test_covariances(self, family):
         for cloud in kernel_clouds(family):
             for k in (3, GicpParams.k_neighbors):
-                assert estimate_covariances(cloud, k).tobytes() == stacked_covariances(cloud, k).tobytes()
+                assert covariances(cloud, k).tobytes() == stacked_covariances(cloud, k).tobytes()
 
     @pytest.mark.parametrize("family", CATEGORIES)
     def test_normal_space_sample(self, family, monkeypatch):
@@ -1124,9 +1143,9 @@ def pose_bits(pose):
 
 
 class TestSharedTree:
-    """One KD tree of the test cloud, built by estimate_delta and handed to
-    the sweep, the test side's covariances and GICP, gives each the bits it
-    gives with a tree of its own."""
+    """One KD tree and one set of covariances of the test cloud, built by
+    prepare_test_cloud and read by the sweep and GICP, give each stage the
+    bits of a test side built afresh, use after use."""
 
     @pytest.mark.parametrize("family", CATEGORIES)
     def test_each_stage(self, family):
@@ -1135,21 +1154,17 @@ class TestSharedTree:
             pair for kind in ("seen", "unseen") for pair in step_stop_scenes(family, kind)
         ]
         for demo_cloud, test_cloud in pairs:
-            shared = cKDTree(test_cloud.points)
-            init = coarse_align(demo_cloud, test_cloud)
-            assert pose_bits(coarse_align(demo_cloud, test_cloud, tree=shared)) == pose_bits(init)
             k = min(GicpParams.k_neighbors, len(demo_cloud), len(test_cloud))
-            own = estimate_covariances(test_cloud, k)
-            assert estimate_covariances(test_cloud, k, tree=shared).tobytes() == own.tobytes()
-            cov = estimate_covariances(demo_cloud, k)
-            want = generalized_icp(demo_cloud, test_cloud, init, demo_covariances=cov)
-            for given in (None, own):
-                got = generalized_icp(
-                    demo_cloud, test_cloud, init, demo_covariances=cov, test_covariances=given, tree=shared
-                )
-                assert got.to_dict() == want.to_dict()
-            # the tree is left as it was built: a second use gives the same bits
-            assert pose_bits(coarse_align(demo_cloud, test_cloud, tree=shared)) == pose_bits(init)
+            test = prepare_test_cloud(test_cloud, k)
+            fresh = PreparedCloud(test_cloud, cKDTree(test_cloud.points), covariances(test_cloud, k))
+            assert test.covariances.tobytes() == fresh.covariances.tobytes()
+            cov = covariances(demo_cloud, k)
+            init = coarse_align(demo_cloud, fresh)
+            want = generalized_icp(demo_cloud, fresh, init, cov).to_dict()
+            # the prepared side is left as it was built: a second use gives the same bits
+            for _ in range(2):
+                assert pose_bits(coarse_align(demo_cloud, test)) == pose_bits(init)
+                assert generalized_icp(demo_cloud, test, init, cov).to_dict() == want
 
     def test_one_tree_per_test_cloud(self, monkeypatch):
         built = []
@@ -1170,12 +1185,6 @@ class TestSharedTree:
             # besides it, the demo's tree at its first registration and GICP's
             # tree of the moved demo subset for its fitness
             assert len(built) == (3 if seed == 2 else 2)
-
-    def test_stages_take_the_tree_by_keyword_only(self):
-        """perfbench reads a third positional argument of coarse_align as
-        its yaw steps, so the tree is never positional."""
-        for fn in (coarse_align, estimate_covariances, generalized_icp):
-            assert inspect.signature(fn).parameters["tree"].kind is inspect.Parameter.KEYWORD_ONLY
 
 
 @st.composite
@@ -1220,7 +1229,7 @@ class TestDegenerateInput:
     @given(demo=clouds(), test=clouds(), init=poses, shift=st.sampled_from([0.0, 0.01, 0.5, 1e3]))
     def test_generalized_icp(self, demo, test, init, shift):
         test = PointCloud(test.points + shift)  # shift > 0.1: nothing within the radius
-        self.check(lambda: generalized_icp(demo, test, init))
+        self.check(lambda: gicp(demo, test, init))
 
     @FUZZ
     @given(demo=clouds(), test=clouds())
@@ -1231,16 +1240,77 @@ class TestDegenerateInput:
         c = mug_cloud()
         far = PointCloud(c.points + [1.0, 0.0, 0.0])
         with pytest.raises(NoCorrespondences):
-            generalized_icp(c, far, Pose.identity())
+            gicp(c, far, Pose.identity())
 
     @pytest.mark.parametrize("where", ["demo", "test"])
     def test_coordinates_beyond_the_limit(self, where):
         c = mug_cloud()
         big = PointCloud(c.points * 1e200)
+        if where == "demo":
+            with pytest.raises(OutOfRange):
+                coarse_align(big, prepare_test_cloud(c, GicpParams.k_neighbors))
+            with pytest.raises(OutOfRange):
+                generalized_icp(big, prepare_test_cloud(c, GicpParams.k_neighbors), Pose.identity(), covariances(c))
+        else:
+            with pytest.raises(OutOfRange):
+                prepare_test_cloud(big, GicpParams.k_neighbors)
+        with pytest.raises(OutOfRange):
+            covariances(big)
         demo, test = (big, c) if where == "demo" else (c, big)
         with pytest.raises(OutOfRange):
-            coarse_align(demo, test)
-        with pytest.raises(OutOfRange):
-            generalized_icp(demo, test, Pose.identity())
-        with pytest.raises(OutOfRange):
-            estimate_covariances(big)
+            estimate_delta(SimpleNamespace(object_cloud=demo, memo={}), test)
+
+
+def no_points(cloud):
+    return PointCloud(np.zeros((0, 3)))
+
+
+def scaled(cloud):
+    return PointCloud(cloud.points * 1e7)
+
+
+def first(n):
+    return lambda cloud: PointCloud(cloud.points[:n])
+
+
+def same(cloud):
+    return cloud
+
+
+EMPTY = (EmptyCloud, "coarse alignment requires non-empty clouds")
+RANGE = (OutOfRange, "cloud coordinates exceed 1e+06 m")
+
+
+class TestErrorOrder:
+    """estimate_delta checks both clouds before it prepares either side: an
+    empty cloud raises EmptyCloud whatever the other holds, then a cloud
+    beyond MAX_COORDINATE OutOfRange, then a too small one TooFewPoints."""
+
+    @pytest.mark.parametrize(
+        "demo_of,test_of,error",
+        [
+            (no_points, same, EMPTY),
+            (same, no_points, EMPTY),
+            (same, first(1), (TooFewPoints, "a planar covariance needs >= 3 neighbours, got k=1")),
+            (first(2), same, (TooFewPoints, "a planar covariance needs >= 3 neighbours, got k=2")),
+            (scaled, same, RANGE),
+            (same, scaled, RANGE),
+            (no_points, scaled, EMPTY),
+            (scaled, no_points, EMPTY),
+            (first(2), scaled, RANGE),
+            (scaled, first(1), RANGE),
+        ],
+        ids=[
+            "empty demo", "empty test", "1-point test", "2-point demo", "scaled demo", "scaled test",
+            "empty demo, scaled test", "scaled demo, empty test", "2-point demo, scaled test",
+            "scaled demo, 1-point test",
+        ],
+    )
+    def test_estimate_delta(self, demo_of, test_of, error):
+        def on_table(seed):  # where the robot sees it, so x 1e7 is out of range
+            return PointCloud(mug_cloud(seed=seed).points + [0.4, 0.2, 0.0])
+
+        demo = SimpleNamespace(object_cloud=demo_of(on_table(0)), memo={})
+        with pytest.raises(TrajTransferError) as raised:
+            estimate_delta(demo, test_of(on_table(1)))
+        assert (type(raised.value), str(raised.value)) == error

@@ -10,8 +10,9 @@ mode with scene seeds 2, 3, ...; and ``unseen_occluded``, instances 1000,
 the benchmark's ``rollout-unseen-occluded`` workload.  While it
 runs, ``registration.cKDTree`` is a subclass whose ``query`` adds the number
 of query points to the stage that sent them: ``coarse`` (``coarse_align``),
-``covariances`` (``estimate_covariances``, test side and the demo's first
-registration) or ``gicp`` (``generalized_icp`` after its covariances), and
+``covariances`` (``estimate_covariances``: the test side's, which runs
+before the sweep, outside ``generalized_icp``, and the demo's at its first
+registration) or ``gicp`` (``generalized_icp``), and
 a wrapper of ``_corresponding_cost`` counts GICP's cost evaluations, so GICP's
 points read per evaluation too.  Prints one JSON line: per group, the registrations, per
 stage the points summed and their mean per registration, and the GICP cost
