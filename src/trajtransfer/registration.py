@@ -443,7 +443,9 @@ def _corresponding_cost(pose, demo_pts, cov_demo, test: PreparedCloud):
     return mask, src, tgt, W, d, cost
 
 
-def generalized_icp(demo_cloud: PointCloud, test: PreparedCloud, init: Pose, demo_covariances: np.ndarray) -> RegistrationResult:
+def generalized_icp(
+    demo_cloud: PointCloud, test: PreparedCloud, init: Pose, demo_covariances: np.ndarray
+) -> RegistrationResult:
     """Refine ``init`` by plane-to-plane GICP; returns the last accepted pose,
     which is the best visited, since a trial is accepted only if it lowers the
     cost.
