@@ -1111,7 +1111,7 @@ class TestCovariancePath:
         assert np.add.reduce(np.ascontiguousarray(x.transpose(1, 0, 2)), axis=0).tobytes() == total.tobytes()
 
     @pytest.mark.parametrize("family", CATEGORIES)
-    def test_covariances(self, family):
+    def test_estimate_covariances(self, family):
         for cloud in kernel_clouds(family):
             for k in (3, GicpParams.k_neighbors):
                 assert covariances(cloud, k).tobytes() == stacked_covariances(cloud, k).tobytes()
