@@ -4,11 +4,10 @@ from .se3 import Pose, PointCloud, compose, invert, transform_cloud, pose_distan
 from .demos import Dataset, Demonstration, EndEffectorState, parse_micro_skill, resample_trajectory, alignment_target, save_dataset, load_dataset
 from .embedding import GeometryEmbedding, occupancy_embedding, cosine_similarity
 from .retrieval import RetrievalResult, language_filter, hierarchical_retrieve
-from .registration import GicpParams, RegistrationResult, coarse_align, estimate_covariances, generalized_icp, estimate_delta, prepare_test_cloud
+from .registration import GicpParams, RegistrationResult, coarse_align, estimate_covariances, generalized_icp, estimate_delta, prepare_test_cloud, prepare_demo_cloud
 from .policies import (
     transfer_alignment_pose,
     plan_linear_path,
-    build_replay_plan,
     execute_replay,
     simulate_alignment_trajectories,
     mask_augment,

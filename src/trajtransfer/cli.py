@@ -96,8 +96,7 @@ def cmd_rollout(args) -> int:
     traces = []
     for i in range(args.count):
         scene = randomize_scene(task, instance, args.mode, args.seed + 1 + i)
-        trace = run_rollout(bench, task, scene).to_trace_dict()
-        traces.append({**trace, "condition": f"rollout/{args.family}"})
+        traces.append(stats_mod.trace_row(run_rollout(bench, task, scene), task, f"rollout/{args.family}"))
     if args.output:
         with open(args.output, "a") as f:
             f.writelines(map(stats_mod.trace_line, traces))

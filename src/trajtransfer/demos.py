@@ -23,6 +23,7 @@ import hashlib
 import json
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from importlib import resources
 from itertools import accumulate
 from pathlib import Path
@@ -30,6 +31,7 @@ from pathlib import Path
 import numpy as np
 
 from . import embedding as emb
+from . import registration
 from .errors import (
     DuplicateId,
     EmptyCloud,
@@ -39,7 +41,7 @@ from .errors import (
     MalformedFile,
     TrajectoryTooShort,
 )
-from .se3 import Pose, PointCloud, RowError, interpolate, pose_distance, poses_from_rows
+from .se3 import Pose, PointCloud, RowError, compose, interpolate, invert, pose_distance, poses_from_rows
 
 DEFAULT_SPACING = 0.01  # metres between consecutive waypoints
 
@@ -73,12 +75,6 @@ class Demonstration:
     trajectory: tuple  # EndEffectorState, interaction phase only
     embedding: emb.GeometryEmbedding
     object_instance_id: str | None = None
-    # work a rollout would otherwise redo for this demo, filled at its first
-    # use: k -> (the subset of object_cloud that GICP registers, its
-    # covariances) by registration._prepare_demo, the demo side's preparer,
-    # and "replay_plan" -> the relative motions by policies.build_replay_plan;
-    # neither compared, printed nor archived
-    memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not is_file_name(self.id):
@@ -90,6 +86,22 @@ class Demonstration:
         object.__setattr__(self, "micro_skill", parse_micro_skill(self.description))
         if self.description.splitlines() != [self.description]:
             raise InvalidDescription(f"description {self.description!r} contains a line break")
+
+    # Work a rollout would otherwise redo for this demo, done at its first use
+    # and kept on the demo, not in a cache by id (two archives may hold
+    # different demos under one id); neither compared, printed nor archived.
+
+    @cached_property
+    def registered(self) -> tuple:
+        """The demo side of a registration, :func:`registration.prepare_demo_cloud`
+        of ``object_cloud``: the subset GICP registers and its covariances."""
+        return registration.prepare_demo_cloud(self.object_cloud)
+
+    @cached_property
+    def replay_plan(self) -> tuple:
+        """(successor pose in the predecessor's frame, gripper command) per step."""
+        steps = zip(self.trajectory[:-1], self.trajectory[1:])
+        return tuple((compose(invert(a.pose), b.pose), b.gripper) for a, b in steps)
 
 
 def is_file_name(demo_id: str) -> bool:

@@ -1,9 +1,9 @@
 """Alignment and interaction policies, plus synthetic training-data generators.
 
 Alignment: map the demonstrated first end-effector pose into the test scene by
-left-multiplying with the estimated relative object pose, then follow a
-straight-line path.  Interaction: replay the demonstrated relative motions
-expressed in the end-effector frame, open loop.
+left-multiplying with the estimated relative object pose; straight-line paths
+to it are the generated alignment data.  Interaction: replay the demonstrated
+relative motions expressed in the end-effector frame, open loop.
 """
 
 from __future__ import annotations
@@ -14,14 +14,7 @@ import numpy as np
 
 from .demos import DEFAULT_SPACING, Demonstration, EndEffectorState, alignment_target
 from .errors import OutOfRange, TooFewPoints
-from .se3 import (
-    Pose,
-    PointCloud,
-    compose,
-    interpolate,
-    invert,
-    pose_distance,
-)
+from .se3 import Pose, PointCloud, compose, interpolate, pose_distance
 
 # Start-pose sampling region for synthetic alignment trajectories: a cuboid
 # above the task space, with uniform random yaw.
@@ -45,19 +38,9 @@ def plan_linear_path(start: Pose, target: Pose):
     return [interpolate(start, target, k / n) for k in range(n + 1)]
 
 
-def build_replay_plan(demo: Demonstration) -> tuple:
-    """(successor pose in the predecessor's frame, gripper command) per demo
-    step, computed at the demo's first call and kept in ``demo.memo``."""
-    if "replay_plan" not in demo.memo:
-        steps = []
-        for a, b in zip(demo.trajectory[:-1], demo.trajectory[1:]):
-            steps.append((compose(invert(a.pose), b.pose), b.gripper))
-        demo.memo["replay_plan"] = tuple(steps)
-    return demo.memo["replay_plan"]
-
-
 def execute_replay(plan: tuple, start: Pose, start_gripper: int = 0):
-    """Open-loop replay: chain the relative motions of ``plan`` from ``start``."""
+    """Open-loop replay: chain the relative motions of ``plan``, a
+    ``Demonstration.replay_plan``, from ``start``."""
     out = [EndEffectorState(start, start_gripper, 0)]
     pose = start
     for i, (motion, gripper) in enumerate(plan):
@@ -117,10 +100,11 @@ def cluster_partition(cloud: PointCloud, rng_seed: int):
 
 
 def mask_augment(cloud: PointCloud, masked: int = 4, rng_seed: int = 0) -> PointCloud:
-    """Drop the points of ``masked`` randomly chosen FPS clusters."""
-    labels, _ = cluster_partition(cloud, rng_seed)
+    """Drop the points of ``masked`` randomly chosen FPS clusters; ``cloud``
+    itself if ``masked`` is 0."""
     if masked == 0:
         return cloud
+    labels, _ = cluster_partition(cloud, rng_seed)
     rng = np.random.default_rng(np.random.SeedSequence([rng_seed, 1]))
     dropped = rng.choice(OCCLUSION_CLUSTERS, size=masked, replace=False)
     keep = ~np.isin(labels, dropped)

@@ -32,13 +32,14 @@ queries than one bounded sweep of all 72 yaws, whose pick it kept in all
 1,948 benchmark rollouts checked (seeds 1-3 of each workload, 4 of unseen).
 
 Five savings leave every result bit-identical.  Each side of a registration
-is prepared once.  :func:`prepare_test_cloud` builds the test cloud's KD tree
-and covariances, which the sweep and GICP both read.  :func:`_prepare_demo`
-memoizes a demo's subset and its covariances on the demo per neighbour count
-``k``, computed at its first registration (not at ingest or load), so later
-registrations of that demo reuse them.  Every KD query is bounded just above
-the distance beyond which its caller discards the match: the sweep clamps
-distances at its cap, and GICP keeps only matches within ``inlier_radius``.
+is prepared once, from its own cloud.  :func:`prepare_test_cloud` builds the
+test cloud's KD tree and covariances, which the sweep and GICP both read.
+:func:`prepare_demo_cloud` gives a demo's subset and its covariances, which
+the demo keeps as ``Demonstration.registered`` from its first registration
+(not at ingest or load), so later registrations of that demo reuse them.
+Every KD query is bounded just above the distance beyond which its caller
+discards the match: the sweep clamps distances at its cap, and GICP keeps
+only matches within ``inlier_radius``.
 scipy returns ``inf`` (index ``n``) past the bound, and ``min(inf, cap) ==
 cap`` as before; the GICP bound is ``nextafter(inlier_radius, inf)`` because
 scipy's bound is strict, so a match at exactly the radius still comes back
@@ -135,17 +136,6 @@ def _check(stage: str, *clouds: PointCloud) -> None:
         raise OutOfRange(f"cloud coordinates exceed {MAX_COORDINATE:g} m")
 
 
-def _sweep_angles(steps: int):
-    """Yaw candidates ordered by |angle| so degenerate ties resolve low."""
-    step = 2.0 * math.pi / steps
-    angles = [0.0]
-    for k in range(1, steps // 2 + 1):
-        angles.append(k * step)
-        if k * step < math.pi - 1e-12:
-            angles.append(-k * step)
-    return angles
-
-
 def coarse_align(demo_cloud: PointCloud, test: PreparedCloud) -> Pose:
     """Centroid shift plus best yaw from a two-pass sweep about the vertical;
     of the test side it reads the cloud and its tree.
@@ -199,7 +189,10 @@ def coarse_align(demo_cloud: PointCloud, test: PreparedCloud) -> Pose:
     # views bound the penalty without drowning out small discriminative
     # features (handles, spouts)
     cap = 0.01
-    angles = _sweep_angles(GicpParams.yaw_steps)
+    # the yaws in 5 degree steps, ordered by |angle| so degenerate ties resolve low
+    half = GicpParams.yaw_steps // 2
+    turns = np.array([0, *(t for k in range(1, half) for t in (k, -k)), half])
+    angles = turns * (2.0 * math.pi / GicpParams.yaw_steps)
     ca = np.cos(angles)
     sa = np.sin(angles)
 
@@ -244,10 +237,9 @@ def coarse_align(demo_cloud: PointCloud, test: PreparedCloud) -> Pose:
         kept = d[keep]
         return keep, np.sqrt(np.mean(kept * kept, axis=1))
 
-    turns = np.rint(np.array(angles) / (2.0 * math.pi / len(angles))).astype(int)  # in 5 degree steps
     keep, scores = sweep(np.flatnonzero(turns % COARSE_GRID == 0), COARSE_SLACK)
     candidates = turns[keep[scores <= (1.0 + COARSE_SLACK) * scores.min()]]
-    apart = np.abs((turns[:, None] - candidates + len(angles) // 2) % len(angles) - len(angles) // 2)
+    apart = np.abs((turns[:, None] - candidates + half) % len(angles) - half)
     keep, scores = sweep(np.flatnonzero(apart.min(axis=1) <= COARSE_GRID // 2), 0.0)
     best_angle, best_score = 0.0, math.inf
     for i, score in zip(keep, scores):
@@ -450,8 +442,8 @@ def generalized_icp(
     which is the best visited, since a trial is accepted only if it lowers the
     cost.
 
-    ``demo_covariances`` are :func:`estimate_covariances` of ``demo_cloud``
-    with the ``k`` the test side was prepared with.  Correspondence and
+    ``demo_covariances`` are the covariances of ``demo_cloud``'s points, as
+    :func:`prepare_demo_cloud` gives them.  Correspondence and
     fitness queries are bounded just above ``inlier_radius`` (see
     :func:`_query_within`), which changes no result.
     """
@@ -560,29 +552,28 @@ def normal_space_sample(covariances: np.ndarray, k: int) -> np.ndarray:
     return np.sort(order[:half])
 
 
-def prepare_test_cloud(cloud: PointCloud, k: int) -> PreparedCloud:
+def prepare_test_cloud(cloud: PointCloud) -> PreparedCloud:
     """The test side of a registration: ``cloud``, its KD tree and its
-    covariances with ``k`` neighbours, built once for the sweep and GICP."""
+    covariances, built once for the sweep and GICP.  As in GICP, a cloud's
+    covariances come from its own nearest neighbours, ``min(k_neighbors,
+    len(cloud))`` of them."""
     _check("registration", cloud)
     tree = cKDTree(cloud.points)
-    return PreparedCloud(cloud, tree, estimate_covariances(cloud, k, tree))
+    return PreparedCloud(cloud, tree, estimate_covariances(cloud, min(GicpParams.k_neighbors, len(cloud)), tree))
 
 
-def _prepare_demo(demo, k: int):
-    """The demo side, ``demo.memo[k]``: the subset of ``demo.object_cloud``
-    that GICP registers, as a cloud, and its covariances.  At the demo's first
-    registration with ``k`` the whole cloud's covariances are estimated and
-    :func:`normal_space_sample` picks the subset.  The memo lives on the demo,
-    not in a cache by demo id: two archives may hold different demos under one id.
-    """
-    if k not in demo.memo:
-        cloud = demo.object_cloud
-        cov = estimate_covariances(cloud, k, cKDTree(cloud.points))
-        keep = normal_space_sample(cov, k)
-        subset = cloud.points[keep]
-        subset.setflags(write=False)  # handed over: PointCloud keeps it as it is
-        demo.memo[k] = (PointCloud(subset), cov[keep])
-    return demo.memo[k]
+def prepare_demo_cloud(cloud: PointCloud):
+    """The demo side of a registration: the subset of ``cloud`` that GICP
+    registers, as a cloud, and its rows of the whole cloud's covariances,
+    estimated as :func:`prepare_test_cloud` estimates them.
+    :func:`normal_space_sample` picks the subset; a cloud under ``4 *
+    k_neighbors`` points is kept whole.  A demo keeps the pair as
+    ``Demonstration.registered``."""
+    cov = prepare_test_cloud(cloud).covariances
+    keep = normal_space_sample(cov, GicpParams.k_neighbors)
+    subset = cloud.points[keep]
+    subset.setflags(write=False)  # handed over: PointCloud keeps it as it is
+    return PointCloud(subset), cov[keep]
 
 
 def estimate_delta(demo, test_cloud: PointCloud) -> RegistrationResult:
@@ -594,7 +585,6 @@ def estimate_delta(demo, test_cloud: PointCloud) -> RegistrationResult:
     """
     demo_cloud = demo.object_cloud
     _check("coarse alignment", demo_cloud, test_cloud)
-    k = min(GicpParams.k_neighbors, len(demo_cloud), len(test_cloud))
-    test = prepare_test_cloud(test_cloud, k)
-    subset, cov = _prepare_demo(demo, k)
+    test = prepare_test_cloud(test_cloud)
+    subset, cov = demo.registered
     return generalized_icp(subset, test, coarse_align(demo_cloud, test), cov)

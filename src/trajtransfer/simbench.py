@@ -23,7 +23,7 @@ from scipy.spatial import ConvexHull, QhullError
 
 from .demos import Dataset, Demonstration, EndEffectorState
 from .errors import EmptyCloud, OutOfRange, OutOfWorkspace, UnknownCategory, UnknownSkill, NoCorrespondences, TooFewPoints
-from .policies import OCCLUSION_CLUSTERS, build_replay_plan, execute_replay, jitter_cloud, mask_augment, transfer_alignment_pose
+from .policies import OCCLUSION_CLUSTERS, execute_replay, jitter_cloud, mask_augment, transfer_alignment_pose
 # run_rollout plans no approach path, as only its endpoint matters; perfbench's
 # tracer still wraps trajtransfer.simbench.plan_linear_path by name
 from .policies import plan_linear_path
@@ -541,7 +541,7 @@ def _replay(task: TaskSpec, demo: Demonstration, delta: Pose, scene: SceneSpec, 
     """Replay ``demo`` under the object motion ``delta`` in ``scene``: the
     executed states, and whether the final pose meets the task's thresholds."""
     target = transfer_alignment_pose(demo, delta)
-    executed = tuple(execute_replay(build_replay_plan(demo), target, demo.trajectory[0].gripper))
+    executed = tuple(execute_replay(demo.replay_plan, target, demo.trajectory[0].gripper))
     return executed, _final_pose_success(task, executed[-1].pose, scene, demo_scene, demo.trajectory[-1].pose)
 
 

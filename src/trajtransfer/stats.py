@@ -231,11 +231,16 @@ def _conditions(config):
     ]
 
 
+def trace_row(result, task, condition: str) -> dict:
+    """The dict of a trace line: the rollout ``result``'s trace dict,
+    ``task``'s micro skill and the row label ``condition``."""
+    return {**result.to_trace_dict(), "micro_skill": task.micro_skill, "condition": condition}
+
+
 def _trace(benches, items, i: int) -> dict:
     """Item ``i`` of a run, rolled out, as the dict of its trace line."""
     bench_idx, label, task, scene = items[i]
-    result = run_rollout(benches[bench_idx], task, scene)
-    return {**result.to_trace_dict(), "micro_skill": task.micro_skill, "condition": label}
+    return trace_row(run_rollout(benches[bench_idx], task, scene), task, label)
 
 
 _WORKER_RUN = None  # (benches, items) of the run, in a pool worker

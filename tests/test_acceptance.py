@@ -18,7 +18,6 @@ from trajtransfer.embedding import occupancy_embedding
 from trajtransfer.policies import (
     ALIGN_CUBOID_ORIGIN,
     ALIGN_CUBOID_SIZE,
-    build_replay_plan,
     cluster_partition,
     execute_replay,
     mask_augment,
@@ -113,7 +112,7 @@ def test_criterion_01_se3_suite():
 
 def test_criterion_02_transfer_exactness():
     demo = make_demo()
-    plan = build_replay_plan(demo)
+    plan = demo.replay_plan
     rng = np.random.default_rng(22)
     t_obj = random_pose(rng)
     bad = 0
@@ -163,7 +162,7 @@ def test_criterion_03_registration_recovery():
                 ("clean", moved, 0.002, math.radians(1.0)),
                 ("noisy", noisy, 0.005, math.radians(2.0)),
             ):
-                test = prepare_test_cloud(test_cloud, GicpParams.k_neighbors)
+                test = prepare_test_cloud(test_cloud)
                 init = coarse_align(demo_cloud, test)
                 res = generalized_icp(demo_cloud, test, init, cov_demo)
                 dt, dr = pose_distance(res.delta, g)

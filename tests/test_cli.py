@@ -315,6 +315,8 @@ class TestRollout:
         assert printed["family"] == "mug" and printed["trials"] == 3
         rows = [json.loads(line) for line in traces.read_text().splitlines()]
         assert len(rows) == 4 and all(r["condition"] == "rollout/mug" for r in rows[1:])
+        # the fields of an evaluate row, the task's micro skill included
+        assert all(r["micro_skill"] == simbench.default_task("mug").micro_skill for r in rows[1:])
         code = cli.main(["report", "--traces", str(traces), "--output", str(workdir / "rep")])
         assert code == cli.EXIT_OK
         with open(workdir / "rep" / "report.csv") as f:

@@ -5,13 +5,12 @@ import math
 import numpy as np
 import pytest
 
-from trajtransfer import policies
+from trajtransfer import demos
 from trajtransfer.demos import Dataset, EndEffectorState, alignment_target, load_dataset, save_dataset
 from trajtransfer.errors import TooFewPoints
 from trajtransfer.policies import (
     ALIGN_CUBOID_ORIGIN,
     ALIGN_CUBOID_SIZE,
-    build_replay_plan,
     cluster_partition,
     execute_replay,
     jitter_cloud,
@@ -93,7 +92,7 @@ class TestPlanLinearPath:
 class TestReplay:
     def test_round_trip(self):
         demo = make_demo()
-        plan = build_replay_plan(demo)
+        plan = demo.replay_plan
         assert len(plan) == len(demo.trajectory) - 1
         out = execute_replay(plan, demo.trajectory[0].pose, demo.trajectory[0].gripper)
         assert len(out) == len(demo.trajectory)
@@ -104,7 +103,7 @@ class TestReplay:
 
     def test_equivariance(self, rng):
         demo = make_demo()
-        plan = build_replay_plan(demo)
+        plan = demo.replay_plan
         for _ in range(20):
             g = random_pose(rng)
             start = compose(g, demo.trajectory[0].pose)
@@ -116,7 +115,7 @@ class TestReplay:
 
     def test_relative_motions_preserved(self):
         demo = make_demo()
-        plan = build_replay_plan(demo)
+        plan = demo.replay_plan
         out = execute_replay(plan, Pose.from_yaw(1.0, (1.0, 2.0, 3.0)))
         for i, (motion, _) in enumerate(plan):
             step = compose(invert(out[i].pose), out[i + 1].pose)
@@ -125,7 +124,7 @@ class TestReplay:
 
     def test_gripper_schedule_invariant(self, rng):
         demo = make_demo()
-        plan = build_replay_plan(demo)
+        plan = demo.replay_plan
         ref = [s.gripper for s in demo.trajectory]
         for _ in range(5):
             out = execute_replay(plan, random_pose(rng), ref[0])
@@ -149,15 +148,15 @@ class TestReplay:
         )
         save_dataset(ds, tmp_path / "arch")
         loaded = load_dataset(tmp_path / "arch").demos[demo.id]
-        monkeypatch.setattr(policies, "compose", counting)
-        plan = build_replay_plan(demo)
+        monkeypatch.setattr(demos, "compose", counting)
+        plan = demo.replay_plan
         assert len(calls) == steps > 2
-        assert build_replay_plan(demo) is plan and len(calls) == steps
+        assert demo.replay_plan is plan and len(calls) == steps
         assert [(m.rotation.tobytes(), m.translation.tobytes(), g) for m, g in plan] == [
             (m.rotation.tobytes(), m.translation.tobytes(), g) for m, g in fresh
         ]
-        build_replay_plan(loaded)  # a loaded demo has its own memo
-        assert len(calls) == 2 * steps and build_replay_plan(loaded) is not plan
+        assert loaded.replay_plan is not plan  # a loaded demo plans its own
+        assert len(calls) == 2 * steps
 
 
 class TestAlignmentTrajectories:
@@ -219,6 +218,11 @@ class TestMaskAugment:
     def test_too_few_points(self):
         with pytest.raises(TooFewPoints):
             mask_augment(PointCloud(np.zeros((5, 3))))
+
+    def test_nothing_masked_needs_no_clusters(self):
+        """With nothing masked, a cloud too small to cluster comes back as it is."""
+        c = self.cloud(n=5)
+        assert mask_augment(c, masked=0) is c
 
 
 class TestJitter:

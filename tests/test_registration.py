@@ -7,15 +7,14 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from scipy.spatial import cKDTree
 
 from trajtransfer import registration
-from trajtransfer.demos import Dataset, load_dataset, save_dataset
+from trajtransfer.demos import Dataset, Demonstration, load_dataset, save_dataset
 from trajtransfer.errors import EmptyCloud, NoCorrespondences, OutOfRange, TooFewPoints, TrajTransferError
-from trajtransfer.policies import build_replay_plan
 from trajtransfer.registration import (
     EPS_PLANE,
     MAX_COORDINATE,
@@ -32,6 +31,7 @@ from trajtransfer.registration import (
     estimate_delta,
     generalized_icp,
     normal_space_sample,
+    prepare_demo_cloud,
     prepare_test_cloud,
 )
 from trajtransfer.se3 import Pose, PointCloud, compose, invert, pose_distance, rotation_angle, transform_cloud
@@ -70,6 +70,22 @@ def covariances(cloud, k=GicpParams.k_neighbors):
     return estimate_covariances(cloud, k, cKDTree(cloud.points))
 
 
+def own_covariances(cloud):
+    """The covariances registration gives a cloud: from its own
+    ``min(k_neighbors, len(cloud))`` nearest neighbours."""
+    return covariances(cloud, min(GicpParams.k_neighbors, len(cloud)))
+
+
+class StandIn:
+    """A demo as estimate_delta reads it: an object cloud, which unlike a
+    Demonstration's may be empty, and the same cached ``registered``."""
+
+    def __init__(self, object_cloud):
+        self.object_cloud = object_cloud
+
+    registered = Demonstration.registered
+
+
 def swept(cloud):
     """The test side as the sweep reads it: the cloud and its tree, which
     ``registration.cKDTree`` builds.  The sweep reads no covariances, so this
@@ -82,10 +98,9 @@ def coarse(demo_cloud, test_cloud):
 
 
 def gicp(demo_cloud, test_cloud, init):
-    """generalized_icp of the whole demo cloud, both sides' covariances at
-    the ``k`` estimate_delta picks."""
-    k = min(GicpParams.k_neighbors, len(demo_cloud), len(test_cloud))
-    return generalized_icp(demo_cloud, prepare_test_cloud(test_cloud, k), init, covariances(demo_cloud, k))
+    """generalized_icp of the whole demo cloud, each side's covariances from
+    its own neighbours, as estimate_delta estimates them."""
+    return generalized_icp(demo_cloud, prepare_test_cloud(test_cloud), init, own_covariances(demo_cloud))
 
 
 class TestGicpParams:
@@ -133,6 +148,17 @@ class TestCoarseAlign:
             coarse(PointCloud(np.zeros((0, 3))), mug_cloud())
 
 
+def sweep_angles(steps):
+    """The sweep's yaws, ordered by |angle| so degenerate ties resolve low."""
+    step = 2.0 * math.pi / steps
+    angles = [0.0]
+    for k in range(1, steps // 2 + 1):
+        angles.append(k * step)
+        if k * step < math.pi - 1e-12:
+            angles.append(-k * step)
+    return angles
+
+
 def sweep_scores(demo_cloud, test_cloud):
     """Every yaw's score over every point, unbounded: the sweep's angles, the
     scores in sweep order, and the two centroids."""
@@ -143,7 +169,7 @@ def sweep_scores(demo_cloud, test_cloud):
         centered = centered[:: len(centered) // 600 + 1]
     tree = cKDTree(test_cloud.points)
     cap = 0.01
-    angles = registration._sweep_angles(72)
+    angles = sweep_angles(72)
     ca, sa = np.cos(angles), np.sin(angles)
     x, y, z = centered[:, 0], centered[:, 1], centered[:, 2]
     moved = np.empty((len(angles), len(centered), 3))
@@ -422,14 +448,13 @@ def family_demo(family):
 
 
 def plain_estimate(demo, cloud):
-    """estimate_delta without the demo's memo: the whole cloud's covariances
-    and the subset computed afresh, the sweep on the whole cloud and GICP on
-    the subset with its rows of those covariances."""
+    """estimate_delta without the demo's kept ``registered``: the whole
+    cloud's covariances and the subset computed afresh, the sweep on the
+    whole cloud and GICP on the subset with its rows of those covariances."""
     init = coarse(demo.object_cloud, cloud)
-    k = min(GicpParams.k_neighbors, len(demo.object_cloud), len(cloud))
-    cov = covariances(demo.object_cloud, k)
-    keep = normal_space_sample(cov, k)
-    return generalized_icp(PointCloud(demo.object_cloud.points[keep]), prepare_test_cloud(cloud, k), init, cov[keep])
+    cov = own_covariances(demo.object_cloud)
+    keep = normal_space_sample(cov, min(GicpParams.k_neighbors, len(demo.object_cloud)))
+    return generalized_icp(PointCloud(demo.object_cloud.points[keep]), prepare_test_cloud(cloud), init, cov[keep])
 
 
 def bucket_covariances(sizes, seed=0):
@@ -497,10 +522,10 @@ class TestNormalSpaceSample:
 
     def test_small_demo_registers_whole(self):
         demo, task, instance = family_demo("mug")
-        small = SimpleNamespace(object_cloud=PointCloud(demo.object_cloud.points[:70]), memo={})
+        small = StandIn(PointCloud(demo.object_cloud.points[:70]))
         cloud = _observed_cloud(randomize_scene(task, instance, "controlled", 2))
         estimate_delta(small, cloud)
-        subset, cov = small.memo[20]
+        subset, cov = small.registered
         assert subset == small.object_cloud and len(cov) == 70
 
 
@@ -515,25 +540,27 @@ class TestEstimateDelta:
                 occlusion_fraction=0.3, noise_sigma=0.002,
             )
         )
-        assert demo.memo == {}
+        assert "registered" not in vars(demo)
         # cold (first registration of the demo), then warm on the same and
         # on another cloud
         for cloud in (seen, seen, unseen):
             assert estimate_delta(demo, cloud).to_dict() == plain_estimate(demo, cloud).to_dict()
-        assert list(demo.memo) == [GicpParams.k_neighbors]
-        subset, cov = demo.memo[GicpParams.k_neighbors]
-        # GICP of the memo's subset cloud and covariances, given the same init
+        subset, cov = vars(demo)["registered"]
+        # GICP of the kept subset cloud and covariances, given the same init
         for cloud in (seen, unseen):
-            test = prepare_test_cloud(cloud, GicpParams.k_neighbors)
+            test = prepare_test_cloud(cloud)
             want = generalized_icp(subset, test, coarse_align(demo.object_cloud, test), cov)
             assert estimate_delta(demo, cloud).to_dict() == want.to_dict()
         assert len(subset) == len(demo.object_cloud) // 2
         assert subset.points.flags.owndata and not subset.points.flags.writeable
 
     def test_memo_per_neighbour_count(self):
+        """A test cloud under k_neighbors points takes its own neighbour
+        count and the demo keeps its own, so the kept demo side serves every
+        test cloud with the bits of a fresh one."""
         demo, task, instance = family_demo("mug")
         cloud = _observed_cloud(randomize_scene(task, instance, "controlled", 2))
-        tiny = PointCloud(cloud.points[:12])  # k = 12 < k_neighbors
+        tiny = PointCloud(cloud.points[:12])  # k = 12 < k_neighbors on the test side
         for test in (cloud, tiny, cloud, tiny):
             try:
                 want = plain_estimate(demo, test).to_dict()
@@ -542,7 +569,32 @@ class TestEstimateDelta:
                     estimate_delta(demo, test)
                 continue
             assert estimate_delta(demo, test).to_dict() == want
-        assert sorted(demo.memo) == [12, 20]
+
+    def test_demo_prepared_once_whatever_the_test_cloud(self, monkeypatch):
+        """Registered against a 12-point test cloud and then a full one, a
+        demo is prepared once, with its own neighbour count: its
+        ``registered`` has the bits of prepare_demo_cloud of its cloud."""
+        demo, task, instance = family_demo("kettle")
+        cloud = _observed_cloud(randomize_scene(task, instance, "controlled", 2))
+        prepared = []
+        real = registration.prepare_demo_cloud
+
+        def counting(c):
+            prepared.append(c)
+            return real(c)
+
+        monkeypatch.setattr(registration, "prepare_demo_cloud", counting)
+        for test in (PointCloud(cloud.points[:12]), cloud):
+            try:
+                estimate_delta(demo, test)
+            except NoCorrespondences:
+                pass
+        assert len(prepared) == 1 and prepared[0] is demo.object_cloud
+        monkeypatch.undo()
+        subset, cov = demo.registered
+        want_subset, want_cov = prepare_demo_cloud(demo.object_cloud)
+        assert subset.points.tobytes() == want_subset.points.tobytes()
+        assert cov.tobytes() == want_cov.tobytes()
 
     def test_demo_covariances_once_per_demo(self, monkeypatch, tmp_path):
         calls = []
@@ -580,8 +632,8 @@ class TestEstimateDelta:
         save_dataset(ds, tmp_path / "before")
         before = repr(stored)
         estimate_delta(stored, _observed_cloud(randomize_scene(task, instance, "controlled", 2)))
-        build_replay_plan(stored)
-        assert sorted(stored.memo, key=str) == [GicpParams.k_neighbors, "replay_plan"]
+        assert len(stored.replay_plan) == len(stored.trajectory) - 1
+        assert {"registered", "replay_plan"} <= vars(stored).keys()
         assert repr(stored) == before
         save_dataset(ds, tmp_path / "after")
         name = f"{stored.id}.demo"
@@ -689,9 +741,8 @@ def step_stop_runs(family, kind):
     and at the result."""
     runs = []
     for demo_cloud, test_cloud in step_stop_scenes(family, kind):
-        k = min(GicpParams.k_neighbors, len(demo_cloud), len(test_cloud))
-        cov_demo = covariances(demo_cloud, k)
-        test = prepare_test_cloud(test_cloud, k)
+        cov_demo = own_covariances(demo_cloud)
+        test = prepare_test_cloud(test_cloud)
         init = coarse_align(demo_cloud, test)
         log = TrialLog()
         with pytest.MonkeyPatch.context() as mp:
@@ -965,13 +1016,17 @@ def family_matrices(family):
 def assert_eigh_close(A, w, v):
     """``(w, v)`` agrees with ``np.linalg.eigh(A)``: the same ascending
     eigenvalues and orthonormal columns that rebuild ``A``, to a tolerance
-    relative to each matrix's largest |eigenvalue|."""
+    relative to each matrix's largest |eigenvalue|, but never below the
+    smallest normal float: for subnormal entries ``np.linalg.eigh``'s
+    eigenvalues can underflow to 0, and the rounding of subnormals is
+    absolute."""
+    tiny = np.finfo(np.float64).tiny
     w_ref = np.linalg.eigh(A)[0]
     scale = np.abs(w_ref).max(axis=1)
-    assert np.all(np.abs(w - w_ref) <= 1e-10 * scale[:, None])
+    assert np.all(np.abs(w - w_ref) <= 1e-10 * scale[:, None] + tiny)
     np.testing.assert_allclose(v.transpose(0, 2, 1) @ v, np.broadcast_to(np.eye(3), A.shape), rtol=0, atol=1e-8)
     rebuilt = (v * w[:, None, :]) @ v.transpose(0, 2, 1)
-    assert np.all(np.abs(rebuilt - A) <= 1e-8 * scale[:, None, None])
+    assert np.all(np.abs(rebuilt - A) <= 1e-8 * scale[:, None, None] + tiny)
 
 
 def assert_inv_close(c, inv):
@@ -1030,6 +1085,7 @@ class TestEigh3x3:
 
     @FUZZ
     @given(A=symmetric_stacks)
+    @example(A=np.array([[[1.0, 1.0, 0.0], [1.0, -2.0, 0.0], [0.0, 0.0, 1.0]]]) * 1e-316)  # subnormal
     def test_symmetric_matrices(self, A):
         w, v = _eigh3x3(A)
         w_ref, v_ref = stacked_eigh3x3(A)
@@ -1134,7 +1190,7 @@ class TestCovariancePath:
         monkeypatch.setattr(registration, "_eigh3x3", stacked_eigh3x3)
         monkeypatch.setattr(registration, "_inv3x3", stacked_inv3x3)
         monkeypatch.setattr(registration, "estimate_covariances", stacked_covariances)
-        demo, _, _ = family_demo(family)  # a fresh memo
+        demo, _, _ = family_demo(family)  # a fresh demo, not yet prepared
         assert got == [estimate_delta(demo, test).to_dict() for test in tests]
 
 
@@ -1154,11 +1210,10 @@ class TestSharedTree:
             pair for kind in ("seen", "unseen") for pair in step_stop_scenes(family, kind)
         ]
         for demo_cloud, test_cloud in pairs:
-            k = min(GicpParams.k_neighbors, len(demo_cloud), len(test_cloud))
-            test = prepare_test_cloud(test_cloud, k)
-            fresh = PreparedCloud(test_cloud, cKDTree(test_cloud.points), covariances(test_cloud, k))
+            test = prepare_test_cloud(test_cloud)
+            fresh = PreparedCloud(test_cloud, cKDTree(test_cloud.points), own_covariances(test_cloud))
             assert test.covariances.tobytes() == fresh.covariances.tobytes()
-            cov = covariances(demo_cloud, k)
+            cov = own_covariances(demo_cloud)
             init = coarse_align(demo_cloud, fresh)
             want = generalized_icp(demo_cloud, fresh, init, cov).to_dict()
             # the prepared side is left as it was built: a second use gives the same bits
@@ -1234,7 +1289,7 @@ class TestDegenerateInput:
     @FUZZ
     @given(demo=clouds(), test=clouds())
     def test_estimate_delta(self, demo, test):
-        self.check(lambda: estimate_delta(SimpleNamespace(object_cloud=demo, memo={}), test))
+        self.check(lambda: estimate_delta(StandIn(demo), test))
 
     def test_nothing_within_the_radius(self):
         c = mug_cloud()
@@ -1248,17 +1303,19 @@ class TestDegenerateInput:
         big = PointCloud(c.points * 1e200)
         if where == "demo":
             with pytest.raises(OutOfRange):
-                coarse_align(big, prepare_test_cloud(c, GicpParams.k_neighbors))
+                coarse_align(big, prepare_test_cloud(c))
             with pytest.raises(OutOfRange):
-                generalized_icp(big, prepare_test_cloud(c, GicpParams.k_neighbors), Pose.identity(), covariances(c))
+                generalized_icp(big, prepare_test_cloud(c), Pose.identity(), covariances(c))
+            with pytest.raises(OutOfRange):
+                prepare_demo_cloud(big)
         else:
             with pytest.raises(OutOfRange):
-                prepare_test_cloud(big, GicpParams.k_neighbors)
+                prepare_test_cloud(big)
         with pytest.raises(OutOfRange):
             covariances(big)
         demo, test = (big, c) if where == "demo" else (c, big)
         with pytest.raises(OutOfRange):
-            estimate_delta(SimpleNamespace(object_cloud=demo, memo={}), test)
+            estimate_delta(StandIn(demo), test)
 
 
 def no_points(cloud):
@@ -1310,7 +1367,7 @@ class TestErrorOrder:
         def on_table(seed):  # where the robot sees it, so x 1e7 is out of range
             return PointCloud(mug_cloud(seed=seed).points + [0.4, 0.2, 0.0])
 
-        demo = SimpleNamespace(object_cloud=demo_of(on_table(0)), memo={})
+        demo = StandIn(demo_of(on_table(0)))
         with pytest.raises(TrajTransferError) as raised:
             estimate_delta(demo, test_of(on_table(1)))
         assert (type(raised.value), str(raised.value)) == error

@@ -13,7 +13,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from trajtransfer import policies, simbench
+from trajtransfer import demos as demos_mod, simbench
 from trajtransfer.demos import Dataset
 from trajtransfer.errors import EmptyCloud, OutOfRange, TooFewPoints, UnknownCategory
 from trajtransfer.se3 import Pose, PointCloud, compose, invert, pose_distance, transform_cloud
@@ -470,13 +470,13 @@ class TestRollout:
         bench, task, inst, _ = make_bench()
         scene = randomize_scene(task, inst, "controlled", 918)
         inverts = []
-        real = policies.invert
+        real = demos_mod.invert
 
         def counting(pose):
             inverts.append(pose)
             return real(pose)
 
-        monkeypatch.setattr(policies, "invert", counting)
+        monkeypatch.setattr(demos_mod, "invert", counting)
         a = run_rollout(bench, task, scene)
         planned = len(inverts)
         b = run_rollout(bench, task, scene)
